@@ -6,34 +6,22 @@ lower bound and stops once the bound proves the incumbent optimal;
 ``evolutionary`` (warm-started from memoized per-shape winners, the repeat-
 session case) refines from the previous optimum under a hard budget.  This
 benchmark runs all three policies over the deduplicated ResNet-50 co-search
-on FEATHER, asserts winner identity, and records the trajectory —
-evaluation counts, wall time, identity — in ``BENCH_search.json`` at the
-repo root (the committed datapoints CI's ``bench_guard --gates budget``
-mirrors).
-
-Every recorded run also carries a ``compiled`` entry stating whether the
-numba JIT was importable; on the opt-in compiled leg
-(``REPRO_BENCH_COMPILE=1``, CI's numba job) the exhaustive co-search is
-additionally timed with ``compile=True`` and the jit-vs-numpy wall-time
-ratio is recorded — with winner identity to the numpy path asserted.
+on FEATHER, prints evaluation counts and wall time, and asserts winner
+identity and the evaluation reductions (the gate CI's
+``bench_guard --gates budget`` mirrors).  It records nothing: the
+measurement of record is ``bench/run.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
 from repro.search.budget import evolutionary_search, halving_search
 from repro.search.signatures import workload_signature
 from repro.workloads.resnet50 import resnet50_layers
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
 MAX_MAPPINGS = 24
 #: Warm-started evolutionary budget: winner + one refinement candidate per
 #: shape (7 layouts each).  Locally 3.13x; the gate floor is 3.0x.
@@ -54,64 +42,6 @@ def _identical(result, winner) -> bool:
             == winner.best_report.total_energy_pj
             and result.best_mapping.name == winner.best_mapping.name
             and result.best_layout.name == winner.best_layout.name)
-
-
-def _record_run(policies, compiled) -> None:
-    history = {"benchmark": "budgeted-search", "runs": []}
-    if BENCH_PATH.exists():
-        try:
-            history = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    history.setdefault("runs", []).append({
-        "repro_version": repro.__version__,
-        "cpu_count": os.cpu_count(),
-        "model": "resnet50",
-        "arch": "FEATHER",
-        "max_mappings": MAX_MAPPINGS,
-        "policies": policies,
-        "compiled": compiled,
-    })
-    history["runs"] = history["runs"][-50:]  # bounded trajectory
-    BENCH_PATH.write_text(json.dumps(history, indent=2, sort_keys=True)
-                          + "\n")
-
-
-def _compiled_entry(best_of, shapes, arch, winners):
-    """The compiled-kernel datapoint for the recorded run.
-
-    Always records whether numba was importable (so the trajectory is
-    honest about which runs exercised the JIT at all).  The jit-vs-numpy
-    timing ratio is only measured on the opt-in leg
-    (``REPRO_BENCH_COMPILE=1``, CI's numba job) — and there winner
-    identity with the numpy path is asserted, not just recorded.
-    """
-    from repro.kernel import NUMBA_AVAILABLE
-
-    entry = {"numba_available": NUMBA_AVAILABLE}
-    if not (NUMBA_AVAILABLE and os.environ.get("REPRO_BENCH_COMPILE")):
-        return entry
-
-    def run_compiled():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0,
-                        compile=True)
-        return [mapper.search(workload) for workload in shapes]
-
-    def run_numpy():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0)
-        return [mapper.search(workload) for workload in shapes]
-
-    compiled_s, compiled = best_of(run_compiled, 3)
-    numpy_s, _ = best_of(run_numpy, 3)
-    identical = all(_identical(r, w) for r, w in zip(compiled, winners))
-    assert identical, "compiled-kernel winner drifted from the numpy path"
-    entry.update({
-        "jit_vs_numpy": round(numpy_s / compiled_s, 3),
-        "compiled_wall_s": round(compiled_s, 4),
-        "numpy_wall_s": round(numpy_s, 4),
-        "winner_identical": identical,
-    })
-    return entry
 
 
 @pytest.mark.benchmark(group="budget")
@@ -154,19 +84,9 @@ def test_budgeted_policies_reach_exhaustive_winner(best_of):
     print(f"\n{'=' * len(title)}\n{title}\n{'=' * len(title)}")
     print(f"{'policy':>20}  {'wall s':>8}  {'evaluations':>11}  "
           f"{'reduction':>9}  {'identical':>9}")
-    policies = {}
     for name, (seconds, evaluations, identical) in rows.items():
         print(f"{name:>20}  {seconds:8.3f}  {evaluations:11d}  "
               f"{baseline / evaluations:8.2f}x  {str(identical):>9}")
-        policies[name] = {
-            "wall_s": round(seconds, 4),
-            "evaluations": evaluations,
-            "reduction": round(baseline / evaluations, 3),
-            "winner_identical": identical,
-        }
-    compiled = _compiled_entry(best_of, shapes, arch, winners)
-    _record_run(policies, compiled)
-    print(f"recorded in {BENCH_PATH.name} (compiled: {compiled})")
 
     # Identity is the contract: a cheap wrong winner is a regression.
     assert rows["halving"][2], "halving winner drifted from exhaustive"

@@ -51,7 +51,6 @@ _CONFIG_PROPS = {
     "policy": {"type": "string",
                "enum": ["exhaustive", "halving", "evolutionary"]},
     "budget": {"type": ["integer", "null"], "minimum": 1},
-    "compile": {"type": "boolean"},
 }
 
 EVAL_REQUEST_SCHEMA = _schema(
@@ -83,8 +82,6 @@ SEARCH_REQUEST_SCHEMA = _schema(
         "layouts": {"type": ["array", "null"],
                     "items": {"type": "string"}, "minItems": 1},
         "workers": _WORKERS_PROP,
-        "vectorize": {"type": "boolean"},
-        "bulk": {"type": "boolean"},
         "fresh_cache": {"type": "boolean"},
         "constraints": {"type": ["string", "null"],
                         "enum": ["none", "default", None]},
@@ -103,7 +100,6 @@ SWEEP_REQUEST_SCHEMA = _schema(
         "skip_incompatible": {"type": "boolean"},
         "force": {"type": "boolean"},
         "workers": _WORKERS_PROP,
-        "vectorize": {"type": "boolean"},
         "schema_version": _SCHEMA_VERSION_PROP,
     },
     required=())

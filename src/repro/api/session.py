@@ -189,9 +189,8 @@ def content_key(request: Request) -> str:
     signature, the search-config identity (``policy``/``budget``
     included — they change the result), the package version — plus the
     labels that appear in the response; the guaranteed result-neutral
-    execution knobs (``workers``, ``vectorize``, ``compile``,
-    ``fresh_cache``) stay out.  Raises :class:`InvalidRequestError` when
-    the request does not resolve.
+    execution knobs (``workers``, ``fresh_cache``) stay out.  Raises
+    :class:`InvalidRequestError` when the request does not resolve.
     """
     return _resolve_request(request)[0]
 
@@ -403,8 +402,7 @@ class Session:
 
         key = (arch_signature(arch, DEFAULT_ENERGY_TABLE), request.metric,
                request.max_mappings, request.seed, request.prune,
-               request.backend, request.vectorize, request.policy,
-               request.budget, request.compile, request.bulk,
+               request.backend, request.policy, request.budget,
                request.constraints)
         with self._lock:
             mapper = self._mappers.get(key)
@@ -413,9 +411,8 @@ class Session:
         mapper = Mapper(arch, metric=request.metric,
                         max_mappings=request.max_mappings, seed=request.seed,
                         prune=request.prune, evaluation_cache=self.cache,
-                        vectorize=request.vectorize, backend=backend,
-                        policy=request.policy, budget=request.budget,
-                        compile=request.compile, bulk=request.bulk,
+                        backend=backend, policy=request.policy,
+                        budget=request.budget,
                         constraints=request.constraints)
         with self._lock:
             return self._mappers.setdefault(key, mapper)
@@ -629,11 +626,9 @@ class Session:
             arch=resolved.arch, workloads=list(resolved.workloads),
             model_name=request.model, metric=request.metric,
             max_mappings=request.max_mappings, workers=1,
-            prune=request.prune, seed=request.seed,
-            vectorize=request.vectorize, backend="analytical",
+            prune=request.prune, seed=request.seed, backend="analytical",
             layouts=resolved.layouts, policy=request.policy,
-            budget=request.budget, compile=request.compile,
-            bulk=request.bulk, constraints=request.constraints)
+            budget=request.budget, constraints=request.constraints)
         try:
             return pool.submit(_offloaded_search, payload).result()
         except (BrokenProcessPool, OSError):
@@ -742,12 +737,10 @@ class Session:
                     metric=request.metric, max_mappings=request.max_mappings,
                     workers=workers, prune=request.prune, seed=request.seed,
                     cache=None if request.fresh_cache else self.cache,
-                    vectorize=request.vectorize, backend=search_backend,
-                    layouts=layouts, executor=pool, mapper=mapper,
-                    policy=request.policy, budget=request.budget,
-                    compile=request.compile, frontier=request.frontier,
-                    fused=request.fused, bulk=request.bulk,
-                    constraints=request.constraints)
+                    backend=search_backend, layouts=layouts, executor=pool,
+                    mapper=mapper, policy=request.policy,
+                    budget=request.budget, frontier=request.frontier,
+                    fused=request.fused, constraints=request.constraints)
             finally:
                 self._release_executor(pool)
         if crossval:
@@ -792,7 +785,7 @@ class Session:
         matrix = ScenarioMatrix(name="request", scenarios=resolved.cells)
         start = time.perf_counter()
         run = run_matrix(matrix, workers=request.workers,
-                         vectorize=request.vectorize, runs_dir=self.runs_dir,
+                         runs_dir=self.runs_dir,
                          force=request.force, backend=request.backend,
                          skip_incompatible=request.skip_incompatible,
                          session=self)

@@ -109,9 +109,9 @@ class MappingSpace:
         """Enumerate parallelism assignments onto the array.
 
         Memoized per (dims, candidate dims, array shape): repeated searches
-        over the same layer shape — scalar-vs-vectorized comparisons, metric
-        sweeps, every mapper revisiting a cached workload — skip the
-        enumeration entirely.
+        over the same layer shape — oracle comparisons, metric sweeps,
+        every mapper revisiting a cached workload — skip the enumeration
+        entirely.
         """
         return list(_parallelism_candidates_cached(
             tuple(sorted(self._dims.items())), self._parallel_dims,
@@ -153,7 +153,7 @@ class MappingSpace:
         The default streaming path samples flat *indices* and materializes
         only the ``count`` chosen mappings; ``materialize=True`` builds every
         mapping first and samples the list (the original implementation,
-        kept as the timing baseline).  Both return identical mappings in
+        kept as the reference oracle).  Both return identical mappings in
         identical order for the same seed: ``random.sample`` draws the same
         index sequence from ``range(n)`` as from any length-``n`` sequence.
         """

@@ -19,8 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 def model_costs(arches: Sequence, workloads: Sequence, model_name: str = "model",
                 metric: str = "edp", max_mappings: int = 50,
-                workers: Optional[int] = None,
-                vectorize: bool = True, seed: int = 0,
+                workers: Optional[int] = None, seed: int = 0,
                 backend: str = "analytical") -> Dict[str, object]:
     """Co-search ``workloads`` on every architecture via the shared façade.
 
@@ -52,8 +51,7 @@ def model_costs(arches: Sequence, workloads: Sequence, model_name: str = "model"
         response = session.run(SearchRequest(
             workloads=payloads, arch=arch_payload(arch), model=model_name,
             metric=metric, max_mappings=max_mappings, seed=seed,
-            backend=backend, workers=workers, vectorize=vectorize,
-            fresh_cache=True))
+            backend=backend, workers=workers, fresh_cache=True))
         costs[arch.name] = response.cost
     return costs
 

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernel import jit
 from repro.kernel.compiled import compile_layout
 from repro.layout.concordance import ConcordanceReport
 from repro.layout.layout import Layout
@@ -63,7 +62,6 @@ def analyze_concordance_batch(
     lines_per_bank: int = 1,
     num_banks: Optional[int] = None,
     pattern: ReorderPattern = ReorderPattern.NONE,
-    compiled: bool = False,
 ) -> List[ConcordanceReport]:
     """Analyse one access footprint against many layouts in one shot.
 
@@ -73,12 +71,6 @@ def analyze_concordance_batch(
     order, each equal (``==``) to what the scalar
     :func:`~repro.layout.concordance.analyze_concordance` produces for the
     same footprint with ``keep_trace=False``.
-
-    ``compiled`` routes the dedup/bank fold through the numba-jitted loop
-    kernel (:mod:`repro.kernel.jit`) when numba is importable — bit-identical
-    output, it only changes who executes the integer fold.  Without numba the
-    flag silently keeps the numpy fold, mirroring ``vectorize``'s graceful
-    degradation.
     """
     coords = np.asarray(per_cycle_coords, dtype=np.int64)
     if coords.ndim != 3:
@@ -98,52 +90,42 @@ def analyze_concordance_batch(
                 for layout in layouts]
 
     names = tuple(dim_names)
-    compiled = [compile_layout(layout, dims) for layout in layouts]
-    line_div = np.stack([cl.vectors(names)[0] for cl in compiled])
-    line_stride = np.stack([cl.vectors(names)[1] for cl in compiled])
+    vectors = [compile_layout(layout, dims).vectors(names)
+               for layout in layouts]
+    line_div = np.stack([v[0] for v in vectors])
+    line_stride = np.stack([v[1] for v in vectors])
     # (layouts, cycles, lanes) line indices in one integer expression.
     lines = ((coords[None, :, :, :] // line_div[:, None, None, :])
              * line_stride[:, None, None, :]).sum(axis=-1)
 
     groups = num_layouts * cycles
-    if compiled and jit.NUMBA_AVAILABLE:
-        # The jitted fold does the per-group dedup + bank run-counting with
-        # the capability already resolved to plain ints/bools (njit-friendly).
-        cap = capability(pattern)
-        effective_ports = ports_per_bank + cap.extra_bandwidth_ports
-        group_lines, group_slow = jit.concordance_fold(
-            lines.reshape(groups, lanes), max(1, lines_per_bank),
-            num_banks or 0, effective_ports, cap.cross_line_permute,
-            cap.transpose, cap.max_rows_per_bank * effective_ports)
-    else:
-        # Distinct lines per (layout, cycle): fold the (layout, cycle) pair
-        # and the line index into one key and unique it.  Negative
-        # coordinates are legal scalar-path inputs and floor-divide to
-        # negative lines; the keying shifts them non-negative (a bijection
-        # per group) and shifts back before the bank computation, which
-        # needs the true line value.
-        line_min = min(0, int(lines.min()))
-        line_span = int(lines.max()) - line_min + 1
-        group_idx = np.arange(groups, dtype=np.int64).reshape(
-            num_layouts, cycles, 1)
-        uniq = np.unique(group_idx * line_span + (lines - line_min))
-        uniq_group = uniq // line_span
-        uniq_line = uniq % line_span + line_min
+    # Distinct lines per (layout, cycle): fold the (layout, cycle) pair and
+    # the line index into one key and unique it.  Negative coordinates are
+    # legal scalar-path inputs and floor-divide to negative lines; the
+    # keying shifts them non-negative (a bijection per group) and shifts
+    # back before the bank computation, which needs the true line value.
+    line_min = min(0, int(lines.min()))
+    line_span = int(lines.max()) - line_min + 1
+    group_idx = np.arange(groups, dtype=np.int64).reshape(
+        num_layouts, cycles, 1)
+    uniq = np.unique(group_idx * line_span + (lines - line_min))
+    uniq_group = uniq // line_span
+    uniq_line = uniq % line_span + line_min
 
-        # Lines per bank per (layout, cycle), then the slowdown rule per bank.
-        bank = uniq_line // max(1, lines_per_bank)
-        if num_banks:
-            bank %= num_banks
-        bank -= min(0, int(bank.min()))
-        bank_span = int(bank.max()) + 1
-        bank_keys, bank_counts = np.unique(uniq_group * bank_span + bank,
-                                           return_counts=True)
-        bank_slow = cycle_slowdowns(bank_counts, ports_per_bank, pattern)
+    # Lines per bank per (layout, cycle), then the slowdown rule per bank.
+    bank = uniq_line // max(1, lines_per_bank)
+    if num_banks:
+        bank %= num_banks
+    bank -= min(0, int(bank.min()))
+    bank_span = int(bank.max()) + 1
+    bank_keys, bank_counts = np.unique(uniq_group * bank_span + bank,
+                                       return_counts=True)
+    bank_slow = cycle_slowdowns(bank_counts, ports_per_bank, pattern)
 
-        # Per-(layout, cycle) slowdown = max over the cycle's banks, floor 1.
-        group_slow = np.ones(groups, dtype=np.float64)
-        np.maximum.at(group_slow, bank_keys // bank_span, bank_slow)
-        group_lines = np.bincount(uniq_group, minlength=groups)
+    # Per-(layout, cycle) slowdown = max over the cycle's banks, floor 1.
+    group_slow = np.ones(groups, dtype=np.float64)
+    np.maximum.at(group_slow, bank_keys // bank_span, bank_slow)
+    group_lines = np.bincount(uniq_group, minlength=groups)
 
     reports: List[ConcordanceReport] = []
     for idx, layout in enumerate(layouts):

@@ -6,11 +6,6 @@ list of coordinate dicts per sampled cycle.  The functions here produce the
 same coordinates — the same modular walk, in the same lane nesting order —
 but as one int64 array per workload covering every sample base at once, so a
 compiled layout can address the whole footprint in a single numpy shot.
-
-Each batcher accepts ``compiled=True`` to fill the array through the
-numba-jitted loop kernels of :mod:`repro.kernel.jit` instead of broadcast
-arithmetic — same integers either way; without numba the flag is a silent
-no-op.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.kernel import jit
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -31,8 +25,8 @@ GEMM_STREAM_DIMS: Tuple[str, ...] = ("M", "K")
 
 
 def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
-                           bases: Sequence[Tuple[int, int, int]],
-                           compiled: bool = False) -> np.ndarray:
+                           bases: Sequence[Tuple[int, int, int]]
+                           ) -> np.ndarray:
     """iAct footprint of a conv mapping: ``(len(bases), lanes, 3)`` int64.
 
     Column order is :data:`CONV_STREAM_DIMS`.  Lane nesting replicates the
@@ -51,12 +45,6 @@ def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
     d_s = max(1, deg.get("S", 1))
 
     num_bases = len(bases)
-    if compiled and jit.NUMBA_AVAILABLE and num_bases:
-        out = np.empty((num_bases, d_c * d_p * d_q * d_r * d_s, 3),
-                       dtype=np.int64)
-        jit.conv_iact_fill(out, np.asarray(bases, dtype=np.int64),
-                           d_c, d_p, d_q, d_r, d_s, c, h, w, layer.stride)
-        return out
     c0 = np.array([b[0] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % c
     h0 = np.array([b[1] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % h
     w0 = np.array([b[2] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % w
@@ -78,8 +66,8 @@ def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
 
 
 def gemm_input_coords_batch(gemm: GemmSpec, mapping,
-                            bases: Sequence[Tuple[int, int, int]],
-                            compiled: bool = False) -> np.ndarray:
+                            bases: Sequence[Tuple[int, int, int]]
+                            ) -> np.ndarray:
     """Input footprint of a GEMM mapping: ``(len(bases), lanes, 2)`` int64.
 
     Column order is :data:`GEMM_STREAM_DIMS`; lane nesting is M outer, K
@@ -93,11 +81,6 @@ def gemm_input_coords_batch(gemm: GemmSpec, mapping,
     d_k = max(1, deg.get("K", 1))
 
     num_bases = len(bases)
-    if compiled and jit.NUMBA_AVAILABLE and num_bases:
-        out = np.empty((num_bases, d_m * d_k, 2), dtype=np.int64)
-        jit.gemm_input_fill(
-            out, np.asarray(bases, dtype=np.int64)[:, :2], d_m, d_k, m, k)
-        return out
     m0 = np.array([b[0] for b in bases], dtype=np.int64).reshape(-1, 1, 1) % m
     k0 = np.array([b[1] for b in bases], dtype=np.int64).reshape(-1, 1, 1) % k
     i_m = np.arange(d_m, dtype=np.int64).reshape(1, -1, 1)
@@ -113,14 +96,13 @@ def gemm_input_coords_batch(gemm: GemmSpec, mapping,
 
 
 def streaming_access_coords(workload, mapping,
-                            bases: Sequence[Tuple[int, int, int]],
-                            compiled: bool = False
+                            bases: Sequence[Tuple[int, int, int]]
                             ) -> Tuple[np.ndarray, Tuple[str, ...]]:
     """``(coords, dim_names)`` for the streaming tensor of any workload kind."""
     if isinstance(workload, ConvLayerSpec):
-        return (conv_iact_coords_batch(workload, mapping, bases,
-                                       compiled=compiled), CONV_STREAM_DIMS)
+        return (conv_iact_coords_batch(workload, mapping, bases),
+                CONV_STREAM_DIMS)
     if isinstance(workload, GemmSpec):
-        return (gemm_input_coords_batch(workload, mapping, bases,
-                                        compiled=compiled), GEMM_STREAM_DIMS)
+        return (gemm_input_coords_batch(workload, mapping, bases),
+                GEMM_STREAM_DIMS)
     raise TypeError(f"unsupported workload {type(workload)!r}")

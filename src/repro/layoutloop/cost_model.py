@@ -183,18 +183,13 @@ def streaming_tensor_dims(workload) -> Dict[str, int]:
 class CostModel:
     """Analytical latency/energy model with layout awareness.
 
-    ``compile`` routes the batched concordance fold and footprint walk
-    through the optional numba-jitted loop kernels (:mod:`repro.kernel.jit`)
-    — bit-identical results, silently degrading to the numpy path when
-    numba is not installed.  The scalar :meth:`evaluate` oracle is never
-    jitted; it stays the reference.
+    The search scores candidates through :meth:`evaluate_mapping_batch`;
+    the scalar :meth:`evaluate` is its bit-identical reference oracle.
     """
 
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 compile: bool = False):
+    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
         self.arch = arch
         self.energy = energy or DEFAULT_ENERGY_TABLE
-        self.compile = compile
 
     # ----------------------------------------------------------------- public
     def evaluate(self, workload, mapping: Mapping, layout: Layout) -> CostReport:
@@ -314,15 +309,13 @@ class CostModel:
             return [1.0] * len(layouts)
         dims = streaming_tensor_dims(workload)
         coords, dim_names = streaming_access_coords(workload, mapping,
-                                                    _SAMPLE_BASES,
-                                                    compiled=self.compile)
+                                                    _SAMPLE_BASES)
         reports = analyze_concordance_batch(
             coords, dim_names, layouts, dims,
             ports_per_bank=self.arch.buffer.ports_per_bank,
             lines_per_bank=self.arch.buffer.conflict_depth,
             num_banks=self.arch.buffer.banks,
             pattern=self.arch.reorder_pattern,
-            compiled=self.compile,
         )
         return [report.avg_slowdown for report in reports]
 

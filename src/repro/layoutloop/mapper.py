@@ -17,12 +17,20 @@ without evaluating any layout.  Both optimisations are exact — the search
 returns the same best (mapping, layout) pair it would have found
 exhaustively, just faster.
 
+Every search policy runs one path: the candidate universe is a
+:class:`~repro.search.bulk.BulkUniverse`
+(:func:`repro.search.bulk.candidate_universe`), its admissible bounds come
+from one numpy pass (``BulkUniverse.bounds``) and each surviving mapping is
+scored under all of its layouts at once (:meth:`Mapper.score`).  The scalar
+loop this replaces — materialized sample, per-mapping bound, per-layout
+evaluation — is kept only as the tests-side reference oracle the identity
+suites compare against.
+
 Scoring itself goes through an :mod:`repro.backends` evaluation backend.
-The default ``"analytical"`` backend runs the exact cached/batched path
-described above (bit-identical to the pre-backend mapper); any other
-registered backend (e.g. ``"simulator"``) scores candidates through its
-``evaluate_mapping`` — with admissible pruning disabled, since the bounds
-are statements about the analytical model only.
+The default ``"analytical"`` backend runs the cached, batched cost model;
+any other registered backend (e.g. ``"simulator"``) scores candidates
+through its ``evaluate_mapping`` — with admissible pruning disabled, since
+the bounds are statements about the analytical model only.
 """
 
 from __future__ import annotations
@@ -39,12 +47,14 @@ from repro.dataflow.mapping import (
     TileLevel,
 )
 from repro.dataflow.space import MappingSpace
+from repro.errors import InvalidRequestError
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostModel, CostReport
 from repro.layoutloop.energy import EnergyTable
-from repro.search.bounds import cached_bound_statics, metric_lower_bound
+from repro.search import bulk
+from repro.search.bounds import cached_bound_statics
 from repro.search.cache import EvaluationCache
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
@@ -110,33 +120,20 @@ class Mapper:
     ``prune`` enables the admissible lower-bound pruning (exact; disable
     only for A/B testing).  ``evaluation_cache`` may be shared between
     mappers — keys embed the architecture and energy-table signature, so
-    cross-architecture sharing is safe.  ``vectorize`` selects the
-    :mod:`repro.kernel` fast path (streaming mapping sampling plus batched
-    layout evaluation); disabling it runs the scalar reference oracle —
-    results are bit-identical either way, only the speed differs.
+    cross-architecture sharing is safe.
 
     ``backend`` selects the evaluation backend scoring candidates: a
     :mod:`repro.backends` registry name, an already-constructed
     :class:`~repro.backends.base.EvaluationBackend`, or ``None`` for the
-    default analytical backend (in which case ``evaluation_cache`` and
-    ``vectorize`` configure it exactly as before).  Non-analytical
-    backends disable pruning — the admissible bounds only hold for the
-    analytical model.
+    default analytical backend (built on ``evaluation_cache``).
+    Non-analytical backends disable pruning — the admissible bounds only
+    hold for the analytical model.
 
     ``policy`` selects the search policy over the candidate universe:
     ``"exhaustive"`` (default, scan everything minus admissible prunes),
     ``"halving"`` or ``"evolutionary"`` (:mod:`repro.search.budget`);
     ``budget`` caps the scored (mapping, layout) pairs of the budgeted
-    policies.  ``compile`` engages the optional numba-jitted kernel inner
-    loops on the analytical backend (bit-identical; a silent no-op when
-    numba is not installed).
-
-    ``bulk`` engages the bulk-bounds control plane (:mod:`repro.search.bulk`)
-    on the analytical backend: admissible bounds, halving rungs and frontier
-    dominance bounds for the whole candidate universe are computed in one
-    numpy pass, and mappings are materialized only when they survive the
-    prune.  Bit-identical results and counters either way — only the speed
-    differs.  ``max_mappings="auto"`` (analytical, exhaustive policy only)
+    policies.  ``max_mappings="auto"`` (analytical, exhaustive policy only)
     replaces the fixed sample with the adaptive universe: a small seeded
     base sample grown only where the bound landscape is tight, returning
     exactly the uncapped exhaustive winner of the full structured space.
@@ -148,75 +145,64 @@ class Mapper:
     accounted in ``SearchResult.repaired``/``repair``.  ``None`` inherits
     the backend's own constraints — the analytical backend has none, so by
     default nothing changes and results stay bit-identical.
+
+    Invalid configurations raise :class:`~repro.errors.InvalidRequestError`.
     """
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
                  metric: str = "edp", max_mappings=200, seed: int = 0,
                  prune: bool = True,
                  evaluation_cache: Optional[EvaluationCache] = None,
-                 vectorize: bool = True, backend=None,
-                 policy: str = "exhaustive", budget: Optional[int] = None,
-                 compile: bool = False, bulk: bool = True, constraints=None):
+                 backend=None, policy: str = "exhaustive",
+                 budget: Optional[int] = None, constraints=None):
         from repro.backends import (
             AnalyticalBackend,
             EvaluationBackend,
             create_backend,
         )
+        from repro.constraints import resolve_constraints
 
         if metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}")
+            raise InvalidRequestError(f"metric must be one of {_METRICS}")
         if policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}")
+            raise InvalidRequestError(f"policy must be one of {_POLICIES}")
         if isinstance(max_mappings, str):
             if max_mappings != "auto":
-                raise ValueError(
+                raise InvalidRequestError(
                     "max_mappings must be a positive integer or 'auto'")
             if policy != "exhaustive":
-                raise ValueError(
+                raise InvalidRequestError(
                     "max_mappings='auto' requires policy='exhaustive'")
         if budget is not None:
             if not isinstance(budget, int) or budget < 1:
-                raise ValueError("budget must be a positive integer or None")
+                raise InvalidRequestError(
+                    "budget must be a positive integer or None")
             if policy == "exhaustive":
-                raise ValueError(
+                raise InvalidRequestError(
                     "budget requires policy='halving' or 'evolutionary'")
         self.arch = arch
         self.metric = metric
         self.max_mappings = max_mappings
         self.seed = seed
         self.prune = prune
-        self.vectorize = vectorize
         self.policy = policy
         self.budget = budget
-        self.compile = compile
         if backend is None or backend == "analytical":
             self.backend = AnalyticalBackend(arch, energy=energy,
-                                             cache=evaluation_cache,
-                                             vectorize=vectorize,
-                                             compile=compile)
+                                             cache=evaluation_cache)
         elif isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
             self.backend = create_backend(backend, arch, energy=energy,
                                           seed=seed)
         self._analytical = isinstance(self.backend, AnalyticalBackend)
-        from repro.constraints import resolve_constraints
-
         self.constraints = resolve_constraints(constraints, arch,
                                                backend=self.backend)
-        # The bulk control plane is exact only where the admissible bounds
-        # are: the analytical model.  Other backends silently fall back to
-        # the scalar loop (mirroring how they disable pruning).  A bound
-        # ConstraintSet also forces the scalar path: the bulk universe
-        # enumerates raw flat indices symbolically, while constraints need
-        # every candidate materialized for repair.
-        self.bulk = (bool(bulk) and self._analytical
-                     and self.constraints is None)
         if max_mappings == "auto" and not self._analytical:
-            raise ValueError(
+            raise InvalidRequestError(
                 "max_mappings='auto' requires the analytical backend")
         if max_mappings == "auto" and self.constraints is not None:
-            raise ValueError(
+            raise InvalidRequestError(
                 "max_mappings='auto' is incompatible with a bound "
                 "ConstraintSet (the adaptive universe is defined on the "
                 "raw structured space)")
@@ -227,7 +213,7 @@ class Mapper:
             # Kept for API compatibility (bound statics, shared-cache
             # callers, the budgeted policies' analytical cheap rung); the
             # exhaustive loop does not consult them.
-            self.cost_model = CostModel(arch, energy, compile=compile)
+            self.cost_model = CostModel(arch, energy)
             self.evaluation_cache = (evaluation_cache
                                      if evaluation_cache is not None
                                      else EvaluationCache())
@@ -242,33 +228,29 @@ class Mapper:
 
     # ------------------------------------------------------------- candidates
     def candidate_mappings(self, workload) -> List[Mapping]:
-        """Mappings the architecture can actually run.
+        """The candidate universe every search policy scans
+        (:func:`repro.search.bulk.candidate_universe`), materialized."""
+        return list(bulk.candidate_universe(self, workload))
 
-        With a bound :class:`~repro.constraints.ConstraintSet` the raw
-        structured sample is repaired to legality and deduplicated (memoized
-        per workload shape); every search policy consumes this method, so
-        all of them enumerate the same repaired-legal universe.
-        """
-        space = self._mapping_space(workload)
-        if space is None:
-            mappings = self._fixed_parallelism_mappings(workload)
-        else:
-            mappings = space.sample(self.max_mappings, seed=self.seed,
-                                    materialize=not self.vectorize)
-            mappings.extend(self._canonical_tail(workload))
-        if self.constraints is None:
-            return mappings
-        return self._repaired_universe(workload, mappings)[0]
+    def score(self, workload, mapping: Mapping, layouts: Sequence[Layout]
+              ) -> List[Tuple[object, bool]]:
+        """Score one mapping under every layout: ``[(report, was_cache_hit),
+        ...]`` in layout order.  The analytical backend evaluates all
+        layouts in one batched, memoized pass; any other backend scores
+        through its ``evaluate_mapping`` (never a cache hit)."""
+        if self._analytical:
+            return self.evaluation_cache.evaluate_batch(
+                self.cost_model, workload, mapping, layouts)
+        return [(report, False) for report in
+                self.backend.evaluate_mapping(workload, mapping, layouts)]
 
-    def _repaired_universe(self, workload,
-                           raw: Optional[List[Mapping]] = None) -> Tuple:
+    def _repaired_universe(self, workload) -> Tuple:
         """The repaired-legal candidate list and its RepairLog, memoized."""
         key = self._workload_signature(workload)
         cached = self._repair_cache.get(key)
         if cached is None:
-            if raw is None:
-                return self._repaired_universe(
-                    workload, self.candidate_mappings(workload))
+            raw = list(bulk.structured_universe(self, workload,
+                                                self.max_mappings))
             cached = self.constraints.repair_candidates(raw, workload,
                                                         self.arch)
             self._repair_cache[key] = cached
@@ -391,57 +373,47 @@ class Mapper:
 
         Whole results are memoized per (workload, metric, layouts) tuple;
         individual cost-model evaluations are additionally memoized in the
-        (possibly shared) evaluation cache.  When pruning is on, a mapping
-        whose metric lower bound cannot beat the incumbent best skips all
-        of its layouts without evaluation — the outcome is identical to the
-        exhaustive scan because the bound never exceeds the true value and
-        ties never replace the incumbent.
+        (possibly shared) evaluation cache.
         """
         key = self._result_key(workload, layouts)
         if key in self._cache:
             return self._cache[key]
-
         if self.policy != "exhaustive":
             # Budgeted policies live in repro.search.budget (imported lazily:
-            # it builds on this module).  They memoize here like the
-            # exhaustive path so repeat searches stay free.
+            # it builds on this module).
             from repro.search.budget import evolutionary_search, halving_search
 
             search_fn = (halving_search if self.policy == "halving"
                          else evolutionary_search)
             result = search_fn(self, workload, layouts=layouts,
                                budget=self.budget)
-            self._finalize_repair(result, workload, layouts)
-            self._cache[key] = result
-            return result
-
-        if self.max_mappings == "auto":
+        elif self.max_mappings == "auto":
             # Adaptive universe: seeded base sample grown where the bound
             # landscape is tight; returns exactly the uncapped exhaustive
             # winner of the full structured space.
-            from repro.search.bulk import adaptive_search
-
-            result = adaptive_search(self, workload, layouts=layouts)
-            self._cache[key] = result
-            return result
-
-        layouts = list(layouts) if layouts else self.candidate_layouts(workload)
-        if self.bulk:
-            # Bulk control plane: one numpy pass computes every mapping's
-            # admissible bound; mappings materialize lazily, so pruned
-            # entries are never built at all.  Decisions, counters and
-            # winners are bit-identical to the scalar loop.
-            from repro.search.bulk import candidate_universe
-
-            mappings = candidate_universe(self, workload)
+            result = bulk.adaptive_search(self, workload, layouts=layouts)
         else:
-            mappings = self.candidate_mappings(workload)
+            result = self._exhaustive_search(workload, layouts)
+        self._finalize_repair(result, workload, layouts)
+        self._cache[key] = result
+        return result
+
+    def _exhaustive_search(self, workload, layouts: Optional[Sequence[Layout]]
+                           ) -> SearchResult:
+        """Scan the candidate universe in order, keeping the first strict
+        improvement.  A mapping whose admissible bound cannot beat the
+        incumbent skips all of its layouts without evaluation (and is never
+        materialized) — the outcome is identical to the unpruned scan
+        because the bound never exceeds the true value and ties never
+        replace the incumbent."""
+        layouts = list(layouts) if layouts else self.candidate_layouts(workload)
+        universe = bulk.candidate_universe(self, workload)
         # The admissible bounds are statements about the analytical cost
         # model; any other backend scans exhaustively.
-        statics = (cached_bound_statics(self.cost_model, workload)
-                   if self.prune and self._analytical else None)
-        bounds = (mappings.bounds(self.metric, statics).tolist()
-                  if self.bulk and statics is not None else None)
+        bounds = None
+        if self.prune and self._analytical:
+            statics = cached_bound_statics(self.cost_model, workload)
+            bounds = universe.bounds(self.metric, statics).tolist()
 
         best: Optional[CostReport] = None
         best_value = math.inf
@@ -450,28 +422,13 @@ class Mapper:
         evaluated = 0
         pruned = 0
         cache_hits = 0
-        for index in range(len(mappings)):
-            if statics is not None and best is not None:
-                bound = (bounds[index] if bounds is not None
-                         else metric_lower_bound(
-                             self.metric,
-                             mappings[index].compute_cycles(workload),
-                             statics))
-                if bound >= best_value:
-                    pruned += len(layouts)
-                    continue
-            mapping = mappings[index]
-            if not self._analytical:
-                scored = [(report, False) for report in
-                          self.backend.evaluate_mapping(workload, mapping,
-                                                        layouts)]
-            elif self.vectorize:
-                scored = self.evaluation_cache.evaluate_batch(
-                    self.cost_model, workload, mapping, layouts)
-            else:
-                scored = [self.evaluation_cache.evaluate(
-                    self.cost_model, workload, mapping, layout)
-                    for layout in layouts]
+        for index in range(len(universe)):
+            if (bounds is not None and best is not None
+                    and bounds[index] >= best_value):
+                pruned += len(layouts)
+                continue
+            mapping = universe[index]
+            scored = self.score(workload, mapping, layouts)
             for layout, (report, hit) in zip(layouts, scored):
                 evaluated += 1
                 cache_hits += hit
@@ -480,7 +437,7 @@ class Mapper:
                     best, best_mapping, best_layout = report, mapping, layout
                     best_value = value
 
-        result = SearchResult(
+        return SearchResult(
             workload=getattr(workload, "name", str(workload)),
             arch=self.arch.name,
             best_report=best,
@@ -491,9 +448,6 @@ class Mapper:
             pruned=pruned,
             cache_hits=cache_hits,
         )
-        self._finalize_repair(result, workload, layouts)
-        self._cache[key] = result
-        return result
 
     def search_frontier(self, workload,
                         layouts: Optional[Sequence[Layout]] = None) -> Tuple:
@@ -510,7 +464,7 @@ class Mapper:
         from repro.search.frontier import frontier_search
 
         if self.max_mappings == "auto":
-            raise ValueError(
+            raise InvalidRequestError(
                 "frontier search requires an integer max_mappings "
                 "(the adaptive universe is defined for the scalar winner only)")
         key = self._result_key(workload, layouts)

@@ -5,7 +5,7 @@ Subcommands:
 * ``list [--filter PAT]`` — show the built-in matrix (name, workload set,
   architecture, objective, budget, tags).
 * ``run [--filter PAT] [--backend NAME] [--runs-dir DIR] [--workers N]
-  [--no-vectorize] [--force]`` — execute the matching cells with
+  [--force]`` — execute the matching cells with
   content-addressed artifact caching; re-running a completed sweep reports
   every cell as a cache hit.  ``--backend`` overrides every cell's
   evaluation backend (``analytical``, ``simulator`` or ``crossval``); by
@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "REPRO_SEARCH_WORKERS environment variable, "
                               "then serial; results are bit-identical for "
                               "any count)")
-    run_cmd.add_argument("--no-vectorize", action="store_true",
-                         help="run the scalar reference kernel instead of "
-                              "the vectorized fast path (bit-identical)")
     run_cmd.add_argument("--force", action="store_true",
                          help="recompute cells even when a fresh artifact "
                               "exists")
@@ -120,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # architectures) are skipped with their reason instead of
         # aborting the sweep.
         run = run_matrix(matrix, pattern=args.filter, workers=args.workers,
-                         vectorize=not args.no_vectorize,
                          runs_dir=args.runs_dir, force=args.force,
                          progress=progress, backend=args.backend,
                          skip_incompatible=args.backend is not None)

@@ -16,10 +16,9 @@ returned (``cached=True``); editing a workload table, an architecture or
 the package version changes the key and forces a re-run, so a stale
 artifact can never masquerade as a fresh result.
 
-``workers`` and ``vectorize`` deliberately stay *out* of the key: the
-engine guarantees bit-identical results for any worker count and for the
-vectorized vs scalar kernel, so they are execution details, not identity.
-The golden regression tests pin that guarantee.
+``workers`` deliberately stays *out* of the key: the engine guarantees
+bit-identical results for any worker count, so it is an execution detail,
+not identity.  The golden regression tests pin that guarantee.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class CellResult:
 
 
 def run_cell(scenario: Scenario, workers: Optional[int] = None,
-             vectorize: bool = True, runs_dir: Optional[Path] = None,
+             runs_dir: Optional[Path] = None,
              force: bool = False, backend: Optional[str] = None,
              session=None) -> CellResult:
     """Run (or load) one scenario cell on its evaluation backend.
@@ -159,13 +158,12 @@ def run_cell(scenario: Scenario, workers: Optional[int] = None,
         max_mappings=config.max_mappings, seed=config.seed,
         prune=config.prune, policy=config.policy, budget=config.budget,
         frontier=config.frontier, fused=config.fused,
-        backend=scenario.backend, workers=workers,
-        vectorize=vectorize, fresh_cache=True))
+        backend=scenario.backend, workers=workers, fresh_cache=True))
     elapsed = time.perf_counter() - start
     record = record_from_model_cost(scenario, response.cost, key=key,
                                     repro_version=repro.__version__,
                                     workers=response.cost.search_stats.workers,
-                                    vectorize=vectorize, elapsed_s=elapsed,
+                                    elapsed_s=elapsed,
                                     backend=scenario.backend,
                                     crossval=response.crossval,
                                     frontiers=response.frontiers,
@@ -197,7 +195,7 @@ class MatrixRun:
 
 
 def run_matrix(matrix: ScenarioMatrix, pattern: Optional[str] = None,
-               workers: Optional[int] = None, vectorize: bool = True,
+               workers: Optional[int] = None,
                runs_dir: Optional[Path] = None, force: bool = False,
                progress: Optional[Callable[[CellResult], None]] = None,
                backend: Optional[str] = None,
@@ -227,9 +225,8 @@ def run_matrix(matrix: ScenarioMatrix, pattern: Optional[str] = None,
     skipped: List[Tuple[Scenario, str]] = []
     for scenario in cells:
         try:
-            result = run_cell(scenario, workers=workers, vectorize=vectorize,
-                              runs_dir=runs_dir, force=force, backend=backend,
-                              session=session)
+            result = run_cell(scenario, workers=workers, runs_dir=runs_dir,
+                              force=force, backend=backend, session=session)
         except IncompatibleCellError as exc:
             if not skip_incompatible:
                 raise
@@ -262,9 +259,8 @@ def scenario_from_record(record: ScenarioRecord) -> Scenario:
                     backend=record.backend)
 
 
-def rerun_record(record: ScenarioRecord, workers: Optional[int] = 1,
-                 vectorize: bool = True) -> ScenarioRecord:
+def rerun_record(record: ScenarioRecord,
+                 workers: Optional[int] = 1) -> ScenarioRecord:
     """Re-run a record's cell from its embedded definition (no caching)."""
     scenario = scenario_from_record(record)
-    return run_cell(scenario, workers=workers, vectorize=vectorize,
-                    runs_dir=None).record
+    return run_cell(scenario, workers=workers, runs_dir=None).record

@@ -29,8 +29,8 @@ class SearchConfig:
     """Search-engine settings of one scenario cell.
 
     Only fields that change the *numbers* live here (they enter the cell's
-    content-address); execution knobs that are guaranteed result-neutral —
-    ``workers`` and ``vectorize`` — are runner arguments instead.
+    content-address); the one execution knob that is guaranteed
+    result-neutral — ``workers`` — is a runner argument instead.
     """
 
     name: str

@@ -1,14 +1,14 @@
 """Bulk-bounds search core: whole-universe bound pipelines, one numpy pass.
 
-PRs 2 and 7 vectorized the evaluation inner loop (batched concordance,
-optional numba jit) but the search *control plane* — admissible bound
-computation, prune decisions, halving rung scores, frontier dominance
-bounds — still ran one mapping at a time in pure Python, materializing every
-sampled :class:`~repro.dataflow.mapping.Mapping` just to compute a trip-count
-product that depends only on its parallelism assignment.
+Every search policy scans its candidates through a :class:`BulkUniverse`
+instead of a materialized mapping list.  Admissible bound computation,
+prune decisions, halving rung scores and frontier dominance bounds depend
+only on a mapping's parallelism assignment, so they are computed for the
+whole universe at once, and a :class:`~repro.dataflow.mapping.Mapping` is
+built only for the entries that survive the prune.
 
-:class:`BulkUniverse` removes both costs.  It represents a per-shape mapping
-universe *symbolically*, as the flat sample indices of a
+:class:`BulkUniverse` represents a per-shape mapping universe
+*symbolically*, as the flat sample indices of a
 :class:`~repro.dataflow.space.MappingSpace` (parallelism-major order) plus a
 small materialized tail (the canonical weight-stationary baselines), and
 computes for the entire universe in single numpy passes:
@@ -95,7 +95,8 @@ class BulkUniverse:
 
     @classmethod
     def from_mappings(cls, mappings: Sequence, workload) -> "BulkUniverse":
-        """Wrap an explicit mapping list (fixed-parallelism architectures)."""
+        """Wrap an explicit mapping list (fixed-parallelism architectures,
+        constraint-repaired universes)."""
         return cls(None, (), mappings, workload)
 
     # ------------------------------------------------------------- sequence
@@ -249,28 +250,34 @@ class BulkUniverse:
 
 
 # ------------------------------------------------------------- constructors
-def candidate_universe(mapper, workload) -> BulkUniverse:
-    """The mapper's candidate universe as a :class:`BulkUniverse` — exactly
-    the entries of ``Mapper.candidate_mappings`` in the same order (seeded
-    sample, then canonical tail), without materializing any of them."""
+def structured_universe(mapper, workload, count) -> BulkUniverse:
+    """The seeded ``count``-entry sample of the mapper's structured space
+    (every flat index, in flat order, once ``count`` covers it) followed by
+    the canonical weight-stationary tail — the raw, unrepaired universe.
+    A fixed-parallelism architecture's universe is its one fixed mapping."""
     space = mapper._mapping_space(workload)
     if space is None:
         return BulkUniverse.from_mappings(
             mapper._fixed_parallelism_mappings(workload), workload)
-    indices = space.sample_indices(mapper.max_mappings, seed=mapper.seed)
-    return BulkUniverse(space, indices, mapper._canonical_tail(workload),
-                        workload)
+    return BulkUniverse(space, space.sample_indices(count, seed=mapper.seed),
+                        mapper._canonical_tail(workload), workload)
+
+
+def candidate_universe(mapper, workload) -> BulkUniverse:
+    """The universe every search policy of ``mapper`` scans: the
+    ``max_mappings`` sample plus canonical tail, without materializing any
+    of it — or, with a bound ConstraintSet, that sample repaired to
+    legality and deduplicated (the mapper memoizes the repair per shape)."""
+    if mapper.constraints is not None:
+        return BulkUniverse.from_mappings(
+            mapper._repaired_universe(workload)[0], workload)
+    return structured_universe(mapper, workload, mapper.max_mappings)
 
 
 def full_universe(mapper, workload) -> BulkUniverse:
     """The *entire* structured space (every flat index, in flat order) plus
     the canonical tail — the reference universe of the adaptive search."""
-    space = mapper._mapping_space(workload)
-    if space is None:
-        return BulkUniverse.from_mappings(
-            mapper._fixed_parallelism_mappings(workload), workload)
-    return BulkUniverse(space, range(space.size()),
-                        mapper._canonical_tail(workload), workload)
+    return structured_universe(mapper, workload, math.inf)
 
 
 # ---------------------------------------------------------- adaptive search
@@ -315,13 +322,7 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
         nonlocal best_key, best_report, best_mapping, best_layout
         nonlocal evaluated, cache_hits
         mapping = universe[pos]
-        if mapper.vectorize:
-            scored = mapper.evaluation_cache.evaluate_batch(
-                mapper.cost_model, workload, mapping, layouts)
-        else:
-            scored = [mapper.evaluation_cache.evaluate(
-                mapper.cost_model, workload, mapping, layout)
-                for layout in layouts]
+        scored = mapper.score(workload, mapping, layouts)
         for layout_idx, (report, hit) in enumerate(scored):
             evaluated += 1
             cache_hits += int(hit)

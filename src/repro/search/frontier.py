@@ -229,6 +229,7 @@ def frontier_search(mapper, workload,
     candidates the frontier must see.
     """
     from repro.layoutloop.mapper import SearchResult, _metric_value
+    from repro.search.bulk import candidate_universe
 
     if mapper.policy != "exhaustive":
         raise ValueError(
@@ -243,23 +244,13 @@ def frontier_search(mapper, workload,
     statics = (cached_bound_statics(mapper.cost_model, workload)
                if mapper.prune else None)
     arch = mapper.arch
-    use_bulk = getattr(mapper, "bulk", False)
-    if use_bulk:
-        # Bulk control plane: footprints and cycle floors for the whole
-        # universe in one numpy pass; mappings materialize lazily, so
-        # dominance-pruned entries are never built.  The floats are
-        # bit-identical to the scalar computation below, so prune
-        # decisions, counters and the frontier itself are unchanged.
-        from repro.search.bulk import candidate_universe
-
-        mappings = candidate_universe(mapper, workload)
-        footprints = mappings.footprints(arch).tolist()
-        cycle_floors = (mappings.cycles_floor(statics).tolist()
-                        if statics is not None else None)
-    else:
-        mappings = mapper.candidate_mappings(workload)
-        footprints = None
-        cycle_floors = None
+    # Footprints and cycle floors for the whole universe in one numpy pass;
+    # mappings materialize lazily, so dominance-pruned entries are never
+    # built.
+    mappings = candidate_universe(mapper, workload)
+    footprints = mappings.footprints(arch).tolist()
+    cycle_floors = (mappings.cycles_floor(statics).tolist()
+                    if statics is not None else None)
 
     best = None
     best_value = math.inf
@@ -274,41 +265,24 @@ def frontier_search(mapper, workload,
     front_arr: Optional[np.ndarray] = None  # numpy mirror, rebuilt after folds
 
     for m_idx in range(len(mappings)):
-        footprint = (footprints[m_idx] if footprints is not None
-                     else buffer_footprint_bytes(workload, mappings[m_idx],
-                                                 arch))
+        footprint = footprints[m_idx]
         if statics is not None and front:
-            cycles_floor = (cycle_floors[m_idx]
-                            if cycle_floors is not None
-                            else (mappings[m_idx].compute_cycles(workload)
-                                  + statics.reorder_cycles))
+            cycles_floor = cycle_floors[m_idx]
             lower = (statics.energy_floor_pj * cycles_floor, cycles_floor,
                      statics.energy_floor_pj, footprint)
             # A kept point <= the bound vector everywhere dominates (or
             # exactly duplicates) every candidate of this mapping: skip it.
             # The point is from an earlier mapping, so the scalar incumbent
             # also survives any metric tie (lexicographic order).
-            if use_bulk:
-                if front_arr is None:
-                    front_arr = np.asarray([kept for kept, _ in front],
-                                           dtype=np.float64)
-                dominated = bool(np.any(np.all(
-                    front_arr <= np.asarray(lower, dtype=np.float64),
-                    axis=1)))
-            else:
-                dominated = any(all(k <= b for k, b in zip(kept, lower))
-                                for kept, _ in front)
-            if dominated:
+            if front_arr is None:
+                front_arr = np.asarray([kept for kept, _ in front],
+                                       dtype=np.float64)
+            if np.any(np.all(front_arr <= np.asarray(lower, dtype=np.float64),
+                             axis=1)):
                 pruned += len(layouts)
                 continue
         mapping = mappings[m_idx]
-        if mapper.vectorize:
-            scored = mapper.evaluation_cache.evaluate_batch(
-                mapper.cost_model, workload, mapping, layouts)
-        else:
-            scored = [mapper.evaluation_cache.evaluate(
-                mapper.cost_model, workload, mapping, layout)
-                for layout in layouts]
+        scored = mapper.score(workload, mapping, layouts)
         for l_idx, (layout, (report, hit)) in enumerate(zip(layouts, scored)):
             evaluated += 1
             cache_hits += hit

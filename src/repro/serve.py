@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -207,6 +208,9 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
                       store_path=args.store, offload=offload)
     server = create_server(args.host, args.port, session)
     host, port = server.server_address[:2]
+    # SIGTERM shuts down like Ctrl-C, so the finally below closes the
+    # session and its offload pool instead of orphaning the pool workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"serving on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()

@@ -86,7 +86,6 @@ _search_requests = st.builds(
     layouts=st.one_of(st.none(),
                       st.just(("HWC_C32",)), st.just(("MK_K32", "MK_M32"))),
     workers=st.one_of(st.none(), st.integers(1, 8)),
-    vectorize=st.booleans(),
     fresh_cache=st.booleans())
 
 _eval_requests = st.builds(
@@ -105,8 +104,7 @@ _sweep_requests = st.builds(
     backend=st.one_of(st.none(), st.just("analytical")),
     skip_incompatible=st.booleans(),
     force=st.booleans(),
-    workers=st.one_of(st.none(), st.integers(1, 4)),
-    vectorize=st.booleans())
+    workers=st.one_of(st.none(), st.integers(1, 4)))
 
 
 class TestRequestRoundTrips:
@@ -165,6 +163,14 @@ class TestRequestRoundTrips:
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           schema_version=99)
 
+    @pytest.mark.parametrize("field", ["vectorize", "bulk", "compile"])
+    def test_v5_rejects_removed_execution_switches(self, field):
+        with pytest.raises(InvalidRequestError, match=field) as excinfo:
+            request_from_dict("search", {"workloads": "resnet50[:2]",
+                                         "arch": "FEATHER", field: True,
+                                         "schema_version": 5})
+        assert excinfo.value.payload()["code"] == "invalid_request"
+
     def test_response_round_trips(self):
         with Session(name="t") as session:
             search = session.run(SearchRequest(
@@ -196,8 +202,6 @@ class TestContentKeys:
         variants = [
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           workers=4),
-            SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
-                          vectorize=False),
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           fresh_cache=True),
         ]

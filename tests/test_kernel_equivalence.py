@@ -7,12 +7,9 @@ inputs:
 * ``analyze_concordance_batch`` == ``analyze_concordance`` per layout
   (every report field, including the float averages, compared with ``==``),
 * streaming ``MappingSpace.sample`` == the materializing sampler for the
-  same seed, and ``CostModel.evaluate_mapping_batch`` /
-  ``Mapper(vectorize=True)`` == the scalar search path,
-* the ``compile=True`` kernel path (:mod:`repro.kernel.jit`) == the numpy
-  fold it replaces: the pure-Python loop kernels are tested always (they
-  are exactly what numba compiles), and the jitted versions additionally
-  when numba is importable.
+  same seed, and ``CostModel.evaluate_mapping_batch`` / ``Mapper.search``
+  == the scalar evaluation and the scalar reference search
+  (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_search
 from repro.baselines.registry import medusa_like, mtia_like, sigma_like, tpu_like
 from repro.dataflow.space import MappingSpace
 from repro.kernel import analyze_concordance_batch, compile_layout
@@ -160,130 +158,6 @@ class TestStreamingSampler:
         assert space.sample(10_000) == list(space.iter_mappings())
 
 
-class _ForcedCompiledPath:
-    """Route ``compiled=True`` through the pure-Python loop kernels even
-    without numba: the ``*_py`` functions are byte-for-byte what numba
-    compiles, so their equivalence is the portable half of the bit-identity
-    claim (the jitted half runs under ``skipif`` below)."""
-
-    def __enter__(self):
-        from repro.kernel import jit
-
-        self._jit = jit
-        self._saved = (jit.NUMBA_AVAILABLE, jit.concordance_fold,
-                       jit.conv_iact_fill, jit.gemm_input_fill)
-        jit.NUMBA_AVAILABLE = True
-        jit.concordance_fold = jit.concordance_fold_py
-        jit.conv_iact_fill = jit.conv_iact_fill_py
-        jit.gemm_input_fill = jit.gemm_input_fill_py
-        return self
-
-    def __exit__(self, *exc):
-        (self._jit.NUMBA_AVAILABLE, self._jit.concordance_fold,
-         self._jit.conv_iact_fill, self._jit.gemm_input_fill) = self._saved
-
-
-def _compiled_cases():
-    return ((ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3),
-             conv_layout_library()),
-            (GemmSpec(name="g", m=96, k=64, n=128), gemm_layout_library()))
-
-
-class TestCompiledKernelEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(_layout_and_dims(),
-           st.sampled_from(list(ReorderPattern)),
-           st.integers(1, 4), st.integers(1, 4),
-           st.one_of(st.none(), st.integers(1, 8)))
-    def test_compiled_concordance_fold_matches_numpy(self, case, pattern,
-                                                     ports, lines_per_bank,
-                                                     num_banks):
-        layout, dims, dim_names, coords = case
-        numpy_reports = analyze_concordance_batch(
-            coords, dim_names, [layout], dims, ports_per_bank=ports,
-            lines_per_bank=lines_per_bank, num_banks=num_banks,
-            pattern=pattern)
-        with _ForcedCompiledPath():
-            compiled_reports = analyze_concordance_batch(
-                coords, dim_names, [layout], dims, ports_per_bank=ports,
-                lines_per_bank=lines_per_bank, num_banks=num_banks,
-                pattern=pattern, compiled=True)
-        assert numpy_reports == compiled_reports
-
-    def test_compiled_footprint_walk_matches_numpy(self):
-        from repro.kernel.footprint import streaming_access_coords
-
-        arch = feather_arch()
-        rng = random.Random(7)
-        bases = [(rng.randrange(64), rng.randrange(64), rng.randrange(64))
-                 for _ in range(6)]
-        for workload, _ in _compiled_cases():
-            space = MappingSpace(workload, arch.pe_rows, arch.pe_cols)
-            for mapping in space.sample(4, seed=1):
-                plain = streaming_access_coords(workload, mapping, bases)
-                with _ForcedCompiledPath():
-                    compiled = streaming_access_coords(workload, mapping,
-                                                       bases, compiled=True)
-                assert plain[1] == compiled[1]  # dim names
-                assert np.array_equal(plain[0], compiled[0])
-
-    def test_compile_true_cost_model_matches_oracle(self):
-        arch = feather_arch()
-        oracle = CostModel(arch)
-        with _ForcedCompiledPath():
-            compiled = CostModel(arch, compile=True)
-            for workload, layouts in _compiled_cases():
-                space = MappingSpace(workload, arch.pe_rows, arch.pe_cols)
-                for mapping in space.sample(4, seed=3):
-                    batch = compiled.evaluate_mapping_batch(workload,
-                                                            mapping, layouts)
-                    for layout, report in zip(layouts, batch):
-                        assert oracle.evaluate(workload, mapping,
-                                               layout) == report
-
-    def test_compile_without_numba_is_a_silent_numpy_fallback(self):
-        from repro.kernel import jit
-
-        if jit.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: no fallback to observe")
-        arch = feather_arch()
-        workload, layouts = _compiled_cases()[0]
-        mapping = MappingSpace(workload, arch.pe_rows,
-                               arch.pe_cols).sample(1, seed=0)[0]
-        assert (CostModel(arch, compile=True).evaluate_mapping_batch(
-                    workload, mapping, layouts)
-                == CostModel(arch).evaluate_mapping_batch(
-                    workload, mapping, layouts))
-
-    @pytest.mark.skipif(
-        not __import__("repro.kernel.jit", fromlist=["x"]).NUMBA_AVAILABLE,
-        reason="numba not installed")
-    def test_numba_jitted_kernels_bit_identical(self):
-        arch = feather_arch()
-        oracle = CostModel(arch)
-        compiled = CostModel(arch, compile=True)
-        for workload, layouts in _compiled_cases():
-            space = MappingSpace(workload, arch.pe_rows, arch.pe_cols)
-            for mapping in space.sample(6, seed=4):
-                batch = compiled.evaluate_mapping_batch(workload, mapping,
-                                                        layouts)
-                for layout, report in zip(layouts, batch):
-                    assert oracle.evaluate(workload, mapping,
-                                           layout) == report
-
-    @pytest.mark.skipif(
-        not __import__("repro.kernel.jit", fromlist=["x"]).NUMBA_AVAILABLE,
-        reason="numba not installed")
-    def test_numba_search_identical_to_exhaustive(self):
-        workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)
-        fast = Mapper(feather_arch(), max_mappings=16,
-                      compile=True).search(workload)
-        slow = Mapper(feather_arch(), max_mappings=16).search(workload)
-        assert fast.best_report == slow.best_report
-        assert fast.best_mapping == slow.best_mapping
-        assert fast.best_layout == slow.best_layout
-
-
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("arch_fn", [
         lambda: sigma_like(reorder="offchip"), medusa_like, mtia_like,
@@ -337,8 +211,8 @@ class TestBatchedEvaluation:
     def test_vectorized_search_identical_to_scalar_search(self):
         workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)
         for arch in (sigma_like(reorder="offchip"), feather_arch()):
-            fast = Mapper(arch, max_mappings=16, vectorize=True).search(workload)
-            slow = Mapper(arch, max_mappings=16, vectorize=False).search(workload)
+            fast = Mapper(arch, max_mappings=16).search(workload)
+            slow = reference_search(Mapper(arch, max_mappings=16), workload)
             assert fast.best_report == slow.best_report
             assert fast.best_mapping == slow.best_mapping
             assert fast.best_layout == slow.best_layout

@@ -2,12 +2,13 @@
 
 Every cell of :func:`repro.scenarios.builtin.golden_matrix` has its
 deterministic payload checked into ``tests/golden/``.  Each cell is
-executed under three engine variants — serial vectorized (the default
-path), serial scalar (``vectorize=False``, the reference oracle) and
-``workers=2`` vectorized — and all three must match the golden file
-float-for-float.  Together they pin (a) the cost model's numbers against
-drift from future perf work and (b) the engine's bit-identity guarantee
-across the vectorize flag and the worker count.
+executed under three engine variants — serial (the production path),
+serial scalar (every ``Mapper.search`` replaced by the tests-side scalar
+reference search of ``tests/reference.py``) and ``workers=2`` — and all
+three must match the golden file float-for-float.  Together they pin (a)
+the cost model's numbers against drift from future perf work and (b) the
+engine's bit-identity guarantee against the scalar oracle and across the
+worker count.
 
 Regenerate after an *intended* numeric change with::
 
@@ -17,18 +18,22 @@ Regenerate after an *intended* numeric change with::
 """
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from reference import reference_mapper_search
+from repro.layoutloop.mapper import Mapper
 from repro.scenarios import diff_payloads, golden_matrix, run_cell, slugify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIOS = list(golden_matrix())
 VARIANTS = [
-    ("serial-vectorized", 1, True),
-    ("serial-scalar", 1, False),
-    ("workers2-vectorized", 2, True),
+    ("serial-vectorized", 1, False),
+    ("serial-scalar", 1, True),
+    ("workers2-vectorized", 2, False),
 ]
 
 # Each (cell, variant) is a real engine run; share them across the
@@ -36,11 +41,13 @@ VARIANTS = [
 _PAYLOADS = {}
 
 
-def _payload(scenario, workers, vectorize):
-    key = (scenario.name, workers, vectorize)
+def _payload(scenario, workers, reference):
+    key = (scenario.name, workers, reference)
     if key not in _PAYLOADS:
-        record = run_cell(scenario, workers=workers,
-                          vectorize=vectorize).record
+        oracle = (mock.patch.object(Mapper, "search", reference_mapper_search)
+                  if reference else nullcontext())
+        with oracle:
+            record = run_cell(scenario, workers=workers).record
         _PAYLOADS[key] = record.deterministic_payload()
     return _PAYLOADS[key]
 
@@ -49,19 +56,19 @@ def _golden_path(scenario) -> Path:
     return GOLDEN_DIR / f"{slugify(scenario.name)}.json"
 
 
-@pytest.mark.parametrize("variant,workers,vectorize", VARIANTS,
+@pytest.mark.parametrize("variant,workers,reference", VARIANTS,
                          ids=[v[0] for v in VARIANTS])
 @pytest.mark.parametrize("scenario", SCENARIOS,
                          ids=[s.name for s in SCENARIOS])
-def test_golden_record_bit_identical(scenario, variant, workers, vectorize,
+def test_golden_record_bit_identical(scenario, variant, workers, reference,
                                      update_golden):
-    payload = _payload(scenario, workers, vectorize)
+    payload = _payload(scenario, workers, reference)
     path = _golden_path(scenario)
     if update_golden:
-        # Pin the canonical (serial, vectorized) payload; the comparison
+        # Pin the canonical (serial, production) payload; the comparison
         # below then asserts every variant agrees with it before it lands.
         GOLDEN_DIR.mkdir(exist_ok=True)
-        canonical = _payload(scenario, 1, True)
+        canonical = _payload(scenario, 1, False)
         path.write_text(json.dumps(canonical, indent=2, sort_keys=True)
                         + "\n")
     if not path.exists():

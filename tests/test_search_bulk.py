@@ -17,10 +17,10 @@ pipeline makes:
   covering exactly the same (mapping, layout) universe.
 
 Plus the constructor/validation contract: the bulk universe enumerates
-exactly what ``Mapper.candidate_mappings`` would materialize, in the same
-order, and ``max_mappings="auto"`` is rejected everywhere it cannot keep
-its exactness guarantee (non-analytical backends, budgeted policies,
-frontier search).
+exactly what the scalar reference (``tests/reference.py``) materializes, in
+the same order, and ``max_mappings="auto"`` is rejected everywhere it
+cannot keep its exactness guarantee (non-analytical backends, budgeted
+policies, frontier search).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_candidates
 from repro.api import InvalidRequestError, SearchRequest
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
@@ -120,13 +121,13 @@ def test_int_ceil_division_matches_the_scalar_float_ceil(extent, degree):
 
 
 def test_universe_enumerates_candidate_mappings_in_order():
-    """The symbolic universe is the same sequence ``candidate_mappings``
+    """The symbolic universe is the same sequence the scalar reference
     materializes — same sample draw, same canonical tail, same order."""
     layer = ConvLayerSpec("layer", m=32, c=64, h=16, w=16, r=3, s=3,
                           stride=1, padding=1)
     mapper = Mapper(feather_arch(), max_mappings=24, seed=0)
     universe = candidate_universe(mapper, layer)
-    mappings = mapper.candidate_mappings(layer)
+    mappings, _ = reference_candidates(mapper, layer)
     assert len(universe) == len(mappings)
     assert list(universe) == mappings
 

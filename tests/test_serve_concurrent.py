@@ -218,6 +218,28 @@ def _spawn_replica(tmp_path: Path, store: Path) -> subprocess.Popen:
     return server, f"http://{match.group(1)}:{match.group(2)}"
 
 
+def _children(pid: int):
+    """PIDs of a live process's children, over all of its threads (a pool
+    forked from a handler thread is listed under that thread's task); None
+    where ``/proc`` is absent."""
+    tasks = Path(f"/proc/{pid}/task")
+    if not tasks.exists():
+        return None
+    return [int(child) for task in tasks.iterdir()
+            for child in (task / "children").read_text().split()]
+
+
+def _stop_replica(server: subprocess.Popen) -> None:
+    """SIGTERM a replica and check it takes its offload-pool workers down
+    with it (the check is skipped where ``/proc`` is absent)."""
+    children = _children(server.pid)
+    server.terminate()
+    server.wait(timeout=10)
+    orphans = [child for child in children or ()
+               if Path(f"/proc/{child}").exists()]
+    assert not orphans, f"pool workers outlived the replica: {orphans}"
+
+
 def test_second_replica_serves_golden_resnet50_from_shared_store(tmp_path):
     """The ISSUE acceptance path: replica B, pointed at replica A's
     ``--store``, serves the golden ResNet-50 co-search from disk —
@@ -241,8 +263,7 @@ def test_second_replica_serves_golden_resnet50_from_shared_store(tmp_path):
         # pinned fresh_cache record — compare everything.
         _assert_matches_golden("replica-a", first, golden)
     finally:
-        replica_a.terminate()
-        replica_a.wait(timeout=10)
+        _stop_replica(replica_a)
 
     replica_b, base_b = _spawn_replica(tmp_path, store)
     try:
@@ -257,5 +278,4 @@ def test_second_replica_serves_golden_resnet50_from_shared_store(tmp_path):
         assert health["store"]["hits"] == 1
         assert health["store"]["path"].endswith("fleet.sqlite")
     finally:
-        replica_b.terminate()
-        replica_b.wait(timeout=10)
+        _stop_replica(replica_b)

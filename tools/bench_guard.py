@@ -1,22 +1,22 @@
 #!/usr/bin/env python
 """CI performance guard: the fast paths must beat their reference paths.
 
-Runs three comparisons on the ResNet-50 workload set and fails (exit 1)
+Runs two comparisons on the ResNet-50 workload set and fails (exit 1)
 when a fast path is not measurably faster than its reference:
 
 * **kernel** — raw cost-model evaluations (every unique conv shape x sampled
-  mappings x the conv layout library) on SIGMA with off-chip reordering,
-  where the batched concordance analysis carries the load;
-* **cosearch** — the whole deduplicated ``search_model`` co-search on
-  FEATHER at ``workers=1``, scalar (``vectorize=False``) vs vectorized;
+  mappings x the conv layout library) on SIGMA with off-chip reordering:
+  the batched ``CostModel.evaluate_mapping_batch`` against the scalar
+  ``CostModel.evaluate`` oracle, where the batched concordance analysis
+  carries the load;
 * **api** — repeat traffic on a warm :class:`repro.api.Session` vs the
   per-call ``search_model`` shim (the session's shared evaluation cache
   and persistent per-configuration mappers carry the load).
 
-All comparisons also verify the results are identical — a fast wrong path
+Both comparisons also verify the results are identical — a fast wrong path
 still fails the guard.  Thresholds are deliberately below the locally
-measured speedups (~12x, ~6x and ~25x) so only a real regression trips on
-a noisy CI box, while still proving "measurably faster".
+measured speedups (~12x and ~25x) so only a real regression trips on a
+noisy CI box, while still proving "measurably faster".
 
 The remaining gates are off by default.  **frontier** (``--gates frontier``)
 is an identity gate on the Pareto-frontier search: on every unique shape
@@ -27,14 +27,7 @@ no more candidates than the exhaustive universe.
 full cost-model evaluations instead of wall-clock: the budgeted search
 policies must reproduce the exhaustive winner on every unique ResNet-50
 shape, with the warm-started evolutionary policy doing it in at least
-``--min-budget-reduction`` (3x) fewer evaluations — and the compiled
-kernel must be bit-identical to the oracle when numba is installed.
-**bulk** (``--gates bulk``) checks the
-batched bound pipeline: an exhaustive search with ``bulk=True`` must be
-bit-identical to the scalar bound path on every golden cell (winners,
-frontiers *and* counters), and the uncapped exhaustive ResNet-50
-co-search must run at least ``--min-bulk-speedup`` (1.5x) faster with
-the bulk pipeline — the timing run is appended to ``BENCH_search.json``.
+``--min-budget-reduction`` (3x) fewer evaluations.
 **constraints** (``--gates constraints``) is the identity gate on the
 constraint layer: with no ConstraintSet bound, a mapper with the layer
 forced off (``constraints="none"``) must be bit-identical to the default
@@ -54,7 +47,7 @@ must stay honest on a 1-core runner.
 Usage::
 
     PYTHONPATH=src python tools/bench_guard.py [--min-kernel-speedup X]
-                                               [--min-cosearch-speedup Y]
+                                               [--min-api-speedup Y]
     PYTHONPATH=src python tools/bench_guard.py --gates service \
         --min-service-throughput 20 --service-bench BENCH_service.json
 """
@@ -116,35 +109,6 @@ def kernel_speedup(rounds: int) -> float:
     return scalar_s / batched_s
 
 
-def cosearch_speedup(rounds: int) -> float:
-    """Scalar vs vectorized whole-model co-search speedup on FEATHER.
-
-    The reference is the full scalar path — ``vectorize=False`` *and*
-    ``bulk=False`` — because the bulk bound pipeline accelerates the
-    scalar-evaluation engine itself (~4x); leaving bulk on in the
-    reference would make this gate measure only the evaluation batching
-    remainder instead of the fast path against its scalar oracle.
-    """
-    from repro.layoutloop.arch import feather_arch
-    from repro.search.engine import search_model
-    from repro.workloads.resnet50 import resnet50_layers
-
-    layers = resnet50_layers(include_fc=False)
-    scalar_s, scalar = best_of(
-        lambda: search_model(feather_arch(), layers, max_mappings=24,
-                             vectorize=False, bulk=False), rounds)
-    vector_s, vector = best_of(
-        lambda: search_model(feather_arch(), layers, max_mappings=24), rounds)
-    if (vector.total_cycles != scalar.total_cycles
-            or vector.total_energy_pj != scalar.total_energy_pj):
-        print("FAIL: vectorized co-search totals differ from the scalar oracle")
-        sys.exit(1)
-    print(f"cosearch : scalar {scalar_s:.3f}s  vectorized {vector_s:.3f}s  "
-          f"speedup {scalar_s / vector_s:.2f}x "
-          f"(ResNet-50 on FEATHER, workers=1, identical totals)")
-    return scalar_s / vector_s
-
-
 def api_speedup(rounds: int) -> float:
     """Warm-:class:`Session` throughput vs per-call ``search_model``.
 
@@ -190,11 +154,7 @@ def budget_reduction() -> float:
     * **evolutionary, warm-started** (budget=14): a repeat-session search
       seeded from the memoized per-shape winners; must also reproduce every
       exhaustive winner, and its reduction is the gated ratio.
-
-    Also verifies the compiled kernel path bit-identically matches the
-    scalar oracle when numba is importable (skipped, loudly, otherwise).
     """
-    from repro.kernel import NUMBA_AVAILABLE
     from repro.layoutloop.arch import feather_arch
     from repro.layoutloop.mapper import Mapper
     from repro.search.budget import evolutionary_search, halving_search
@@ -245,28 +205,10 @@ def budget_reduction() -> float:
                   f"on {result.workload}")
             sys.exit(1)
 
-    if NUMBA_AVAILABLE:
-        from repro.layoutloop.cost_model import CostModel
-        from repro.layout.library import conv_layout_library
-
-        compiled = CostModel(arch, compile=True)
-        oracle = CostModel(arch)
-        layouts = conv_layout_library()
-        workload = shapes[0]
-        mapping = winners[workload_signature(workload)].best_mapping
-        if (compiled.evaluate_mapping_batch(workload, mapping, layouts)
-                != oracle.evaluate_mapping_batch(workload, mapping, layouts)):
-            print("FAIL: compiled kernel reports differ from the oracle")
-            sys.exit(1)
-        compiled_note = "compiled kernel identical"
-    else:
-        compiled_note = "compiled check skipped (numba not installed)"
-
     reduction = baseline / evo_evals
     print(f"budget   : exhaustive {baseline}  halving {halving_evals} "
           f"({baseline / halving_evals:.2f}x)  warm evolutionary {evo_evals} "
-          f"({reduction:.2f}x)  identical winners on {len(shapes)} shapes, "
-          f"{compiled_note}")
+          f"({reduction:.2f}x)  identical winners on {len(shapes)} shapes")
     return reduction
 
 
@@ -319,131 +261,6 @@ def frontier_identity() -> int:
     print(f"frontier : identical winners on {len(shapes)} shapes, "
           f"{total_points} frontier points, coverage == universe")
     return total_points
-
-
-def bulk_speedup(rounds: int, bench_path: Path) -> float:
-    """Bulk-bounds identity + speedup gate (``--gates bulk``).
-
-    Two checks, in order:
-
-    * **identity** — on every golden-matrix cell, an exhaustive search
-      with the bulk bound pipeline (``bulk=True``, the default) must be
-      bit-identical to the scalar bound path (``bulk=False``): same
-      winner report, mapping, layout *and* the same evaluated/pruned
-      counters, since the bulk bounds replicate the scalar float
-      arithmetic exactly.  Frontier cells compare the full serialized
-      frontier, point for point.
-    * **speedup** — the *uncapped* exhaustive ResNet-50 co-search on
-      FEATHER (every parallelism x order candidate per shape, 757-1845
-      mappings each) must run measurably faster with the bulk pipeline;
-      the ``--min-bulk-speedup`` floor sits below the locally measured
-      ~2x so only a real regression trips.
-
-    The timing run is appended to ``BENCH_search.json`` so the trajectory
-    file carries the bulk datapoints alongside the budgeted-policy runs.
-    """
-    import json
-    import os
-
-    import repro
-    from repro.backends import create_backend
-    from repro.layoutloop.mapper import Mapper
-    from repro.scenarios.builtin import golden_matrix
-    from repro.scenarios.registry import resolve_arch, resolve_workload_set
-    from repro.search.signatures import workload_signature
-    from repro.workloads.resnet50 import resnet50_layers
-
-    def mapper_for(cell, bulk: bool) -> Mapper:
-        # crossval cells search analytically (the simulator leg replays
-        # winners); every other backend is instantiated as the cell runs it.
-        arch = resolve_arch(cell.arch)
-        backend = ("analytical" if cell.backend in ("analytical", "crossval")
-                   else create_backend(cell.backend, arch,
-                                       seed=cell.config.seed))
-        return Mapper(arch, metric=cell.config.metric,
-                      max_mappings=cell.config.max_mappings,
-                      seed=cell.config.seed, prune=cell.config.prune,
-                      backend=backend, bulk=bulk)
-
-    def unique(workloads):
-        seen = {}
-        for workload in workloads:
-            seen.setdefault(workload_signature(workload), workload)
-        return list(seen.values())
-
-    cells = list(golden_matrix())
-    checked = 0
-    for cell in cells:
-        scalar_mapper = mapper_for(cell, False)
-        bulk_mapper = mapper_for(cell, True)
-        for workload in unique(resolve_workload_set(cell.workload_set)):
-            if cell.config.frontier:
-                s_res, s_front = scalar_mapper.search_frontier(workload)
-                b_res, b_front = bulk_mapper.search_frontier(workload)
-                if s_front.to_dict() != b_front.to_dict():
-                    print(f"FAIL: bulk frontier differs from scalar on "
-                          f"{cell.name} / {s_res.workload}")
-                    sys.exit(1)
-            else:
-                s_res = scalar_mapper.search(workload)
-                b_res = bulk_mapper.search(workload)
-            if (s_res.best_report != b_res.best_report
-                    or s_res.best_mapping.name != b_res.best_mapping.name
-                    or s_res.best_layout.name != b_res.best_layout.name
-                    or (s_res.evaluated, s_res.pruned)
-                    != (b_res.evaluated, b_res.pruned)):
-                print(f"FAIL: bulk winner differs from scalar on "
-                      f"{cell.name} / {s_res.workload}")
-                sys.exit(1)
-            checked += 1
-
-    shapes = unique(resnet50_layers(include_fc=False))
-    arch = resolve_arch("FEATHER")
-    uncapped = 10 ** 9  # larger than any per-shape universe: exhaustive
-
-    def run(bulk: bool):
-        mapper = Mapper(arch, max_mappings=uncapped, seed=0, bulk=bulk)
-        return [mapper.search(workload) for workload in shapes]
-
-    scalar_s, scalar_results = best_of(lambda: run(False), rounds)
-    bulk_s, bulk_results = best_of(lambda: run(True), rounds)
-    for s_res, b_res in zip(scalar_results, bulk_results):
-        if (s_res.best_report != b_res.best_report
-                or s_res.best_mapping.name != b_res.best_mapping.name
-                or s_res.best_layout.name != b_res.best_layout.name):
-            print(f"FAIL: uncapped bulk winner differs from scalar on "
-                  f"{s_res.workload}")
-            sys.exit(1)
-    speedup = scalar_s / bulk_s
-    universe = sum(r.evaluated + r.pruned for r in bulk_results)
-
-    history = {"benchmark": "budgeted-search", "runs": []}
-    if bench_path.exists():
-        try:
-            history = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    history.setdefault("runs", []).append({
-        "gate": "bulk",
-        "repro_version": repro.__version__,
-        "cpu_count": os.cpu_count(),
-        "model": "resnet50",
-        "arch": "FEATHER",
-        "max_mappings": "uncapped",
-        "candidates": universe,
-        "scalar_wall_s": round(scalar_s, 4),
-        "bulk_wall_s": round(bulk_s, 4),
-        "speedup": round(speedup, 3),
-        "winner_identical": True,
-    })
-    history["runs"] = history["runs"][-50:]
-    bench_path.write_text(json.dumps(history, indent=2, sort_keys=True)
-                          + "\n")
-
-    print(f"bulk     : scalar {scalar_s:.3f}s  bulk {bulk_s:.3f}s  "
-          f"speedup {speedup:.2f}x  ({universe} candidate pairs uncapped, "
-          f"identical winners; {checked} golden cells identical)")
-    return speedup
 
 
 def constraints_identity() -> int:
@@ -586,27 +403,17 @@ def service_throughput(bench_path: Path) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gates", default="kernel,cosearch,api",
+    parser.add_argument("--gates", default="kernel,api",
                         help="comma-separated gates to run "
-                             "(kernel, cosearch, api, budget, frontier, "
-                             "bulk, constraints, service)")
+                             "(kernel, api, budget, frontier, constraints, "
+                             "service)")
     parser.add_argument("--min-kernel-speedup", type=float, default=3.0,
                         help="minimum scalar/batched evaluation ratio")
-    parser.add_argument("--min-cosearch-speedup", type=float, default=2.0,
-                        help="minimum scalar/vectorized search_model ratio")
     parser.add_argument("--min-api-speedup", type=float, default=3.0,
                         help="minimum per-call/warm-session ratio")
     parser.add_argument("--min-budget-reduction", type=float, default=3.0,
                         help="minimum exhaustive/warm-evolutionary full-"
                              "evaluation ratio at identical winners")
-    parser.add_argument("--min-bulk-speedup", type=float, default=1.5,
-                        help="minimum scalar/bulk uncapped-exhaustive "
-                             "co-search ratio at identical winners")
-    parser.add_argument("--search-bench", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_search.json",
-                        help="search trajectory file the bulk gate appends "
-                             "its timing run to")
     parser.add_argument("--min-service-throughput", type=float, default=10.0,
                         help="minimum threaded-server req/s in the latest "
                              "loadtest run (service gate)")
@@ -618,8 +425,8 @@ def main(argv=None) -> int:
                         help="timing rounds per path (best-of)")
     args = parser.parse_args(argv)
     gates = {g.strip() for g in args.gates.split(",") if g.strip()}
-    unknown = gates - {"kernel", "cosearch", "api", "budget", "frontier",
-                       "bulk", "constraints", "service"}
+    unknown = gates - {"kernel", "api", "budget", "frontier", "constraints",
+                       "service"}
     if unknown:
         parser.error(f"unknown gates: {sorted(unknown)}")
 
@@ -629,12 +436,6 @@ def main(argv=None) -> int:
         if kernel < args.min_kernel_speedup:
             print(f"FAIL: kernel speedup {kernel:.2f}x below the "
                   f"{args.min_kernel_speedup:.2f}x floor")
-            failed = True
-    if "cosearch" in gates:
-        cosearch = cosearch_speedup(args.rounds)
-        if cosearch < args.min_cosearch_speedup:
-            print(f"FAIL: cosearch speedup {cosearch:.2f}x below the "
-                  f"{args.min_cosearch_speedup:.2f}x floor")
             failed = True
     if "api" in gates:
         api = api_speedup(args.rounds)
@@ -650,12 +451,6 @@ def main(argv=None) -> int:
             failed = True
     if "frontier" in gates:
         frontier_identity()  # exits on any identity violation
-    if "bulk" in gates:
-        bulk = bulk_speedup(args.rounds, args.search_bench)
-        if bulk < args.min_bulk_speedup:
-            print(f"FAIL: bulk speedup {bulk:.2f}x below the "
-                  f"{args.min_bulk_speedup:.2f}x floor")
-            failed = True
     if "constraints" in gates:
         constraints_identity()  # exits on any identity violation
     if "service" in gates:
