@@ -5,9 +5,10 @@ FEATHER over all ResNet-50 conv layers:
 
 * **naive**      — the pre-engine behaviour: a fresh mapper per layer, no
   shape deduplication, no pruning, no evaluation cache;
-* **engine**     — ``search_model`` serial: shape deduplication, bulk
-  bounds with admissible pruning and batched, memoized evaluation;
-* **engine-par** — ``search_model`` with worker processes.
+* **engine**     — ``Session.run(SearchRequest(...))`` serial, on a fresh
+  session per run: shape deduplication, bulk bounds with admissible
+  pruning and batched, memoized evaluation;
+* **engine-par** — the same request with ``workers=2``.
 
 All three must produce bit-identical winners and the engine must beat the
 naive path outright.  The parallel row is recorded for the
@@ -22,10 +23,10 @@ import time
 
 import pytest
 
+from repro.api import SearchRequest, Session
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
+from repro.layoutloop.cosearch import LayerChoice, ModelCost
 from repro.layoutloop.mapper import Mapper
-from repro.search.engine import search_model
 from repro.workloads.resnet50 import resnet50_layers
 
 MAX_MAPPINGS = 24
@@ -34,6 +35,15 @@ MAX_MAPPINGS = 24
 def _print_header(title: str) -> None:
     line = "=" * len(title)
     print(f"\n{line}\n{title}\n{line}")
+
+
+def _engine_cosearch(workers: int = 1) -> ModelCost:
+    """The whole-model co-search on a fresh session (per-call counters)."""
+    with Session(name="bench-search") as session:
+        return session.run(SearchRequest(
+            workloads="resnet50", arch="FEATHER", model="resnet50",
+            max_mappings=MAX_MAPPINGS, workers=workers,
+            fresh_cache=True)).cost
 
 
 def _naive_cosearch(layers) -> ModelCost:
@@ -56,20 +66,14 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
     naive = _naive_cosearch(layers)
     naive_s = time.perf_counter() - t0
 
-    engine = benchmark.pedantic(
-        search_model, args=(feather_arch(), layers),
-        kwargs={"model_name": "resnet50", "max_mappings": MAX_MAPPINGS},
-        iterations=1, rounds=1)
+    engine = benchmark.pedantic(_engine_cosearch, iterations=1, rounds=1)
     # Best of three engine runs (pedantic + 2) so a single scheduler hiccup
     # on a busy CI box cannot fail the ordering against the naive path.
-    second_s, _ = best_of(
-        lambda: search_model(feather_arch(), layers, model_name="resnet50",
-                             max_mappings=MAX_MAPPINGS), rounds=2)
+    second_s, _ = best_of(_engine_cosearch, rounds=2)
     engine_s = min(engine.search_stats.elapsed_s, second_s)
 
     t0 = time.perf_counter()
-    parallel = search_model(feather_arch(), layers, model_name="resnet50",
-                            max_mappings=MAX_MAPPINGS, workers=2)
+    parallel = _engine_cosearch(workers=2)
     parallel_s = time.perf_counter() - t0
 
     stats = engine.search_stats
@@ -111,19 +115,14 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
 @pytest.mark.benchmark(group="search")
 def test_search_cache_reuse_across_metrics(benchmark):
     """A second search over the same shapes with a different objective reuses
-    the evaluation cache (cost reports are metric-independent)."""
-    from repro.search import EvaluationCache
-
-    layers = resnet50_layers(include_fc=False)
-    shapes = [wl for wl, _ in unique_workloads(layers)]
-    cache = EvaluationCache()
+    the session's evaluation cache (cost reports are metric-independent)."""
 
     def run_both():
-        edp = search_model(feather_arch(), shapes, metric="edp",
-                           max_mappings=12, cache=cache)
-        latency = search_model(feather_arch(), shapes, metric="latency",
-                               max_mappings=12, cache=cache)
-        return edp, latency
+        with Session(name="bench-metrics") as session:
+            return [session.run(SearchRequest(workloads="resnet50",
+                                              arch="FEATHER", metric=metric,
+                                              max_mappings=12)).cost
+                    for metric in ("edp", "latency")]
 
     edp, latency = benchmark.pedantic(run_both, iterations=1, rounds=1)
     _print_header("Evaluation-cache reuse across objectives (EDP then latency)")

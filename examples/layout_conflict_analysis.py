@@ -13,8 +13,7 @@ import sys
 
 from repro.baselines import sigma_like
 from repro.layout import conv_layout_library
-from repro.layoutloop import CostModel, feather_arch
-from repro.search import SearchEngine
+from repro.layoutloop import CostModel, Mapper, feather_arch
 from repro.workloads import resnet50_layer
 
 
@@ -23,12 +22,12 @@ def main() -> None:
     layer = resnet50_layer(index)
     print(f"Layer: {layer}\n")
 
-    # One engine serves both searches below: the layout-blind and the
+    # One mapper serves both searches below: the layout-blind and the
     # co-switched run share memoized cost-model evaluations.
-    engine = SearchEngine(feather_arch(), metric="latency", max_mappings=120)
+    mapper = Mapper(feather_arch(), metric="latency", max_mappings=120)
 
     # 1. Layout-blind best dataflow (what a conventional mapper reports).
-    theory = engine.search_layer(layer, layouts=[conv_layout_library()[0]])
+    theory = mapper.search(layer, layouts=[conv_layout_library()[0]])
     mapping = theory.best_mapping
     print(f"Layout-blind best dataflow : {mapping.describe()}")
     print(f"Theoretical latency        : {theory.best_report.total_cycles:,.0f} cycles\n")
@@ -44,7 +43,7 @@ def main() -> None:
               f"{report.total_cycles / theory.best_report.total_cycles:9.1f}x")
 
     # 3. FEATHER: co-switch (dataflow, layout), reordering rides the reduction.
-    feather = engine.search_layer(layer)
+    feather = mapper.search(layer)
     print(f"\nFEATHER co-switched choice : {feather.best_mapping.describe()}")
     print(f"  layout {feather.best_layout.name}, "
           f"latency {feather.best_report.total_cycles:,.0f} cycles, "

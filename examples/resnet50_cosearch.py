@@ -6,33 +6,35 @@ representative layers: for each layer, search the best (dataflow, layout) pair
 by energy-delay product for FEATHER and for three baselines, then print the
 per-layer and aggregate comparison.
 
-All searches run through the shared engine (`repro.search`), which memoizes
-cost-model evaluations, prunes with admissible bounds, and can fan the
-unique layer shapes out across worker processes (`--workers N`, results are
-bit-identical to serial).
+Per-layer searches use `repro.layoutloop.Mapper`; the whole-model
+comparison runs one `SearchRequest` per architecture on a `repro.api.Session`,
+whose engine memoizes cost-model evaluations, prunes with admissible bounds,
+and can fan the unique layer shapes out across worker processes
+(`--workers N`, results are bit-identical to serial).
 
 Run with:  python examples/resnet50_cosearch.py  [--full] [--workers N]
 """
 
 import argparse
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import arch_payload
 from repro.baselines import eyeriss_like, nvdla_like, sigma_like
-from repro.layoutloop import feather_arch
-from repro.search import SearchEngine, search_models
-from repro.workloads import resnet50_layer, resnet50_layers
+from repro.layoutloop import Mapper, feather_arch
+from repro.workloads import resnet50_layer
 
 
 def per_layer_demo(layer_indices=(1, 14, 41)) -> None:
     print("Per-layer co-search (metric: EDP)")
     print(f"{'layer':22s} {'arch':14s} {'dataflow':28s} {'layout':12s} "
           f"{'util':>6s} {'slowdown':>9s} {'pJ/MAC':>7s}")
-    engines = {arch.name: SearchEngine(arch, max_mappings=80)
-               for arch in (nvdla_like(), eyeriss_like(), feather_arch())}
+    mappers = [Mapper(arch, max_mappings=80)
+               for arch in (nvdla_like(), eyeriss_like(), feather_arch())]
     for idx in layer_indices:
         layer = resnet50_layer(idx)
-        for engine in engines.values():
-            result = engine.search_layer(layer)
-            arch = engine.arch
+        for mapper in mappers:
+            result = mapper.search(layer)
+            arch = mapper.arch
             report = result.best_report
             print(f"{layer.name:22s} {arch.name:14s} "
                   f"{result.best_mapping.name[:28]:28s} {result.best_layout.name:12s} "
@@ -42,16 +44,18 @@ def per_layer_demo(layer_indices=(1, 14, 41)) -> None:
 
 
 def full_model_comparison(max_layers=None, workers=None) -> None:
-    layers = resnet50_layers(include_fc=False)
-    if max_layers:
-        layers = layers[:max_layers]
+    workloads = f"resnet50[:{max_layers}]" if max_layers else "resnet50"
     arches = [nvdla_like(), eyeriss_like(), sigma_like(layout="HWC_C32"),
               feather_arch()]
-    print(f"Whole-model comparison over {len(layers)} ResNet-50 layers "
-          f"(deduplicated by shape)")
-    costs = search_models(arches, layers, model_name="resnet50",
-                          max_mappings=60, workers=workers)
+    with Session(workers=workers) as session:
+        costs = {arch.name: session.run(SearchRequest(
+                     workloads=workloads, arch=arch_payload(arch),
+                     model="resnet50", max_mappings=60)).cost
+                 for arch in arches}
     feather = costs["FEATHER"]
+    print(f"Whole-model comparison over "
+          f"{feather.search_stats.layers_total} ResNet-50 layers "
+          f"(deduplicated by shape)")
     print(f"{'arch':22s} {'cycles':>14s} {'norm lat':>9s} {'pJ/MAC':>8s} "
           f"{'norm energy':>12s} {'avg util':>9s} {'stall %':>8s}")
     for name, cost in costs.items():

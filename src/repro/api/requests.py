@@ -6,8 +6,7 @@ One request class per verb of the façade:
   architecture and backend (the :class:`~repro.backends.base.BackendReport`
   vocabulary).
 * :class:`SearchRequest` — whole-model (dataflow, layout) co-search: the
-  verb behind ``search_model`` / ``evaluate_model`` / every figure
-  co-search.
+  verb behind every figure co-search and scenario cell.
 * :class:`SweepRequest` — a scenario-matrix sweep: named cells (or a
   filter over the built-in matrix) executed with content-addressed
   artifact caching.
@@ -31,6 +30,7 @@ key.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
@@ -97,6 +97,27 @@ def _normalize(obj, name: str, value):
     object.__setattr__(obj, name, value)
 
 
+def _integer(obj, name: str, minimum: Optional[int] = None,
+             nullable: bool = False) -> None:
+    """Require field ``name`` to be a JSON integer (``>= minimum``).
+
+    Booleans, fractional numbers, strings and — unless ``nullable`` —
+    ``None`` raise :class:`InvalidRequestError`; other integral types
+    (numpy integers) are stored as plain ``int``.
+    """
+    value = getattr(obj, name)
+    if value is None and nullable:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidRequestError(
+            f"{name} must be an integer{' or null' if nullable else ''}, "
+            f"got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidRequestError(
+            f"{name} must be >= {minimum}, got {value}")
+    _normalize(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class EvalRequest(_RequestBase):
     """Price one (workload, mapping, layout) cell on one backend."""
@@ -122,7 +143,7 @@ class EvalRequest(_RequestBase):
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
-        _normalize(self, "seed", int(self.seed))
+        _integer(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -134,9 +155,9 @@ class SearchRequest(_RequestBase):
     content key (``policy``/``budget`` change the result and are keyed).
     ``fresh_cache=True`` gives the search
     a private evaluation cache instead of the session's shared one — the
-    deprecation shims and the scenario runner use it so per-call cache
-    counters (embedded in records and golden files) stay deterministic;
-    native façade callers leave it off and get cross-request reuse.
+    scenario runner uses it so per-call cache counters (embedded in records
+    and golden files) stay deterministic; interactive callers leave it off
+    and get cross-request reuse.
     """
 
     workloads: Union[str, Tuple[Dict[str, object], ...]]
@@ -183,7 +204,8 @@ class SearchRequest(_RequestBase):
     workers: Optional[int] = None
     """Worker processes; None resolves through the session (env/default)."""
     fresh_cache: bool = False
-    """Use a private evaluation cache for this request (legacy semantics)."""
+    """Use a private evaluation cache for this request (deterministic
+    per-call counters)."""
     constraints: Optional[str] = None
     """Constraint-aware search mode (:mod:`repro.constraints`): ``None``
     (default) inherits the backend's own ConstraintSet — none for
@@ -213,24 +235,19 @@ class SearchRequest(_RequestBase):
         if self.policy not in _POLICIES:
             raise InvalidRequestError(
                 f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        if self.budget is not None:
-            if int(self.budget) < 1:
-                raise InvalidRequestError(
-                    f"budget must be >= 1 (or None), got {self.budget}")
-            if self.policy == "exhaustive":
-                raise InvalidRequestError(
-                    "budget requires policy='halving' or 'evolutionary'")
+        _integer(self, "budget", minimum=1, nullable=True)
+        if self.budget is not None and self.policy == "exhaustive":
+            raise InvalidRequestError(
+                "budget requires policy='halving' or 'evolutionary'")
         if isinstance(self.max_mappings, str):
             if self.max_mappings != "auto":
                 raise InvalidRequestError(
                     "max_mappings must be a positive integer or 'auto', "
                     f"got {self.max_mappings!r}")
-        elif int(self.max_mappings) < 1:
-            raise InvalidRequestError(
-                f"max_mappings must be >= 1, got {self.max_mappings}")
-        if self.workers is not None and int(self.workers) < 1:
-            raise InvalidRequestError(
-                f"workers must be >= 1 (or None), got {self.workers}")
+        else:
+            _integer(self, "max_mappings", minimum=1)
+        _integer(self, "seed")
+        _integer(self, "workers", minimum=1, nullable=True)
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
@@ -267,13 +284,6 @@ class SearchRequest(_RequestBase):
         if self.layouts is not None:
             _normalize(self, "layouts",
                        tuple(str(n) for n in self.layouts))
-        if self.max_mappings != "auto":
-            _normalize(self, "max_mappings", int(self.max_mappings))
-        _normalize(self, "seed", int(self.seed))
-        if self.budget is not None:
-            _normalize(self, "budget", int(self.budget))
-        if self.workers is not None:
-            _normalize(self, "workers", int(self.workers))
 
 
 @dataclass(frozen=True)
@@ -310,11 +320,7 @@ class SweepRequest(_RequestBase):
                 raise InvalidRequestError(
                     "pass either inline scenarios or a filter, not both")
             _normalize(self, "scenarios", tuple(self.scenarios))
-        if self.workers is not None and int(self.workers) < 1:
-            raise InvalidRequestError(
-                f"workers must be >= 1 (or None), got {self.workers}")
-        if self.workers is not None:
-            _normalize(self, "workers", int(self.workers))
+        _integer(self, "workers", minimum=1, nullable=True)
 
 
 #: Union of the three request types (isinstance checks, annotations).

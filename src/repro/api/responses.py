@@ -12,9 +12,10 @@ names.
 
 Each response also keeps a **live-object handle** for in-process callers
 (``EvalResponse.backend_report``, ``SearchResponse.cost``,
-``SweepResponse.results``): that is what lets the deprecation shims return
-bit-identical legacy objects.  The handles are excluded from ``to_dict`` /
-equality, so JSON round trips compare equal.
+``SweepResponse.results``), so Python callers can keep working with the
+domain objects (a :class:`~repro.layoutloop.cosearch.ModelCost`, its
+per-shape winners).  The handles are excluded from ``to_dict`` / equality,
+so JSON round trips compare equal.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class SearchResponse(_ResponseBase):
     (run metadata — excluded from content keys like ``elapsed_s``)."""
     cost: object = field(default=None, compare=False, repr=False)
     """The live :class:`~repro.layoutloop.cosearch.ModelCost` (in-process
-    callers only — this is what the deprecation shims return; ``None`` on
-    store-served responses)."""
+    callers only — the experiments and scenario records read it; ``None``
+    on store-served responses)."""
 
 
 @dataclass

@@ -17,8 +17,8 @@ had.  It owns, for its whole lifetime:
 Worker-count resolution lives here and only here (explicit request value
 over the session default over the ``REPRO_SEARCH_WORKERS`` environment
 variable over serial) — the engine below executes a concrete count, and
-the scenarios CLI, the experiments and the deprecation shims all inherit
-the same precedence by routing through a session.
+the scenarios CLI and the experiments inherit the same precedence by
+routing through a session.
 
 ``run`` executes synchronously in the calling thread; ``submit`` returns a
 ``concurrent.futures.Future`` from a session-owned thread pool of
@@ -42,9 +42,9 @@ Two optional layers turn a session into a service node:
   searches are bit-identical to inline ones (same engine, same seed, fresh
   per-call evaluation cache in the worker).
 
-The module-default session (:func:`default_session`) is what the
-deprecation shims and ``python -m repro.serve`` use; construct your own
-``Session`` for isolated caches or an artifact directory.
+The module-default session (:func:`default_session`) is what the scenario
+runner and ``python -m repro.serve`` use; construct your own ``Session``
+for isolated caches or an artifact directory.
 """
 
 from __future__ import annotations
@@ -126,6 +126,25 @@ class _Resolved:
     cells: Optional[list] = None
 
 
+def _check_layout_dims(layouts, workloads) -> None:
+    """Reject layouts naming a dimension the workloads' streamed tensor
+    lacks (C/H/W for convs, M/K for GEMMs); omitting a dimension is legal.
+    """
+    from repro.layoutloop.cost_model import streaming_tensor_dims
+
+    for workload in workloads:
+        dims = streaming_tensor_dims(workload)
+        for layout in layouts:
+            foreign = sorted((set(layout.inter_order)
+                              | set(layout.intra_dims)) - set(dims))
+            if foreign:
+                raise InvalidRequestError(
+                    f"layout {layout.name!r} names dimension(s) {foreign} "
+                    f"outside the streamed tensor of workload "
+                    f"{getattr(workload, 'name', '')!r} "
+                    f"(dims {''.join(dims)})")
+
+
 def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
     """Resolve a request's references and derive its content key.
 
@@ -141,6 +160,7 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
                                                  resolved.workload,
                                                  resolved.arch)
         resolved.layout = codec.resolve_layout(request.layout)
+        _check_layout_dims([resolved.layout], [resolved.workload])
         return _digest((
             "eval", API_SCHEMA_VERSION, repro.__version__,
             workload_signature(resolved.workload),
@@ -154,6 +174,8 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
             workloads=codec.resolve_workloads(request.workloads),
             arch=codec.resolve_arch(request.arch),
             layouts=codec.resolve_layouts(request.layouts))
+        if resolved.layouts is not None:
+            _check_layout_dims(resolved.layouts, resolved.workloads)
         # ``constraints`` is result-shaping, so it is keyed — but only when
         # set, so unconstrained requests keep the exact key tuple of the
         # previous schema (the no-constraints bit-identity promise).
@@ -226,7 +248,7 @@ class Session:
       ``store_max_bytes`` bounds it.
     * ``offload`` — run cold analytical serial searches as whole units in
       the process pool so concurrent submitters scale past the GIL.  Off
-      by default (in-process callers keep exact legacy counter/cache
+      by default (in-process callers keep per-request counter/cache
       semantics); the service front enables it when ``--threads > 1`` on
       a multi-core host.
 
@@ -514,8 +536,8 @@ class Session:
         """The store record kind of a request, or None when it must not be
         store-served: sweeps have their own content-addressed artifact tier
         (``runs_dir``), and ``fresh_cache`` searches promise per-call engine
-        counters and a live ``cost`` handle (the deprecation shims, the
-        scenario runner and the golden records depend on both)."""
+        counters and a live ``cost`` handle (the scenario runner and the
+        golden records depend on both)."""
         if isinstance(request, EvalRequest):
             return "eval"
         if isinstance(request, SearchRequest) and not request.fresh_cache:
@@ -681,7 +703,7 @@ class Session:
         serialize = nullcontext()
         if crossval:
             # Fail fast on incompatible cells before burning a co-search,
-            # exactly like the legacy front.
+            # exactly like the standalone cross_validate_model.
             simulator = self.backend_for("simulator", arch, request.seed)
             serialize = getattr(simulator, "_session_serialize", serialize)
             for workload, _ in unique_workloads(workloads):
@@ -837,10 +859,9 @@ _DEFAULT: Optional[Session] = None
 def default_session() -> Session:
     """The lazily-created module-default session.
 
-    This is the session behind the deprecation shims
-    (``search_model``/``evaluate_model``/``model_costs``), the scenario
-    runner's default, and ``python -m repro.serve``; sharing it is what
-    turns N independent call sites into one warm cache and one pool.
+    This is the scenario runner's default session and the one behind
+    ``python -m repro.serve``; sharing it is what turns N independent call
+    sites into one warm cache and one pool.
     """
     global _DEFAULT
     with _DEFAULT_LOCK:

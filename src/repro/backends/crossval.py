@@ -114,9 +114,10 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     """Analytical co-search plus simulator execution of every winner.
 
     Returns ``(analytical ModelCost, CrossValidation)``; the analytical
-    cost is exactly what :func:`repro.search.engine.search_model` returns
-    for the same arguments, so cross-validation scenarios stay comparable
-    with plain analytical ones cell for cell.  ``arch_label`` overrides
+    cost is exactly what an analytical :class:`~repro.api.SearchRequest`
+    returns for the same arguments, so cross-validation scenarios stay
+    comparable with plain analytical ones cell for cell.  ``workers=None``
+    consults ``REPRO_SEARCH_WORKERS``.  ``arch_label`` overrides
     the architecture name embedded in the validation (the scenario runner
     passes its registry name so record and payload agree).
 
@@ -133,7 +134,8 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     fails fast instead of burning a full co-search first.
     """
     from repro.layoutloop.cosearch import unique_workloads
-    from repro.search.engine import search_model
+    from repro.search.engine import _search_model_impl
+    from repro.search.parallel import resolve_workers
 
     workloads = list(workloads)
     if simulator is None:
@@ -141,10 +143,11 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     for workload, _ in unique_workloads(workloads):
         simulator.check_cell(workload)
     if cost is None:
-        cost = search_model(arch, workloads, model_name=model_name,
-                            metric=metric, max_mappings=max_mappings,
-                            energy=energy, workers=workers, seed=seed,
-                            prune=prune)
+        cost = _search_model_impl(arch, workloads, model_name=model_name,
+                                  metric=metric, max_mappings=max_mappings,
+                                  energy=energy,
+                                  workers=resolve_workers(workers),
+                                  seed=seed, prune=prune)
     validation = CrossValidation(arch=arch_label or cost.arch,
                                  model=cost.model, seed=seed)
     for choice, (workload, count) in zip(cost.layer_choices,

@@ -160,7 +160,7 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
     """Multi-fidelity co-search over a whole model (shape-deduplicated).
 
     Shares one analytical cache and one simulator instance across the
-    unique shapes, exactly as :func:`repro.search.engine.search_model`
+    unique shapes, exactly as the batch engine (:mod:`repro.search.engine`)
     shares its evaluation cache.
     """
     workloads = list(workloads)

@@ -1,59 +1,17 @@
-"""Shared helpers for the experiment modules: the co-search front, plain-text
-tables and geomeans.
+"""Shared helpers for the experiment modules: plain-text tables and
+geomeans.
 
-All experiment co-searches run on the :mod:`repro.search` engine —
-multi-architecture sweeps (fig13, tables) through :func:`model_costs`, the
-batch front over :func:`repro.search.engine.search_models`; per-layer
-experiments (fig2, fig10) through a
-:class:`~repro.search.engine.SearchEngine` they construct directly.
-``workers=None`` (the default here) honours the ``REPRO_SEARCH_WORKERS``
-environment variable, letting a user parallelise the batch sweeps without
-touching call sites.
+Every experiment co-search is a :class:`~repro.api.SearchRequest` on a
+:class:`~repro.api.Session`: Fig. 13 runs its scenario cells
+(:mod:`repro.scenarios.ports`) through :func:`repro.scenarios.run_matrix`,
+Fig. 2 and Fig. 10 submit per-layer requests to a session of their own.
+``workers=None`` honours the ``REPRO_SEARCH_WORKERS`` environment variable.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
-
-
-def model_costs(arches: Sequence, workloads: Sequence, model_name: str = "model",
-                metric: str = "edp", max_mappings: int = 50,
-                workers: Optional[int] = None, seed: int = 0,
-                backend: str = "analytical") -> Dict[str, object]:
-    """Co-search ``workloads`` on every architecture via the shared façade.
-
-    .. deprecated:: 1.1
-        A thin shim over :mod:`repro.api`: one
-        :class:`~repro.api.SearchRequest` per architecture, run on the
-        module-default :class:`~repro.api.Session` (bit-identical to the
-        legacy engine path, pinned by the experiment-equality tests).
-
-    Returns ``{arch name: ModelCost}`` like
-    :func:`repro.layoutloop.cosearch.compare_architectures`; each
-    ``ModelCost`` carries its engine statistics in ``search_stats``.
-
-    ``workers=None`` (the default) follows the session's resolution —
-    explicit argument > ``REPRO_SEARCH_WORKERS`` > serial — and
-    ``max_mappings=50`` matches the figure reproductions.  ``seed`` feeds
-    the pruned-random mapping sampler and is forwarded unchanged so a
-    recorded run can be reproduced exactly.  ``backend`` selects the
-    :mod:`repro.backends` evaluation backend (the figures run the default
-    analytical model; the simulator is for micro-scale cells only).
-    """
-    from repro.api import SearchRequest, default_session
-    from repro.api.codec import arch_payload, workload_payload
-
-    session = default_session()
-    payloads = tuple(workload_payload(wl) for wl in workloads)
-    costs = {}
-    for arch in arches:
-        response = session.run(SearchRequest(
-            workloads=payloads, arch=arch_payload(arch), model=model_name,
-            metric=metric, max_mappings=max_mappings, seed=seed,
-            backend=backend, workers=workers, fresh_cache=True))
-        costs[arch.name] = response.cost
-    return costs
+from typing import Dict, Iterable, List, Sequence
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -43,8 +43,8 @@ def run(array_rows: int = 4, array_cols: int = 4, max_mappings: int = 200,
 
     The FEATHER side runs through the :mod:`repro.api` façade: one
     :class:`~repro.api.SearchRequest` per GEMM on a shared
-    :class:`~repro.api.Session`, whose evaluation cache plays the role the
-    per-experiment ``SearchEngine`` cache used to (bit-identical results).
+    :class:`~repro.api.Session`, whose evaluation cache is shared across
+    the four searches (bit-identical to separate searches).
     """
     systolic = SystolicArray(array_rows, array_cols, name="systolic")
     arch = arch_payload(feather_arch(array_rows, array_cols))

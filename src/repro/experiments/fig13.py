@@ -6,26 +6,20 @@ the energy-delay-product objective, reporting per-design normalised latency
 and normalised energy per MAC (both relative to FEATHER), average steady-state
 utilization, the bank-conflict stall share and the off-chip reordering share.
 
-This experiment runs the shared co-search engine
-(:func:`repro.experiments.common.model_costs`) over the same workloads and
-returns the same series.  ``max_mappings`` bounds the pruned-random mapping
-search per layer; the default keeps a full-model run in the tens of seconds
-while preserving the orderings.  ``workers`` fans unique layer shapes out
-across processes (``None`` honours ``REPRO_SEARCH_WORKERS``); results are
-bit-identical for any worker count.
+This experiment runs the Fig. 13 scenario cells
+(:func:`repro.scenarios.ports.fig13_scenarios`) through
+:func:`repro.scenarios.run_matrix` and normalises the records with
+:func:`repro.scenarios.ports.fig13_series_from_records`.  ``max_mappings``
+bounds the pruned-random mapping search per layer; the default keeps a
+full-model run in the tens of seconds while preserving the orderings.
+``workers`` fans unique layer shapes out across processes (``None`` honours
+``REPRO_SEARCH_WORKERS``); results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-from repro.baselines.registry import fig13_arch_suite
-from repro.experiments.common import model_costs
-from repro.layoutloop.cosearch import ModelCost
-from repro.workloads.bert import bert_unique_gemms
-from repro.workloads.mobilenet_v3 import mobilenet_v3_layers
-from repro.workloads.resnet50 import resnet50_layers
 
 
 @dataclass
@@ -44,50 +38,23 @@ class Fig13Series:
         return list(self.normalized_latency)
 
 
-def _series(workload_name: str, costs: Dict[str, ModelCost],
-            reference: str = "FEATHER") -> Fig13Series:
-    ref = costs[reference]
-    series = Fig13Series(workload=workload_name, reference=reference)
-    for name, cost in costs.items():
-        series.normalized_latency[name] = (
-            cost.total_cycles / ref.total_cycles if ref.total_cycles else 0.0)
-        series.normalized_energy_per_mac[name] = (
-            cost.energy_per_mac_pj / ref.energy_per_mac_pj
-            if ref.energy_per_mac_pj else 0.0)
-        series.utilization[name] = cost.avg_utilization
-        series.stall_fraction[name] = cost.stall_fraction
-        series.reorder_fraction[name] = cost.reorder_fraction
-    return series
-
-
-def workloads_for(name: str, max_layers: Optional[int] = None) -> Sequence:
-    """Layer list for one of the paper's three workloads."""
-    if name == "bert":
-        wls = bert_unique_gemms()
-    elif name == "resnet50":
-        wls = resnet50_layers(include_fc=False)
-    elif name == "mobilenet_v3":
-        wls = mobilenet_v3_layers(include_fc=False)
-    else:
-        raise ValueError(f"unknown workload {name!r}")
-    if max_layers:
-        wls = wls[:max_layers]
-    return wls
-
-
 def run(workload_names: Sequence[str] = ("bert", "resnet50", "mobilenet_v3"),
-        rows: int = 16, cols: int = 16, max_mappings: int = 50,
-        max_layers: Optional[int] = None,
+        max_mappings: int = 50, max_layers: Optional[int] = None,
         workers: Optional[int] = None, seed: int = 0) -> Dict[str, Fig13Series]:
-    """Reproduce Fig. 13's three charts (or a subset of them)."""
+    """Reproduce Fig. 13's three charts (or a subset of them).
+
+    Unknown workload names raise :class:`~repro.errors.InvalidRequestError`.
+    """
+    # Imported here: the scenario ports build Fig13Series from this module.
+    from repro.scenarios.ports import fig13_scenarios, fig13_series_from_records
+    from repro.scenarios.runner import run_matrix
+
     results: Dict[str, Fig13Series] = {}
     for name in workload_names:
-        gemm = name == "bert"
-        arches = fig13_arch_suite(rows, cols, gemm=gemm)
-        costs = model_costs(arches, workloads_for(name, max_layers),
-                            model_name=name, max_mappings=max_mappings,
-                            workers=workers, seed=seed)
-        results[name] = _series(name, costs)
+        matrix = fig13_scenarios((name,), max_layers=max_layers,
+                                 max_mappings=max_mappings, seed=seed)
+        records = run_matrix(matrix, workers=workers).records
+        results[name] = fig13_series_from_records(name, records)
     return results
 
 

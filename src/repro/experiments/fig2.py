@@ -141,7 +141,7 @@ def motivation_workloads(model: str) -> List[ConvLayerSpec]:
 
     The same lists back the ``fig2_*_motivation`` workload sets of the
     scenario matrix, so the scenario-layer port searches exactly the
-    workloads the legacy experiment does.
+    workloads this experiment does.
     """
     if model == "resnet50":
         return [layer for key, layer

@@ -5,16 +5,16 @@ the baseline registry); Table IV is the evaluation setup (reproduced from the
 architecture specs); Table V is the post-PnR area/power of FEATHER at several
 shapes (paper values next to the analytical model's estimate).
 
-:func:`search_stats_table` is reproduction tooling rather than a paper
-table: it runs the shared co-search engine over one workload and reports
-per-architecture engine statistics (evaluations, pruned candidates, cache
-hit rate, wall time) — useful for sizing figure-reproduction runs.
+Per-architecture engine statistics of a Fig. 13-style sweep (evaluations,
+pruned candidates, cache hit rate) are reproduction tooling rather than a
+paper table: run :func:`repro.scenarios.ports.tables_scenarios` and read
+them with :func:`repro.scenarios.ports.search_stats_rows_from_records`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.area.asic import table_v
 from repro.baselines.registry import (
@@ -22,7 +22,6 @@ from repro.baselines.registry import (
     fig13_arch_suite,
     reorder_support_table,
 )
-from repro.experiments.common import model_costs
 
 
 def table_i() -> List[Dict[str, object]]:
@@ -57,26 +56,3 @@ def table_v_rows() -> List[Dict[str, float]]:
     """Table V: FEATHER post-PnR area/power across shapes (paper vs model)."""
     return table_v()
 
-
-def search_stats_table(workloads: Sequence, model_name: str = "model",
-                       rows: int = 16, cols: int = 16, gemm: bool = False,
-                       max_mappings: int = 50,
-                       workers: Optional[int] = None,
-                       seed: int = 0) -> List[Dict[str, object]]:
-    """Engine statistics of a Fig. 13-style co-search, one row per arch."""
-    costs = model_costs(fig13_arch_suite(rows, cols, gemm=gemm), workloads,
-                        model_name=model_name, max_mappings=max_mappings,
-                        workers=workers, seed=seed)
-    table = []
-    for name, cost in costs.items():
-        stats = cost.search_stats
-        table.append({
-            "arch": name,
-            "unique_layers": stats.layers_unique,
-            "evaluations": stats.evaluations,
-            "pruned": stats.pruned,
-            "cache_hit_rate": stats.cache.hit_rate,
-            "workers": stats.workers,
-            "elapsed_s": stats.elapsed_s,
-        })
-    return table

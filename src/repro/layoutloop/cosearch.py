@@ -7,11 +7,12 @@ deduplicates identical shapes and weights the per-shape result by its
 occurrence count — this is a pure speed optimisation with no effect on the
 totals.
 
-:func:`evaluate_model` and :func:`compare_architectures` are thin fronts
-over the batch engine in :mod:`repro.search.engine`, which adds evaluation
-memoization, admissible pruning and optional process fan-out (``workers``).
-The aggregate dataclasses (:class:`LayerChoice`, :class:`ModelCost`) live
-here because they are part of the layoutloop vocabulary.
+Whole-model searches run as :class:`~repro.api.SearchRequest` objects on a
+:class:`~repro.api.Session` (the batch engine in :mod:`repro.search.engine`
+adds evaluation memoization, admissible pruning and optional process
+fan-out).  The aggregate dataclasses (:class:`LayerChoice`,
+:class:`ModelCost`) and the fused two-layer search live here because they
+are part of the layoutloop vocabulary.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.energy import EnergyTable
 from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.search.frontier import pareto_fold, tile_footprints
 from repro.search.signatures import workload_signature
@@ -72,7 +71,7 @@ class ModelCost:
     """Per-unique-shape winners, in first-seen layer order."""
     search_stats: Optional["SearchStats"] = None
     """Engine bookkeeping (evaluations, pruning, cache hits) when searched
-    through :func:`repro.search.engine.search_model`; None otherwise."""
+    through the batch engine (:mod:`repro.search.engine`); None otherwise."""
     frontiers: Optional[List] = None
     """Per-unique-shape :class:`~repro.search.frontier.ShapeFrontier`
     objects (same order as ``layer_choices``) when the search ran in
@@ -358,74 +357,3 @@ def fused_model_search(mapper: Mapper, workloads: Sequence,
                                              layouts=layouts))
     return results
 
-
-def cosearch_layer(arch: ArchSpec, workload, metric: str = "edp",
-                   max_mappings: int = 200, energy: Optional[EnergyTable] = None,
-                   mapper: Optional[Mapper] = None) -> SearchResult:
-    """Co-search the (dataflow, layout) pair for one layer on one architecture."""
-    mapper = mapper or Mapper(arch, energy=energy, metric=metric,
-                              max_mappings=max_mappings)
-    return mapper.search(workload)
-
-
-def evaluate_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
-                   metric: str = "edp", max_mappings: int = 200,
-                   energy: Optional[EnergyTable] = None,
-                   mapper: Optional[Mapper] = None,
-                   workers: Optional[int] = 1,
-                   backend: str = "analytical") -> ModelCost:
-    """Run the per-layer co-search over a whole model and aggregate the result.
-
-    .. deprecated:: 1.1
-        A thin shim over the :mod:`repro.api` façade: it delegates to
-        :func:`repro.search.engine.search_model`, which builds a
-        :class:`~repro.api.SearchRequest` against the module-default
-        :class:`~repro.api.Session` (bit-identical outputs).  New code
-        should run requests on a session directly.
-
-    Passing an explicit ``mapper`` forces the serial path with that
-    mapper's configuration and caches (including its evaluation backend —
-    ``backend`` is then ignored).  Raises ``ValueError`` on an empty layer
-    list — summing over nothing would silently report a free model.
-    """
-    workloads = list(workloads)
-    if not workloads:
-        raise ValueError(
-            f"evaluate_model({model_name!r}) requires at least one workload")
-    if mapper is None:
-        from repro.search.engine import search_model
-
-        return search_model(arch, workloads, model_name=model_name,
-                            metric=metric, max_mappings=max_mappings,
-                            energy=energy, workers=workers, backend=backend)
-    cost = ModelCost(arch=arch.name, model=model_name)
-    for workload, count in unique_workloads(workloads):
-        result = mapper.search(workload)
-        cost.layer_choices.append(LayerChoice(result=result, count=count))
-    return cost
-
-
-def compare_architectures(arches: Sequence[ArchSpec], workloads: Sequence,
-                          model_name: str = "model", metric: str = "edp",
-                          max_mappings: int = 200,
-                          energy: Optional[EnergyTable] = None,
-                          workers: Optional[int] = 1,
-                          backend: str = "analytical") -> Dict[str, ModelCost]:
-    """Evaluate several architectures on the same model (Fig. 13 style).
-
-    .. deprecated:: 1.1
-        A thin shim over the :mod:`repro.api` façade (one
-        :class:`~repro.api.SearchRequest` per architecture on the
-        module-default session); bit-identical to the legacy path.
-
-    ``workers`` is forwarded to the engine's process fan-out; results are
-    bit-identical for any worker count.  ``backend`` selects the
-    evaluation backend per :mod:`repro.backends`.
-    """
-    return {
-        arch.name: evaluate_model(arch, workloads, model_name=model_name,
-                                  metric=metric, max_mappings=max_mappings,
-                                  energy=energy, workers=workers,
-                                  backend=backend)
-        for arch in arches
-    }

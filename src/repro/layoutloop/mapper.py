@@ -500,11 +500,10 @@ class Mapper:
                      layouts: Optional[Sequence[Layout]] = None) -> None:
         """Seed the result-level cache with an externally computed result.
 
-        Used by :class:`repro.search.engine.SearchEngine` (and the façade's
-        request-level process offload) to bring results produced in worker
-        processes (or by a sibling mapper) back into this mapper's cache,
-        so later :meth:`search` calls for the same workload return
-        instantly.  The result must have been computed with the same
+        Used by the façade's request-level process offload
+        (:class:`repro.api.Session`) to bring results produced in a worker
+        process back into this mapper's cache, so later :meth:`search`
+        calls for the same workload return instantly.  The result must have been computed with the same
         metric/max_mappings configuration as this mapper, under the same
         ``layouts`` restriction.
         """

@@ -6,7 +6,8 @@ pairs; this package turns that grid into data.  A
 architecture, search config) cell; a
 :class:`~repro.scenarios.spec.ScenarioMatrix` expands cross products into a
 deterministic run plan; :func:`~repro.scenarios.runner.run_matrix` executes
-the plan through :func:`repro.search.engine.search_model` and emits
+the plan as :class:`~repro.api.SearchRequest` objects on a
+:class:`~repro.api.Session` and emits
 per-cell JSON records (:class:`~repro.scenarios.record.ScenarioRecord`)
 plus CSV/markdown summaries, with content-addressed caching so completed
 cells are never recomputed.
@@ -16,7 +17,8 @@ cells are never recomputed.
 * :mod:`repro.scenarios.builtin` ships the built-in matrix (smoke cells,
   the paper-figure ports, the widened coverage sweep, the golden cells).
 * :mod:`repro.scenarios.ports` defines Fig. 2/10/13 and the search-stats
-  table as thin scenarios; tests pin them equal to the legacy experiments.
+  table as thin scenarios; ``repro.experiments.fig13`` runs its charts
+  through them.
 * Every record embeds its RNG seed, the package version and a sha256
   content address, so any record can be re-run bit-identically
   (:func:`~repro.scenarios.runner.rerun_record`) on any worker count.

@@ -3,17 +3,18 @@
 Each port pairs (a) a function returning the figure's cells as a
 :class:`~repro.scenarios.spec.ScenarioMatrix` with (b) a converter from the
 resulting :class:`~repro.scenarios.record.ScenarioRecord` objects back to
-the figure's native output structures.  The ports use the *same* workload
-sets, architecture suite, metric, mapping budget and seed as the legacy
-``repro.experiments`` modules, and the engine underneath is deterministic,
-so a scenario re-run reproduces the legacy numbers exactly —
-``tests/test_experiments_small.py`` asserts that equality so the port can
-never silently drift.
+the figure's native output structures.  The ports use the same workload
+sets, architecture suite, metric, mapping budget and seed as the
+``repro.experiments`` modules.  Fig. 13 is computed *only* here:
+``repro.experiments.fig13.run`` runs :func:`fig13_scenarios` and converts
+the records with :func:`fig13_series_from_records`.
 
 Only the engine-shaped part of each figure is a scenario (a scenario *is*
 a co-search cell).  Fig. 2's fixed/theory/practice policies and Fig. 10's
 systolic baseline are bespoke evaluations and stay in their experiment
-modules; their FEATHER co-search columns are what the ports cover.
+modules; their FEATHER co-search columns are what the ports cover, and
+``tests/test_experiments_small.py`` pins those columns equal to the
+experiments' own.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def fig2_scenarios(max_mappings: int = 60, seed: int = 0,
                    ) -> ScenarioMatrix:
     """The FEATHER co-search column of Fig. 2, one cell per model chart.
 
-    Matches the legacy experiment's engine settings (latency objective,
+    Matches the Fig. 2 experiment's engine settings (latency objective,
     ``max_mappings=60``) over the same motivation layers.
     """
     config = SearchConfig(name=f"latency-{max_mappings}", metric="latency",
@@ -104,9 +105,8 @@ def fig13_series_from_records(workload: str,
     """Rebuild a :class:`Fig13Series` from one workload's cell records.
 
     ``records`` must be the workload's cells in suite order (as produced by
-    :func:`fig13_scenarios`); normalisation mirrors the legacy
-    ``fig13._series`` arithmetic operation-for-operation so the floats come
-    out bit-identical.
+    :func:`fig13_scenarios`); every series is normalised to the
+    ``reference`` design's totals.
     """
     by_arch = {record.arch: record for record in records}
     ref = by_arch[reference]
@@ -128,7 +128,7 @@ def fig13_series_from_records(workload: str,
 # ----------------------------------------------------------------- Tables
 def tables_scenarios(workload_set: str = "resnet50", gemm: bool = False,
                      max_mappings: int = 50, seed: int = 0) -> ScenarioMatrix:
-    """The ``search_stats_table`` sweep: one workload set across the suite."""
+    """The search-stats sweep: one workload set across the Fig. 13 suite."""
     config = SearchConfig(name=f"edp-{max_mappings}", metric="edp",
                           max_mappings=max_mappings, seed=seed)
     matrix = ScenarioMatrix(name="tables")
@@ -169,10 +169,11 @@ def frontier_rows_from_record(record: ScenarioRecord,
 
 def search_stats_rows_from_records(records: Sequence[ScenarioRecord],
                                    ) -> List[Dict[str, object]]:
-    """The deterministic columns of ``tables.search_stats_table``.
+    """Per-architecture engine statistics of :func:`tables_scenarios` cells.
 
-    ``workers`` and ``elapsed_s`` are run metadata and deliberately absent;
-    everything here must match the legacy table exactly.
+    One row per record: unique layers, scored and pruned candidates and
+    the evaluation-cache hit rate.  ``workers`` and ``elapsed_s`` are run
+    metadata and deliberately absent, so the rows are deterministic.
     """
     rows = []
     for record in records:

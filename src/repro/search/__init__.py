@@ -8,7 +8,8 @@ This package is the performance substrate under every figure reproduction:
 * :mod:`repro.search.budget` — budgeted search policies (successive
   halving on the bounds, seeded evolutionary refinement),
 * :mod:`repro.search.parallel` — process fan-out with serial fallback,
-* :mod:`repro.search.engine` — the :func:`search_model` batch API.
+* :mod:`repro.search.engine` — the whole-model batch engine under
+  :meth:`repro.api.Session.run` (its :class:`SearchStats` bookkeeping).
 
 See ``docs/architecture.md`` for the full design (cache keying, pruning
 soundness argument, worker model and the determinism guarantee).
@@ -45,17 +46,13 @@ __all__ = [
     # Lazily imported (see __getattr__): the engine and the budget policies
     # import the layoutloop mapper, which itself imports the submodules
     # above.
-    "SearchEngine",
     "SearchStats",
-    "search_model",
-    "search_models",
     "POLICIES",
     "halving_search",
     "evolutionary_search",
 ]
 
-_ENGINE_NAMES = ("SearchEngine", "SearchStats", "search_model",
-                 "search_models")
+_ENGINE_NAMES = ("SearchStats",)
 _BUDGET_NAMES = ("POLICIES", "halving_search", "evolutionary_search")
 
 

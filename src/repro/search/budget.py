@@ -51,7 +51,7 @@ from repro.search.bounds import cached_bound_statics
 from repro.search.signatures import mapping_signature, workload_signature
 
 POLICIES: Tuple[str, ...] = ("exhaustive", "halving", "evolutionary")
-"""Search policies accepted by ``Mapper``/``SearchEngine``/``SearchRequest``."""
+"""Search policies accepted by ``Mapper``/``SearchRequest``."""
 
 
 def default_budget(n_mappings: int, n_layouts: int) -> int:

@@ -1,8 +1,10 @@
-"""The batch co-search engine: one API every figure reproduction shares.
+"""The batch co-search engine under :meth:`repro.api.Session.run`.
 
-:func:`search_model` is the single entry point for whole-model (dataflow,
-layout) co-search.  It composes the three optimisations this package exists
-for:
+:func:`_search_model_impl` is the execution layer of whole-model (dataflow,
+layout) co-search; callers reach it through a
+:class:`~repro.api.SearchRequest` on a :class:`~repro.api.Session` (single
+layers go through :meth:`~repro.layoutloop.mapper.Mapper.search`).  It
+composes the three optimisations this package exists for:
 
 1. **Shape deduplication** — DNNs repeat layer shapes; only unique shapes
    are searched and each result is weighted by its occurrence count
@@ -42,7 +44,7 @@ from repro.search.parallel import (
 
 @dataclass
 class SearchStats:
-    """Bookkeeping of one :func:`search_model` run."""
+    """Bookkeeping of one whole-model search run."""
 
     model: str
     arch: str
@@ -83,90 +85,6 @@ class SearchStats:
                 f"{self.elapsed_s:.2f}s")
 
 
-# --------------------------------------------------------------------- engine
-class SearchEngine:
-    """A configured co-search context with a persistent evaluation cache.
-
-    Wraps a :class:`~repro.layoutloop.mapper.Mapper` so that repeated
-    per-layer searches (and whole-model batches) share one cache.  Use the
-    module-level :func:`search_model` for one-shot batch searches; use an
-    engine when several experiments over the same architecture should share
-    memoized evaluations.
-    """
-
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 metric: str = "edp", max_mappings=200, seed: int = 0,
-                 prune: bool = True, cache: Optional[EvaluationCache] = None,
-                 backend: str = "analytical", policy: str = "exhaustive",
-                 budget: Optional[int] = None, frontier: bool = False,
-                 fused: bool = False, constraints=None):
-        self.arch = arch
-        self.energy = energy
-        self.metric = metric
-        self.max_mappings = max_mappings
-        self.seed = seed
-        self.prune = prune
-        self.backend = backend
-        self.policy = policy
-        self.budget = budget
-        self.frontier = frontier
-        self.fused = fused
-        self.cache = cache if cache is not None else EvaluationCache()
-        self.mapper = Mapper(arch, energy=energy, metric=metric,
-                             max_mappings=max_mappings, seed=seed,
-                             prune=prune, evaluation_cache=self.cache,
-                             backend=backend, policy=policy, budget=budget,
-                             constraints=constraints)
-        self.constraints = self.mapper.constraints
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of this engine's evaluation cache."""
-        return self.cache.stats
-
-    def search_layer(self, workload, layouts: Optional[Sequence] = None
-                     ) -> SearchResult:
-        """Co-search the best (mapping, layout) pair for one layer."""
-        return self.mapper.search(workload, layouts=layouts)
-
-    def search_layer_frontier(self, workload,
-                              layouts: Optional[Sequence] = None):
-        """Co-search one layer keeping the whole Pareto frontier.
-
-        Returns ``(result, frontier)`` — see
-        :meth:`repro.layoutloop.mapper.Mapper.search_frontier`.
-        """
-        return self.mapper.search_frontier(workload, layouts=layouts)
-
-    def search_model(self, workloads: Sequence, model_name: str = "model",
-                     workers: Optional[int] = 1,
-                     chunk_size: Optional[int] = None) -> ModelCost:
-        """Batch co-search of a whole model with this engine's settings.
-
-        The engine's evaluation cache is shared with the batch on the
-        serial path only — worker processes cannot see in-process state
-        and always build their own.  Either way, the per-shape results are
-        adopted into the engine afterwards, so follow-up
-        :meth:`search_layer` calls for the same shapes return instantly.
-        The engine's live backend *instance* is forwarded, so on a
-        non-analytical backend repeat batches reuse its simulation memos
-        (the analytical instance resolves to the normal fan-out path).
-        """
-        backend = self.mapper.backend
-        cost = search_model(self.arch, workloads, model_name=model_name,
-                            metric=self.metric, max_mappings=self.max_mappings,
-                            energy=self.energy, workers=workers,
-                            chunk_size=chunk_size, prune=self.prune,
-                            seed=self.seed, cache=self.cache,
-                            backend=backend, policy=self.policy,
-                            budget=self.budget, frontier=self.frontier,
-                            fused=self.fused, constraints=self.constraints)
-        for (workload, _), choice in zip(unique_workloads(workloads),
-                                         cost.layer_choices):
-            self.mapper.adopt_result(workload, choice.result)
-        return cost
-
-
 # ----------------------------------------------------------------- batch API
 def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
     """Worker entry point: search one chunk of unique shapes.
@@ -191,8 +109,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                        model_name: str = "model", metric: str = "edp",
                        max_mappings=200,
                        energy: Optional[EnergyTable] = None,
-                       workers: int = 1, chunk_size: Optional[int] = None,
-                       prune: bool = True, seed: int = 0,
+                       workers: int = 1, prune: bool = True, seed: int = 0,
                        cache: Optional[EvaluationCache] = None,
                        backend="analytical",
                        layouts: Optional[Sequence] = None,
@@ -202,12 +119,14 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                        budget: Optional[int] = None,
                        frontier: bool = False, fused: bool = False,
                        constraints=None) -> ModelCost:
-    """The whole-model co-search engine behind :func:`search_model`.
+    """The whole-model co-search engine behind :meth:`repro.api.Session.run`.
 
     This is the execution layer: ``workers`` must already be a concrete
     count (user-facing resolution — explicit argument over the
     ``REPRO_SEARCH_WORKERS`` environment variable over the serial default —
     happens in exactly one place, :meth:`repro.api.Session.resolve_workers`).
+    ``backend`` is ``"analytical"`` or a constructed non-analytical backend
+    instance (searched serially, keeping its simulation memos warm).
     ``layouts`` optionally restricts the candidate layout library (used by
     policy studies like Fig. 2's layout-blind "theory" search), and
     ``executor`` is an optional caller-owned persistent process pool
@@ -221,54 +140,23 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     counters then report the memo (zero evaluations on a full hit), which
     is why per-call-deterministic callers (records, golden files) do not
     pass one.
+
+    The search-configuration rules (``max_mappings="auto"``, frontier and
+    fused searches need the analytical backend and the exhaustive policy)
+    are enforced by :class:`~repro.api.SearchRequest` and
+    :class:`~repro.layoutloop.mapper.Mapper`; this layer only rejects what
+    needs the resolved workloads.
     """
     workloads = list(workloads)
     if not workloads:
         raise InvalidRequestError(
-            f"search_model({model_name!r}) requires at least one workload")
-
-    from repro.backends import AnalyticalBackend
-
-    if isinstance(backend, AnalyticalBackend):
-        # An analytical *instance* is configuration, not a detour: adopt
-        # its cache (unless one was passed explicitly), then run the full
-        # analytical path — fan-out, pruning, stats.
-        if cache is None:
-            cache = backend.cache
-        backend = "analytical"
-    analytical = backend is None or backend == "analytical"
-    if max_mappings == "auto":
-        # The adaptive universe is a statement about the analytical model's
-        # admissible bounds and is defined for the scalar winner only.
-        if not analytical:
-            raise InvalidRequestError(
-                "max_mappings='auto' requires the analytical backend")
-        if policy != "exhaustive":
-            raise InvalidRequestError(
-                "max_mappings='auto' requires policy='exhaustive'")
-        if constraints is not None and constraints != "none":
-            raise InvalidRequestError(
-                "max_mappings='auto' grows the raw structured universe and "
-                "cannot be combined with a ConstraintSet; use an integer "
-                "max_mappings")
-        if frontier or fused:
-            raise InvalidRequestError(
-                "frontier/fused search requires an integer max_mappings")
+            f"model {model_name!r} has no workloads to search")
+    analytical = backend == "analytical"
+    if fused and len(workloads) < 2:
+        raise InvalidRequestError(
+            "fused search requires at least two workloads "
+            "(adjacency is what gets fused)")
     if frontier or fused:
-        # Frontier/fused searches are statements about the analytical
-        # model (the dominance prune reuses its admissible bounds, the
-        # fused energy/cycle discounts its DRAM terms) and must see the
-        # whole candidate universe.
-        if not analytical:
-            raise InvalidRequestError(
-                "frontier/fused search requires the analytical backend")
-        if policy != "exhaustive":
-            raise InvalidRequestError(
-                "frontier/fused search requires policy='exhaustive'")
-        if fused and len(workloads) < 2:
-            raise InvalidRequestError(
-                "fused search requires at least two workloads "
-                "(adjacency is what gets fused)")
         # Frontier objects and fused pairs live on the ModelCost, which
         # the fan-out's chunked workers cannot assemble: run serially
         # (results are bit-identical for any worker count anyway).
@@ -279,8 +167,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     workers = max(1, int(workers)) if analytical else 1
     layouts = list(layouts) if layouts else None
 
-    backend_name = ("analytical" if analytical
-                    else getattr(backend, "name", None) or str(backend))
+    backend_name = "analytical" if analytical else backend.name
     stats = SearchStats(model=model_name, arch=arch.name,
                         layers_total=len(workloads),
                         layers_unique=len(grouped), workers=workers,
@@ -318,7 +205,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
         stats.cache = CacheStats(hits=eval_cache.stats.hits - before_hits,
                                  misses=eval_cache.stats.misses - before_misses)
     else:
-        size = chunk_size or default_chunk_size(len(shapes), workers)
+        size = default_chunk_size(len(shapes), workers)
         payloads = [(arch, energy, metric, max_mappings, seed, prune,
                      layouts, policy, budget, constraints, chunk)
                     for chunk in chunked(shapes, size)]
@@ -364,112 +251,3 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     cost.search_stats = stats
     return cost
 
-
-def search_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
-                 metric: str = "edp", max_mappings=200,
-                 energy: Optional[EnergyTable] = None,
-                 workers: Optional[int] = 1,
-                 chunk_size: Optional[int] = None, prune: bool = True,
-                 seed: int = 0, cache: Optional[EvaluationCache] = None,
-                 backend="analytical", policy: str = "exhaustive",
-                 budget: Optional[int] = None, frontier: bool = False,
-                 fused: bool = False, constraints=None) -> ModelCost:
-    """Co-search a whole model on one architecture and aggregate the cost.
-
-    .. deprecated:: 1.1
-        This is now a thin shim over the :mod:`repro.api` façade: it builds
-        a :class:`~repro.api.SearchRequest` and runs it on the module-default
-        :class:`~repro.api.Session` (bit-identical outputs, pinned by the
-        golden tests).  New code should construct a ``Session`` and call
-        :meth:`~repro.api.Session.run` directly — a long-lived session
-        amortizes its evaluation cache and worker pool across requests,
-        which this per-call front deliberately does not
-        (``fresh_cache=True`` preserves the legacy per-call semantics).
-
-    Parameters mirror :class:`~repro.layoutloop.mapper.Mapper`; the batch
-    level adds:
-
-    * ``workers`` — worker processes for the fan-out over unique shapes.
-      ``1`` (default) runs serially; ``None`` consults the
-      ``REPRO_SEARCH_WORKERS`` environment variable.  Results are
-      bit-identical regardless of the worker count.
-    * ``chunk_size`` — unique shapes per worker task (default: balanced
-      so each worker receives ~4 chunks).
-    * ``cache`` — a shared :class:`EvaluationCache` (serial path only;
-      worker processes always build their own).
-    * ``backend`` — the :mod:`repro.backends` evaluation backend scoring
-      the candidates: a registry name (default ``"analytical"``) or an
-      already-constructed backend instance (reused as-is, keeping its
-      simulation memos warm).  Non-analytical backends run serially (their
-      in-process state — accelerator instances, simulation memos — does
-      not ship to worker processes) and without pruning.
-    * ``policy``/``budget`` — budgeted search policy over the same
-      candidate universe (``"exhaustive"``, ``"halving"``,
-      ``"evolutionary"``; see :mod:`repro.search.budget`) and its cap on
-      scored pairs per unique shape.
-    * ``max_mappings="auto"`` — adaptive universe (analytical backend,
-      exhaustive policy): a small seeded sample grown only where the bound
-      landscape is tight, returning exactly the uncapped exhaustive winner
-      of the full structured space.
-    * ``constraints`` — a :class:`repro.constraints.ConstraintSet` (or the
-      request strings ``"none"``/``"default"``) binding platform rules to
-      the search: every candidate is repaired to legality before scoring
-      and the stats carry the repair-log counters.  ``None`` (default)
-      inherits the backend's own constraints — the analytical and
-      simulator backends carry none, ``systolic``/``noc:*`` carry their
-      presets.
-
-    Raises ``ValueError`` on an empty workload list — silently returning an
-    all-zero :class:`ModelCost` hid bugs in callers.
-    """
-    from repro.api import SearchRequest, default_session
-    from repro.api.codec import arch_payload, workload_payload
-
-    workloads = list(workloads)
-    if not workloads:
-        raise InvalidRequestError(
-            f"search_model({model_name!r}) requires at least one workload")
-    session = default_session()
-    # Live objects (a shared cache, an energy calibration, a constructed
-    # backend instance) and the chunking override are engine configuration
-    # a serializable request cannot carry; those calls go straight to the
-    # execution layer with the same session-resolved worker count.
-    if (energy is not None or cache is not None or chunk_size is not None
-            or not (backend is None or isinstance(backend, str))
-            or not (constraints is None or isinstance(constraints, str))):
-        return _search_model_impl(
-            arch, workloads, model_name=model_name, metric=metric,
-            max_mappings=max_mappings, energy=energy,
-            workers=session.resolve_workers(workers), chunk_size=chunk_size,
-            prune=prune, seed=seed, cache=cache, backend=backend,
-            policy=policy, budget=budget, frontier=frontier, fused=fused,
-            constraints=constraints)
-    request = SearchRequest(
-        workloads=tuple(workload_payload(wl) for wl in workloads),
-        arch=arch_payload(arch), model=model_name, metric=metric,
-        max_mappings=max_mappings, seed=seed, prune=prune,
-        backend=backend or "analytical", workers=workers, fresh_cache=True,
-        policy=policy, budget=budget, frontier=frontier, fused=fused,
-        constraints=constraints)
-    return session.run(request).cost
-
-
-def search_models(arches: Sequence[ArchSpec], workloads: Sequence,
-                  model_name: str = "model", metric: str = "edp",
-                  max_mappings: int = 200,
-                  energy: Optional[EnergyTable] = None,
-                  workers: Optional[int] = 1,
-                  chunk_size: Optional[int] = None, prune: bool = True,
-                  seed: int = 0, backend: str = "analytical",
-                  policy: str = "exhaustive", budget: Optional[int] = None,
-                  constraints=None) -> Dict[str, ModelCost]:
-    """Run :func:`search_model` for several architectures (Fig. 13 style)."""
-    return {
-        arch.name: search_model(arch, workloads, model_name=model_name,
-                                metric=metric, max_mappings=max_mappings,
-                                energy=energy, workers=workers,
-                                chunk_size=chunk_size, prune=prune, seed=seed,
-                                backend=backend, policy=policy, budget=budget,
-                                constraints=constraints)
-        for arch in arches
-    }

@@ -17,6 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import arch_payload, workload_payload
 from repro.backends import (
     AnalyticalBackend,
     BackendReport,
@@ -35,7 +37,7 @@ from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
-from repro.search.engine import SearchEngine, search_model
+from repro.scenarios import golden_matrix, resolve_arch, resolve_workload_set
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 from repro.workloads.micro import (
@@ -47,6 +49,14 @@ from repro.workloads.micro import (
 
 ARCH44 = feather_arch(4, 4)
 ARCH88 = feather_arch(8, 8)
+
+
+def search(arch, workloads, **config):
+    """Whole-model co-search through the façade; returns the response."""
+    with Session(name="backends") as session:
+        return session.run(SearchRequest(
+            workloads=tuple(workload_payload(w) for w in workloads),
+            arch=arch_payload(arch), fresh_cache=True, **config))
 
 
 # ---------------------------------------------------------------- registry
@@ -94,9 +104,9 @@ class TestAnalyticalBackend:
 
     def test_search_model_backend_analytical_is_default_path(self):
         layers = micro_conv_layers()
-        default = search_model(ARCH44, layers, max_mappings=6)
-        explicit = search_model(ARCH44, layers, max_mappings=6,
-                                backend="analytical")
+        default = search(ARCH44, layers, max_mappings=6).cost
+        explicit = search(ARCH44, layers, max_mappings=6,
+                          backend="analytical").cost
         assert default.total_cycles == explicit.total_cycles
         assert default.total_energy_pj == explicit.total_energy_pj
         assert default.search_stats.backend == "analytical"
@@ -200,8 +210,7 @@ class TestRirClaimMachineChecked:
     ])
     def test_cosearched_pair_is_conflict_free_in_simulation(self, workload,
                                                            arch):
-        engine = SearchEngine(arch, max_mappings=8, seed=0)
-        result = engine.search_layer(workload)
+        result = Mapper(arch, max_mappings=8, seed=0).search(workload)
         # Analytical side: RIR co-switching means max(lines/ports, 1)
         # never binds — the model prices the winner stall-free.
         assert result.best_report.slowdown == 1.0
@@ -271,15 +280,15 @@ class TestSearchOnSimulator:
         assert result.best_report.total_cycles > 0
 
     def test_search_model_on_simulator_forces_serial(self):
-        cost = search_model(ARCH44, micro_gemm_layers(), metric="latency",
-                            max_mappings=4, workers=4, backend="simulator")
+        cost = search(ARCH44, micro_gemm_layers(), metric="latency",
+                      max_mappings=4, workers=4, backend="simulator").cost
         assert cost.search_stats.workers == 1
         assert cost.search_stats.backend == "simulator"
         assert cost.total_cycles > 0
 
     def test_simulator_search_picks_conflict_free_layout(self):
-        cost = search_model(ARCH44, micro_gemm_layers(), metric="latency",
-                            max_mappings=4, backend="simulator")
+        cost = search(ARCH44, micro_gemm_layers(), metric="latency",
+                      max_mappings=4, backend="simulator").cost
         for choice in cost.layer_choices:
             assert choice.result.best_report.slowdown == 1.0
 
@@ -294,8 +303,8 @@ class TestMultiFidelity:
             ("micro_gemms", micro_gemm_layers(), "latency", 6),
         ]
         for name, layers, metric, budget in cases:
-            analytical = search_model(ARCH44, layers, model_name=name,
-                                      metric=metric, max_mappings=budget)
+            analytical = search(ARCH44, layers, model=name, metric=metric,
+                                max_mappings=budget).cost
             multi = multifidelity_search(ARCH44, layers, model_name=name,
                                          metric=metric, max_mappings=budget,
                                          top_k=3)
@@ -331,6 +340,9 @@ class TestMultiFidelity:
 
 
 # ------------------------------------------------------- cross-validation
+CROSSVAL_CELLS = [s for s in golden_matrix() if s.backend == "crossval"]
+
+
 class TestCrossValidation:
     def test_deltas_and_rir_claim(self):
         cost, validation = cross_validate_model(
@@ -352,10 +364,32 @@ class TestCrossValidation:
         layers = micro_gemm_layers()
         cost, _ = cross_validate_model(ARCH44, layers, model_name="micro",
                                        metric="latency", max_mappings=6)
-        plain = search_model(ARCH44, layers, model_name="micro",
-                             metric="latency", max_mappings=6)
+        plain = search(ARCH44, layers, model="micro", metric="latency",
+                       max_mappings=6).cost
         assert cost.total_cycles == plain.total_cycles
         assert cost.total_energy_pj == plain.total_energy_pj
+
+    @pytest.mark.parametrize("scenario", CROSSVAL_CELLS,
+                             ids=[s.name for s in CROSSVAL_CELLS])
+    def test_standalone_matches_crossval_request(self, scenario):
+        """``cross_validate_model`` == ``SearchRequest(backend="crossval")``
+        on the golden crossval cells, validation payload included."""
+        config = scenario.config
+        cost, validation = cross_validate_model(
+            resolve_arch(scenario.arch),
+            resolve_workload_set(scenario.workload_set),
+            model_name=scenario.name, metric=config.metric,
+            max_mappings=config.max_mappings, seed=config.seed,
+            prune=config.prune, arch_label=scenario.arch)
+        with Session(name="crossval") as session:
+            response = session.run(SearchRequest(
+                workloads=scenario.workload_set, arch=scenario.arch,
+                model=scenario.name, metric=config.metric,
+                max_mappings=config.max_mappings, seed=config.seed,
+                prune=config.prune, backend="crossval"))
+        assert response.crossval == validation.as_dict()
+        assert response.cost.total_cycles == cost.total_cycles
+        assert response.cost.total_energy_pj == cost.total_energy_pj
 
     def test_as_dict_round_trips_through_json(self):
         import json

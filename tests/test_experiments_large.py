@@ -119,5 +119,7 @@ class TestFig13:
             assert all(v >= 1.0 for v in table.values())
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(ValueError):
-            fig13.workloads_for("alexnet")
+        from repro.errors import InvalidRequestError
+
+        with pytest.raises(InvalidRequestError, match="alexnet"):
+            fig13.run(workload_names=("alexnet",))

@@ -3,10 +3,9 @@ and for the scenario-layer ports of the figure co-searches."""
 
 import pytest
 
-from repro.experiments import fig2, fig4, fig9, fig10, fig11, fig13, fig14, tables
+from repro.experiments import fig2, fig4, fig9, fig10, fig11, fig14, tables
 from repro.experiments.common import format_table, geomean, normalize
-from repro.scenarios import ports, run_cell
-from repro.workloads.resnet50 import resnet50_layers
+from repro.scenarios import ports, run_cell, run_matrix
 
 
 class TestCommonHelpers:
@@ -158,11 +157,14 @@ class TestTables:
 
 
 class TestScenarioPorts:
-    """Each ported figure must reproduce its legacy output *exactly*.
+    """The Fig. 2 and Fig. 10 ports reproduce the experiments' FEATHER
+    columns *exactly*.
 
-    The scenario layer re-runs the same workload sets with the same engine
-    settings, so any inequality here means the port silently drifted —
-    every comparison below is ``==``, never ``approx``.
+    Those experiments keep their own bespoke evaluations beside the FEATHER
+    co-search, so the port re-runs the same workload sets with the same
+    engine settings; any inequality here means it silently drifted — every
+    comparison below is ``==``, never ``approx``.  (Fig. 13 has no second
+    pipeline: ``fig13.run`` *is* the port.)
     """
 
     def test_fig2_port_matches_legacy_feather_column(self):
@@ -184,28 +186,12 @@ class TestScenarioPorts:
         for row in legacy:
             assert utilizations[row.workload] == row.feather_utilization
 
-    def test_fig13_port_matches_legacy_series(self):
-        legacy = fig13.run(workload_names=("bert",), max_mappings=12,
-                           max_layers=2)["bert"]
-        matrix = ports.fig13_scenarios(("bert",), max_layers=2,
-                                       max_mappings=12)
-        records = [run_cell(scenario).record for scenario in matrix]
-        series = ports.fig13_series_from_records("bert", records)
-        assert series.normalized_latency == legacy.normalized_latency
-        assert (series.normalized_energy_per_mac
-                == legacy.normalized_energy_per_mac)
-        assert series.utilization == legacy.utilization
-        assert series.stall_fraction == legacy.stall_fraction
-        assert series.reorder_fraction == legacy.reorder_fraction
-
-    def test_tables_port_matches_legacy_search_stats(self):
-        workloads = resnet50_layers(include_fc=False)[:2]
-        legacy = tables.search_stats_table(workloads, max_mappings=12)
+    def test_search_stats_rows_cover_the_suite(self):
         matrix = ports.tables_scenarios("resnet50[:2]", max_mappings=12)
         rows = ports.search_stats_rows_from_records(
-            [run_cell(scenario).record for scenario in matrix])
-        assert len(rows) == len(legacy)
-        deterministic = ("arch", "unique_layers", "evaluations", "pruned",
-                         "cache_hit_rate")
-        for legacy_row, port_row in zip(legacy, rows):
-            assert {k: legacy_row[k] for k in deterministic} == port_row
+            run_matrix(matrix).records)
+        assert [row["arch"] for row in rows] == [s.arch for s in matrix]
+        for row in rows:
+            assert row["unique_layers"] == 2
+            assert row["evaluations"] > 0
+            assert 0.0 <= row["cache_hit_rate"] <= 1.0

@@ -2,14 +2,11 @@
 
 import pytest
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.registry import eyeriss_like, nvdla_like, sigma_like
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import (
-    cosearch_layer,
-    compare_architectures,
-    evaluate_model,
-    unique_workloads,
-)
+from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.mapper import Mapper
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -17,6 +14,20 @@ from repro.workloads.gemm import GemmSpec
 LAYER = ConvLayerSpec("layer", m=64, c=64, h=14, w=14, r=3, s=3, stride=1, padding=1)
 SMALL_C_LAYER = ConvLayerSpec("small_c", m=64, c=3, h=32, w=32, r=3, s=3, padding=1)
 GEMM = GemmSpec("gemm", m=64, k=128, n=96)
+
+
+def search_costs(arches, layers, **config):
+    """``{arch name: ModelCost}`` of one whole-model search per arch."""
+    payloads = tuple(workload_payload(layer) for layer in layers)
+    with Session(name="cosearch") as session:
+        return {arch.name: session.run(SearchRequest(
+                    workloads=payloads, arch=arch_payload(arch),
+                    fresh_cache=True, **config)).cost
+                for arch in arches}
+
+
+def search_cost(arch, layers, **config):
+    return search_costs([arch], layers, **config)[arch.name]
 
 
 class TestMapper:
@@ -102,38 +113,38 @@ class TestUniqueWorkloads:
 
 class TestCosearchAndModelEvaluation:
     def test_cosearch_layer(self):
-        result = cosearch_layer(feather_arch(), LAYER, max_mappings=40)
+        result = Mapper(feather_arch(), max_mappings=40).search(LAYER)
         assert result.best_layout is not None
         assert result.best_report.slowdown == 1.0
 
     def test_evaluate_model_aggregates(self):
         layers = [LAYER, LAYER, SMALL_C_LAYER]
-        cost = evaluate_model(feather_arch(), layers, model_name="toy",
-                              max_mappings=30)
+        cost = search_cost(feather_arch(), layers, model="toy",
+                          max_mappings=30)
         assert cost.total_macs == sum(l.macs for l in layers)
         assert cost.total_cycles > 0
         assert 0 < cost.avg_utilization <= 1.0
 
     def test_evaluate_model_dedup_weighting(self):
-        once = evaluate_model(feather_arch(), [LAYER], max_mappings=30)
-        twice = evaluate_model(feather_arch(), [LAYER, LAYER], max_mappings=30)
+        once = search_cost(feather_arch(), [LAYER], max_mappings=30)
+        twice = search_cost(feather_arch(), [LAYER, LAYER], max_mappings=30)
         assert twice.total_cycles == pytest.approx(2 * once.total_cycles)
 
     def test_compare_architectures_keys(self):
         arches = [nvdla_like(), feather_arch()]
-        costs = compare_architectures(arches, [LAYER, SMALL_C_LAYER], max_mappings=30)
+        costs = search_costs(arches, [LAYER, SMALL_C_LAYER], max_mappings=30)
         assert set(costs) == {"NVDLA-like", "FEATHER"}
 
     def test_feather_best_edp_among_suite(self):
         arches = [nvdla_like(), eyeriss_like(), sigma_like(layout="HWC_C32"),
                   feather_arch()]
-        costs = compare_architectures(arches, [SMALL_C_LAYER, LAYER], max_mappings=40)
+        costs = search_costs(arches, [SMALL_C_LAYER, LAYER], max_mappings=40)
         feather_edp = costs["FEATHER"].edp
         for name, cost in costs.items():
             assert feather_edp <= cost.edp * 1.001, f"{name} beat FEATHER on EDP"
 
     def test_model_cost_properties(self):
-        cost = evaluate_model(feather_arch(), [LAYER], max_mappings=30)
+        cost = search_cost(feather_arch(), [LAYER], max_mappings=30)
         assert cost.energy_per_mac_pj > 0
         assert cost.geomean_cycles() > 0
         assert cost.geomean_energy_per_mac() > 0

@@ -282,7 +282,7 @@ class TestSeedAndDeterminism:
         # field that *names* the seed, the two payloads still have to
         # differ (different seeds sample different mapping candidates).
         # This catches the regression where run_cell stops forwarding the
-        # seed to search_model — both runs would then be seed-0 clones.
+        # seed to its SearchRequest — both runs would then be seed-0 clones.
         def stripped(seed):
             scenario = Scenario(
                 "seed-probe", "resnet50[:2]", "FEATHER",

@@ -1,5 +1,7 @@
 """Tests for the parallel, cached co-search engine (``repro.search``).
 
+Whole-model searches run as :class:`~repro.api.SearchRequest` objects on a
+:class:`~repro.api.Session`, single layers through :class:`Mapper`.
 Covers the acceptance properties of the engine:
 
 * parallel results are bit-identical to serial results (ResNet-50 conv
@@ -16,14 +18,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import InvalidRequestError, SearchRequest, Session
+from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.registry import eyeriss_like, nvdla_like
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import (
-    LayerChoice,
-    ModelCost,
-    compare_architectures,
-    evaluate_model,
-)
+from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
 from repro.layoutloop.cost_model import CostReport
 from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
 from repro.search import (
@@ -35,7 +34,6 @@ from repro.search import (
     resolve_workers,
     workload_signature,
 )
-from repro.search.engine import SearchEngine, search_model, search_models
 from repro.search.parallel import WORKERS_ENV_VAR, chunked, default_chunk_size
 from repro.workloads.bert import bert_unique_gemms
 from repro.workloads.conv import ConvLayerSpec
@@ -47,6 +45,17 @@ RENAMED = ConvLayerSpec("other_name", m=64, c=64, h=14, w=14, r=3, s=3, stride=1
                         padding=1)
 SMALL = ConvLayerSpec("small", m=16, c=8, h=8, w=8, r=3, s=3, padding=1)
 GEMM = GemmSpec("gemm", m=64, k=128, n=96)
+
+
+def search(arch, workloads, session=None, fresh_cache=True, **config):
+    """Whole-model co-search through the façade; returns the ModelCost."""
+    request = SearchRequest(
+        workloads=tuple(workload_payload(w) for w in workloads),
+        arch=arch_payload(arch), fresh_cache=fresh_cache, **config)
+    if session is not None:
+        return session.run(request).cost
+    with Session(name="test") as own:
+        return own.run(request).cost
 
 
 class TestSignatures:
@@ -82,7 +91,7 @@ class TestEvaluationCache:
         assert second.best_value == first.best_value
 
     def test_lookups_equal_scored_candidates(self):
-        cost = search_model(feather_arch(), [LAYER, SMALL], max_mappings=20)
+        cost = search(feather_arch(), [LAYER, SMALL], max_mappings=20)
         stats = cost.search_stats
         assert stats.cache.lookups == stats.evaluations
 
@@ -110,20 +119,14 @@ class TestEvaluationCache:
         assert second.best_report.workload == "other_name"
 
     def test_shared_cache_across_engine_batches(self):
-        cache = EvaluationCache()
-        engine = SearchEngine(feather_arch(), max_mappings=15, cache=cache)
-        engine.search_model([LAYER], model_name="a")
-        second = engine.search_model([RENAMED], model_name="b")
+        # Without fresh_cache, requests on one session share its evaluation
+        # cache: a same-shape, differently named layer is scored from it.
+        with Session(name="shared") as session:
+            search(feather_arch(), [LAYER], session=session,
+                   fresh_cache=False, model="a", max_mappings=15)
+            second = search(feather_arch(), [RENAMED], session=session,
+                            fresh_cache=False, model="b", max_mappings=15)
         assert second.search_stats.cache.hits > 0
-
-    def test_batch_results_adopted_into_engine(self):
-        # After a batch (even a parallel one, whose workers cannot share the
-        # in-process cache), per-shape results land in the engine's result
-        # cache so follow-up per-layer searches are free.
-        engine = SearchEngine(feather_arch(), max_mappings=10)
-        batch = engine.search_model([LAYER, SMALL], workers=2, chunk_size=1)
-        followup = engine.search_layer(LAYER)
-        assert followup is batch.layer_choices[0].result
 
 
 class TestBounds:
@@ -197,25 +200,27 @@ class TestParallelDeterminism:
 
     def test_resnet50_parallel_bit_identical(self):
         layers = resnet50_layers(include_fc=False)[:14]
-        serial = search_model(feather_arch(), layers, model_name="rn50",
-                              max_mappings=10, workers=1)
-        parallel = search_model(feather_arch(), layers, model_name="rn50",
-                                max_mappings=10, workers=2)
+        serial = search(feather_arch(), layers, model="rn50",
+                        max_mappings=10, workers=1)
+        parallel = search(feather_arch(), layers, model="rn50",
+                          max_mappings=10, workers=2)
         self._assert_identical(serial, parallel)
         assert parallel.search_stats.workers == 2
         assert serial.search_stats.workers == 1
 
     def test_bert_parallel_bit_identical(self):
         gemms = bert_unique_gemms()
-        serial = search_model(feather_arch(), gemms, model_name="bert",
-                              max_mappings=8, workers=1)
-        parallel = search_model(feather_arch(), gemms, model_name="bert",
-                                max_mappings=8, workers=3, chunk_size=2)
+        serial = search(feather_arch(), gemms, model="bert",
+                        max_mappings=8, workers=1)
+        parallel = search(feather_arch(), gemms, model="bert",
+                          max_mappings=8, workers=3)
         self._assert_identical(serial, parallel)
 
     def test_search_models_multi_arch(self):
-        costs = search_models([nvdla_like(), feather_arch()], [LAYER, SMALL],
-                              model_name="toy", max_mappings=10)
+        with Session(name="multi") as session:
+            costs = {arch.name: search(arch, [LAYER, SMALL], session=session,
+                                       model="toy", max_mappings=10)
+                     for arch in (nvdla_like(), feather_arch())}
         assert set(costs) == {"NVDLA-like", "FEATHER"}
         for cost in costs.values():
             assert cost.search_stats is not None
@@ -224,32 +229,36 @@ class TestParallelDeterminism:
 
 class TestSearchModelAPI:
     def test_dedup_accounting(self):
-        cost = search_model(feather_arch(), [LAYER, RENAMED, SMALL, LAYER],
-                            max_mappings=10)
+        cost = search(feather_arch(), [LAYER, RENAMED, SMALL, LAYER],
+                      max_mappings=10)
         stats = cost.search_stats
         assert stats.layers_total == 4
         assert stats.layers_unique == 2
         assert cost.total_macs == 3 * LAYER.macs + SMALL.macs
 
     def test_matches_legacy_evaluate_model(self):
-        layers = [LAYER, SMALL]
-        legacy = evaluate_model(feather_arch(), layers,
-                                mapper=Mapper(feather_arch(), max_mappings=10))
-        engine = search_model(feather_arch(), layers, max_mappings=10)
-        assert engine.total_cycles == legacy.total_cycles
-        assert engine.total_energy_pj == legacy.total_energy_pj
+        # The engine equals the plain per-shape Mapper loop weighted by
+        # occurrence count, float for float.
+        layers = [LAYER, SMALL, LAYER]
+        mapper = Mapper(feather_arch(), max_mappings=10)
+        plain = ModelCost(arch="FEATHER", model="model", layer_choices=[
+            LayerChoice(result=mapper.search(wl), count=count)
+            for wl, count in unique_workloads(layers)])
+        engine = search(feather_arch(), layers, max_mappings=10)
+        assert engine.total_cycles == plain.total_cycles
+        assert engine.total_energy_pj == plain.total_energy_pj
 
     def test_empty_model_raises(self):
-        with pytest.raises(ValueError):
-            search_model(feather_arch(), [])
-        with pytest.raises(ValueError):
-            evaluate_model(feather_arch(), [])
-        with pytest.raises(ValueError):
-            compare_architectures([feather_arch()], [])
+        with Session(name="empty") as session:
+            with pytest.raises(InvalidRequestError,
+                               match="no workloads") as excinfo:
+                session.run(SearchRequest(workloads="resnet50[:0]",
+                                          arch="FEATHER"))
+        assert excinfo.value.payload()["code"] == "invalid_request"
 
     def test_stats_str_mentions_model(self):
-        cost = search_model(feather_arch(), [SMALL], model_name="tiny",
-                            max_mappings=8)
+        cost = search(feather_arch(), [SMALL], model="tiny",
+                      max_mappings=8)
         assert "tiny" in str(cost.search_stats)
 
     def test_workers_env_var(self, monkeypatch):

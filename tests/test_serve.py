@@ -138,6 +138,41 @@ def test_error_codes_are_stable(service):
         assert payload["error"]["message"]
 
 
+_EVAL = {"workload": "fig10_gemms#0", "arch": "FEATHER-4x4",
+         "layout": "MK_K32"}
+
+
+@pytest.mark.parametrize("path,body", [
+    pytest.param("/v1/search", {**SEARCH, "seed": "x"}, id="search-seed-str"),
+    pytest.param("/v1/search", {**SEARCH, "max_mappings": None},
+                 id="max-mappings-null"),
+    pytest.param("/v1/search", {**SEARCH, "max_mappings": 2.5},
+                 id="max-mappings-fraction"),
+    pytest.param("/v1/search", {**SEARCH, "max_mappings": True},
+                 id="max-mappings-bool"),
+    pytest.param("/v1/search", {**SEARCH, "workers": 1.5},
+                 id="workers-fraction"),
+    pytest.param("/v1/search", {**SEARCH, "policy": "halving",
+                                "budget": True}, id="budget-bool"),
+    pytest.param("/v1/search", {**SEARCH, "layouts": ["HWC_C32"]},
+                 id="search-conv-layout-on-gemms"),
+    pytest.param("/v1/eval", {**_EVAL, "seed": "x"}, id="eval-seed-str"),
+    pytest.param("/v1/eval", {**_EVAL, "layout": "nope"},
+                 id="eval-layout-nope"),
+    pytest.param("/v1/eval", {**_EVAL, "layout": "HWC_C32"},
+                 id="eval-conv-layout-on-gemm"),
+    pytest.param("/v1/sweep", {"filter": "smoke", "workers": "2"},
+                 id="sweep-workers-str"),
+])
+def test_bad_field_values_are_invalid_request(service, path, body):
+    """Wrong-typed integers and layouts over foreign dimensions are a
+    structured 400, never a 500 or a silently coerced run."""
+    base, _ = service
+    status, payload = _post(base, path, body)
+    assert status == 400, (body, payload)
+    assert payload["error"]["code"] == "invalid_request"
+
+
 def test_malformed_json_is_a_structured_400(service):
     base, _ = service
     request = urllib.request.Request(

@@ -1,22 +1,15 @@
 #!/usr/bin/env python
 """CI performance guard: the fast paths must beat their reference paths.
 
-Runs two comparisons on the ResNet-50 workload set and fails (exit 1)
-when a fast path is not measurably faster than its reference:
-
-* **kernel** — raw cost-model evaluations (every unique conv shape x sampled
-  mappings x the conv layout library) on SIGMA with off-chip reordering:
-  the batched ``CostModel.evaluate_mapping_batch`` against the scalar
-  ``CostModel.evaluate`` oracle, where the batched concordance analysis
-  carries the load;
-* **api** — repeat traffic on a warm :class:`repro.api.Session` vs the
-  per-call ``search_model`` shim (the session's shared evaluation cache
-  and persistent per-configuration mappers carry the load).
-
-Both comparisons also verify the results are identical — a fast wrong path
-still fails the guard.  Thresholds are deliberately below the locally
-measured speedups (~12x and ~25x) so only a real regression trips on a
-noisy CI box, while still proving "measurably faster".
+The default gate, **kernel**, times raw cost-model evaluations (every
+unique ResNet-50 conv shape x sampled mappings x the conv layout library)
+on SIGMA with off-chip reordering: the batched
+``CostModel.evaluate_mapping_batch`` against the scalar
+``CostModel.evaluate`` oracle, where the batched concordance analysis
+carries the load.  It fails (exit 1) when the batched path is not
+measurably faster, and also when the reports differ — a fast wrong path
+still fails the guard.  The threshold is deliberately below the locally
+measured speedup (~12x) so only a real regression trips on a noisy CI box.
 
 The remaining gates are off by default.  **frontier** (``--gates frontier``)
 is an identity gate on the Pareto-frontier search: on every unique shape
@@ -47,7 +40,6 @@ must stay honest on a 1-core runner.
 Usage::
 
     PYTHONPATH=src python tools/bench_guard.py [--min-kernel-speedup X]
-                                               [--min-api-speedup Y]
     PYTHONPATH=src python tools/bench_guard.py --gates service \
         --min-service-throughput 20 --service-bench BENCH_service.json
 """
@@ -107,38 +99,6 @@ def kernel_speedup(rounds: int) -> float:
           f"speedup {scalar_s / batched_s:.2f}x "
           f"({len(cases) * len(layouts)} evaluations, identical reports)")
     return scalar_s / batched_s
-
-
-def api_speedup(rounds: int) -> float:
-    """Warm-:class:`Session` throughput vs per-call ``search_model``.
-
-    Both run the deduplicated ResNet-50 co-search on FEATHER.  The
-    per-call shim rebuilds its evaluation cache every call (legacy
-    semantics); the session request reuses the session's shared cache, so
-    repeat traffic must be measurably faster — and bit-identical.
-    """
-    from repro.api import SearchRequest, Session
-    from repro.layoutloop.arch import feather_arch
-    from repro.search.engine import search_model
-    from repro.workloads.resnet50 import resnet50_layers
-
-    layers = resnet50_layers(include_fc=False)
-    percall_s, percall = best_of(
-        lambda: search_model(feather_arch(), layers, model_name="resnet50",
-                             max_mappings=24), rounds)
-    with Session(name="bench-guard") as session:
-        request = SearchRequest(workloads="resnet50", arch="FEATHER",
-                                model="resnet50", max_mappings=24)
-        session.run(request)  # first request pays the cache fill once
-        warm_s, warm = best_of(lambda: session.run(request), rounds)
-    if (warm.totals["total_cycles"] != percall.total_cycles
-            or warm.totals["total_energy_pj"] != percall.total_energy_pj):
-        print("FAIL: warm-session totals differ from the per-call shim")
-        sys.exit(1)
-    print(f"api      : per-call {percall_s:.3f}s  warm session {warm_s:.3f}s  "
-          f"speedup {percall_s / warm_s:.2f}x "
-          f"(ResNet-50 on FEATHER, identical totals)")
-    return percall_s / warm_s
 
 
 def budget_reduction() -> float:
@@ -403,14 +363,12 @@ def service_throughput(bench_path: Path) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gates", default="kernel,api",
+    parser.add_argument("--gates", default="kernel",
                         help="comma-separated gates to run "
-                             "(kernel, api, budget, frontier, constraints, "
+                             "(kernel, budget, frontier, constraints, "
                              "service)")
     parser.add_argument("--min-kernel-speedup", type=float, default=3.0,
                         help="minimum scalar/batched evaluation ratio")
-    parser.add_argument("--min-api-speedup", type=float, default=3.0,
-                        help="minimum per-call/warm-session ratio")
     parser.add_argument("--min-budget-reduction", type=float, default=3.0,
                         help="minimum exhaustive/warm-evolutionary full-"
                              "evaluation ratio at identical winners")
@@ -425,7 +383,7 @@ def main(argv=None) -> int:
                         help="timing rounds per path (best-of)")
     args = parser.parse_args(argv)
     gates = {g.strip() for g in args.gates.split(",") if g.strip()}
-    unknown = gates - {"kernel", "api", "budget", "frontier", "constraints",
+    unknown = gates - {"kernel", "budget", "frontier", "constraints",
                        "service"}
     if unknown:
         parser.error(f"unknown gates: {sorted(unknown)}")
@@ -436,12 +394,6 @@ def main(argv=None) -> int:
         if kernel < args.min_kernel_speedup:
             print(f"FAIL: kernel speedup {kernel:.2f}x below the "
                   f"{args.min_kernel_speedup:.2f}x floor")
-            failed = True
-    if "api" in gates:
-        api = api_speedup(args.rounds)
-        if api < args.min_api_speedup:
-            print(f"FAIL: api speedup {api:.2f}x below the "
-                  f"{args.min_api_speedup:.2f}x floor")
             failed = True
     if "budget" in gates:
         budget = budget_reduction()
