@@ -19,6 +19,7 @@ import pytest
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
 from repro.search.budget import evolutionary_search, halving_search
+from repro.search.config import SearchConfig
 from repro.search.signatures import workload_signature
 from repro.workloads.resnet50 import resnet50_layers
 
@@ -50,18 +51,18 @@ def test_budgeted_policies_reach_exhaustive_winner(best_of):
     arch = feather_arch()
 
     def run_exhaustive():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0)
+        mapper = Mapper(arch, SearchConfig(max_mappings=MAX_MAPPINGS, seed=0))
         return mapper, [mapper.search(workload) for workload in shapes]
 
     def run_halving():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0)
+        mapper = Mapper(arch, SearchConfig(max_mappings=MAX_MAPPINGS, seed=0))
         return [halving_search(mapper, workload) for workload in shapes]
 
     exhaustive_s, (exhaustive_mapper, winners) = best_of(run_exhaustive, 3)
     halving_s, halved = best_of(run_halving, 3)
 
     def run_warm_evolutionary():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0)
+        mapper = Mapper(arch, SearchConfig(max_mappings=MAX_MAPPINGS, seed=0))
         mapper._cache.update(exhaustive_mapper._cache)  # repeat-session memo
         return [evolutionary_search(mapper, workload,
                                     budget=EVOLUTIONARY_BUDGET)

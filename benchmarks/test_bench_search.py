@@ -27,6 +27,7 @@ from repro.api import SearchRequest, Session
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import LayerChoice, ModelCost
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.workloads.resnet50 import resnet50_layers
 
 MAX_MAPPINGS = 24
@@ -51,8 +52,8 @@ def _naive_cosearch(layers) -> ModelCost:
     cache reuse across layers."""
     cost = ModelCost(arch="FEATHER", model="resnet50")
     for layer in layers:
-        mapper = Mapper(feather_arch(), max_mappings=MAX_MAPPINGS,
-                        prune=False)
+        mapper = Mapper(feather_arch(),
+                        SearchConfig(max_mappings=MAX_MAPPINGS, prune=False))
         cost.layer_choices.append(LayerChoice(result=mapper.search(layer),
                                               count=1))
     return cost

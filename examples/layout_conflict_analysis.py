@@ -13,7 +13,7 @@ import sys
 
 from repro.baselines import sigma_like
 from repro.layout import conv_layout_library
-from repro.layoutloop import CostModel, Mapper, feather_arch
+from repro.layoutloop import CostModel, Mapper, SearchConfig, feather_arch
 from repro.workloads import resnet50_layer
 
 
@@ -24,7 +24,8 @@ def main() -> None:
 
     # One mapper serves both searches below: the layout-blind and the
     # co-switched run share memoized cost-model evaluations.
-    mapper = Mapper(feather_arch(), metric="latency", max_mappings=120)
+    mapper = Mapper(feather_arch(),
+                    SearchConfig(metric="latency", max_mappings=120))
 
     # 1. Layout-blind best dataflow (what a conventional mapper reports).
     theory = mapper.search(layer, layouts=[conv_layout_library()[0]])

@@ -20,7 +20,7 @@ import argparse
 from repro.api import SearchRequest, Session
 from repro.api.codec import arch_payload
 from repro.baselines import eyeriss_like, nvdla_like, sigma_like
-from repro.layoutloop import Mapper, feather_arch
+from repro.layoutloop import Mapper, SearchConfig, feather_arch
 from repro.workloads import resnet50_layer
 
 
@@ -28,7 +28,7 @@ def per_layer_demo(layer_indices=(1, 14, 41)) -> None:
     print("Per-layer co-search (metric: EDP)")
     print(f"{'layer':22s} {'arch':14s} {'dataflow':28s} {'layout':12s} "
           f"{'util':>6s} {'slowdown':>9s} {'pJ/MAC':>7s}")
-    mappers = [Mapper(arch, max_mappings=80)
+    mappers = [Mapper(arch, SearchConfig(max_mappings=80))
                for arch in (nvdla_like(), eyeriss_like(), feather_arch())]
     for idx in layer_indices:
         layer = resnet50_layer(idx)

@@ -17,6 +17,7 @@ code) rather than ``KeyError``/``TypeError`` leaking from constructors.
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.dataflow.mapping import Mapping, ParallelSpec, TileLevel
@@ -24,6 +25,7 @@ from repro.errors import InvalidRequestError
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.patterns import ReorderImplementation, ReorderPattern
 from repro.layoutloop.arch import ArchSpec, BufferGeometry
+from repro.search.config import SearchConfig, strict_bool, strict_int
 from repro.workloads.conv import ConvLayerSpec, LayerKind
 from repro.workloads.gemm import GemmSpec
 
@@ -36,6 +38,26 @@ def _require(payload: Payload, keys: Sequence[str], what: str) -> None:
         raise InvalidRequestError(
             f"{what} payload is missing field(s) {missing}; got keys "
             f"{sorted(payload)}")
+
+
+def _int(payload: Payload, key: str, default: Optional[int] = None) -> int:
+    """An integer field (JSON integers only: no bools, fractions or
+    strings); ``default`` applies when the key is absent."""
+    return strict_int(key, payload.get(key, default))
+
+
+def _bool(payload: Payload, key: str, default: bool) -> bool:
+    """A boolean field (JSON booleans only)."""
+    return strict_bool(key, payload.get(key, default))
+
+
+def _float(payload: Payload, key: str, default: float) -> float:
+    """A real-valued field (JSON numbers, integers included; no bools or
+    strings)."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidRequestError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 # -------------------------------------------------------------- workloads
@@ -65,20 +87,20 @@ def workload_from_payload(payload: Payload):
         if kind == "conv":
             _require(payload, ("name", "m", "c", "h", "w"), "conv workload")
             return ConvLayerSpec(
-                name=str(payload["name"]), n=int(payload.get("n", 1)),
-                m=int(payload["m"]), c=int(payload["c"]),
-                h=int(payload["h"]), w=int(payload["w"]),
-                r=int(payload.get("r", 1)), s=int(payload.get("s", 1)),
-                stride=int(payload.get("stride", 1)),
-                padding=int(payload.get("padding", 0)),
+                name=str(payload["name"]), n=_int(payload, "n", 1),
+                m=_int(payload, "m"), c=_int(payload, "c"),
+                h=_int(payload, "h"), w=_int(payload, "w"),
+                r=_int(payload, "r", 1), s=_int(payload, "s", 1),
+                stride=_int(payload, "stride", 1),
+                padding=_int(payload, "padding", 0),
                 kind=LayerKind(payload.get("kind", "conv")),
-                bits=int(payload.get("bits", 8)),
-                groups=int(payload.get("groups", 1)))
+                bits=_int(payload, "bits", 8),
+                groups=_int(payload, "groups", 1))
         if kind == "gemm":
             _require(payload, ("name", "m", "k", "n"), "gemm workload")
-            return GemmSpec(name=str(payload["name"]), m=int(payload["m"]),
-                            k=int(payload["k"]), n=int(payload["n"]),
-                            bits=int(payload.get("bits", 8)))
+            return GemmSpec(name=str(payload["name"]), m=_int(payload, "m"),
+                            k=_int(payload, "k"), n=_int(payload, "n"),
+                            bits=_int(payload, "bits", 8))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InvalidRequestError):
             raise
@@ -165,36 +187,37 @@ def arch_from_payload(payload: Payload) -> ArchSpec:
         fixed = payload.get("fixed_parallelism")
         allowed = payload.get("allowed_parallel_dims")
         return ArchSpec(
-            name=str(payload["name"]), pe_rows=int(payload["pe_rows"]),
-            pe_cols=int(payload["pe_cols"]),
-            flexible_order=bool(payload.get("flexible_order", True)),
-            flexible_parallelism=bool(payload.get("flexible_parallelism",
-                                                  True)),
-            flexible_shape=bool(payload.get("flexible_shape", True)),
+            name=str(payload["name"]), pe_rows=_int(payload, "pe_rows"),
+            pe_cols=_int(payload, "pe_cols"),
+            flexible_order=_bool(payload, "flexible_order", True),
+            flexible_parallelism=_bool(payload, "flexible_parallelism",
+                                       True),
+            flexible_shape=_bool(payload, "flexible_shape", True),
             allowed_parallel_dims=(None if allowed is None
                                    else tuple(str(d) for d in allowed)),
-            max_parallel_dims=int(payload.get("max_parallel_dims", 2)),
-            fixed_parallelism=(None if fixed is None else
-                               tuple((str(d), int(n)) for d, n in fixed)),
-            runtime_layout_flexible=bool(
-                payload.get("runtime_layout_flexible", False)),
-            compile_time_layout_flexible=bool(
-                payload.get("compile_time_layout_flexible", True)),
+            max_parallel_dims=_int(payload, "max_parallel_dims", 2),
+            fixed_parallelism=(None if fixed is None else tuple(
+                (str(d), strict_int("fixed_parallelism degree", n))
+                for d, n in fixed)),
+            runtime_layout_flexible=_bool(payload, "runtime_layout_flexible",
+                                          False),
+            compile_time_layout_flexible=_bool(
+                payload, "compile_time_layout_flexible", True),
             fixed_layout=payload.get("fixed_layout"),
             reorder_pattern=ReorderPattern(
                 payload.get("reorder_pattern", "none")),
             reorder_implementation=ReorderImplementation(
                 payload.get("reorder_implementation", "none")),
             buffer=BufferGeometry(
-                num_lines=int(buf.get("num_lines", 2048)),
-                line_size=int(buf.get("line_size", 32)),
-                banks=int(buf.get("banks", 32)),
-                ports_per_bank=int(buf.get("ports_per_bank", 2)),
-                word_bits=int(buf.get("word_bits", 8))),
-            offchip_bandwidth_gbps=float(
-                payload.get("offchip_bandwidth_gbps", 25.6)),
-            frequency_mhz=float(payload.get("frequency_mhz", 1000.0)),
-            mac_bits=int(payload.get("mac_bits", 8)))
+                num_lines=_int(buf, "num_lines", 2048),
+                line_size=_int(buf, "line_size", 32),
+                banks=_int(buf, "banks", 32),
+                ports_per_bank=_int(buf, "ports_per_bank", 2),
+                word_bits=_int(buf, "word_bits", 8)),
+            offchip_bandwidth_gbps=_float(payload, "offchip_bandwidth_gbps",
+                                          25.6),
+            frequency_mhz=_float(payload, "frequency_mhz", 1000.0),
+            mac_bits=_int(payload, "mac_bits", 8))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InvalidRequestError):
             raise
@@ -233,11 +256,12 @@ def mapping_from_payload(payload: Payload) -> Mapping:
     try:
         return Mapping(
             name=str(payload["name"]),
-            array_rows=int(payload["array_rows"]),
-            array_cols=int(payload["array_cols"]),
-            parallel=tuple(ParallelSpec(str(d), int(n))
+            array_rows=_int(payload, "array_rows"),
+            array_cols=_int(payload, "array_cols"),
+            parallel=tuple(ParallelSpec(str(d), strict_int("parallel degree",
+                                                           n))
                            for d, n in payload["parallel"]),
-            tile=TileLevel(tuple((str(d), int(n))
+            tile=TileLevel(tuple((str(d), strict_int("tile size", n))
                                  for d, n in payload["tile"])),
             order=tuple(str(d) for d in payload["order"]),
             reduction_dims=frozenset(str(d)
@@ -300,7 +324,7 @@ def scenario_payload(scenario) -> Payload:
 
 def scenario_from_payload(payload: Payload):
     """Decode an inline scenario payload back into a :class:`Scenario`."""
-    from repro.scenarios.spec import Scenario, SearchConfig
+    from repro.scenarios.spec import Scenario
 
     if not isinstance(payload, dict):
         raise InvalidRequestError(

@@ -18,7 +18,7 @@ reconstructs an equal request; every request carries a ``schema_version``
 it) and resolves to a sha256 **content key** (via
 :func:`repro.api.session.content_key`) that reuses the scenario-record
 hashing: keys are computed over resolved *structure* — workload shape
-signatures, the full architecture signature, the search-config identity —
+signatures, the full architecture signature, ``SearchConfig.key()`` —
 plus the labels that appear in the response, never over the request's
 spelling.  Execution knobs that are guaranteed result-neutral
 (``workers``, ``fresh_cache``) stay out of the key, which is what lets
@@ -30,17 +30,19 @@ key.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import InvalidRequestError
+from repro.search.config import (
+    CONFIG_FIELDS,
+    SearchConfig,
+    strict_bool,
+    strict_int,
+)
 
 #: Version of the request/response wire format (bumped on breaking change).
 API_SCHEMA_VERSION = 5
-
-_METRICS = ("edp", "latency", "energy")
-_POLICIES = ("exhaustive", "halving", "evolutionary")
 
 
 def _check_schema_version(version: int, what: str) -> None:
@@ -93,29 +95,9 @@ class _RequestBase:
 
 
 def _normalize(obj, name: str, value):
-    """Convert a JSON list field back to the tuple the dataclass declares."""
+    """Set an attribute of a frozen request (a validated or JSON-list-to-
+    tuple converted field value, or the built config)."""
     object.__setattr__(obj, name, value)
-
-
-def _integer(obj, name: str, minimum: Optional[int] = None,
-             nullable: bool = False) -> None:
-    """Require field ``name`` to be a JSON integer (``>= minimum``).
-
-    Booleans, fractional numbers, strings and — unless ``nullable`` —
-    ``None`` raise :class:`InvalidRequestError`; other integral types
-    (numpy integers) are stored as plain ``int``.
-    """
-    value = getattr(obj, name)
-    if value is None and nullable:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidRequestError(
-            f"{name} must be an integer{' or null' if nullable else ''}, "
-            f"got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidRequestError(
-            f"{name} must be >= {minimum}, got {value}")
-    _normalize(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -143,17 +125,22 @@ class EvalRequest(_RequestBase):
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
-        _integer(self, "seed")
+        _normalize(self, "seed", strict_int("seed", self.seed))
 
 
 @dataclass(frozen=True)
 class SearchRequest(_RequestBase):
     """Whole-model (dataflow, layout) co-search on one architecture.
 
+    The result-shaping fields — ``metric``, ``max_mappings``, ``seed``,
+    ``prune``, ``policy``, ``budget``, ``frontier``, ``fused`` and
+    ``constraints`` — are the flat wire spelling of one
+    :class:`~repro.search.config.SearchConfig` (documented there), which
+    the request builds, validates and exposes as :attr:`config`.
+
     ``workers``/``fresh_cache`` are execution knobs the engine guarantees
     result-neutral; they are carried for execution but excluded from the
-    content key (``policy``/``budget`` change the result and are keyed).
-    ``fresh_cache=True`` gives the search
+    content key.  ``fresh_cache=True`` gives the search
     a private evaluation cache instead of the session's shared one — the
     scenario runner uses it so per-call cache counters (embedded in records
     and golden files) stay deterministic; interactive callers leave it off
@@ -167,38 +154,18 @@ class SearchRequest(_RequestBase):
     model: str = "model"
     """Model label carried into the response (and per-layer weighting)."""
     metric: str = "edp"
-    """Objective: ``edp``, ``latency`` or ``energy``."""
     max_mappings: Union[int, str] = 50
-    """Pruned-random mapping budget per unique layer shape, or ``"auto"``
-    for the adaptive universe (:mod:`repro.search.bulk`): a small seeded
-    sample grown only where the bound landscape is tight, returning exactly
-    the uncapped exhaustive winner of the full structured space.  ``"auto"``
-    requires the analytical backend and the exhaustive policy (and is
-    incompatible with ``frontier``/``fused``)."""
     seed: int = 0
-    """RNG seed of the mapping sampler."""
     prune: bool = True
-    """Admissible lower-bound pruning (exact)."""
     policy: str = "exhaustive"
-    """Search policy: ``exhaustive`` (default), ``halving`` (bound-ordered
-    successive halving, exact at full budget) or ``evolutionary`` (seeded
-    refinement warm-started from memoized per-shape winners)."""
     budget: Optional[int] = None
-    """Per-shape cap on scored (mapping, layout) pairs; only meaningful
-    with a non-exhaustive ``policy``."""
     backend: str = "analytical"
     """Evaluation-backend registry name, or ``"crossval"`` for the
     analytical-search + simulator-execution composite."""
     frontier: bool = False
-    """Keep the whole Pareto frontier over (EDP, latency, energy, buffer
-    footprint) per shape instead of only the scalar winner (which is still
-    returned, bit-identical, and is always a frontier member).  Requires
-    the analytical backend and the exhaustive policy."""
     fused: bool = False
-    """Additionally search fused two-layer mappings over every fusible
-    adjacent pair: shared on-chip intermediate tile, the producer's output
-    layout constraining the consumer's input layout.  Requires the
-    analytical backend, the exhaustive policy and at least two layers."""
+    """Fused search also needs at least two layers (adjacency is what
+    gets fused)."""
     layouts: Optional[Tuple[str, ...]] = None
     """Optional restriction of the candidate layout library (names)."""
     workers: Optional[int] = None
@@ -207,83 +174,47 @@ class SearchRequest(_RequestBase):
     """Use a private evaluation cache for this request (deterministic
     per-call counters)."""
     constraints: Optional[str] = None
-    """Constraint-aware search mode (:mod:`repro.constraints`): ``None``
-    (default) inherits the backend's own ConstraintSet — none for
-    ``analytical``/``simulator``, the presets for ``systolic``/``noc:*`` —
-    ``"none"`` forces the layer off even on a constrained backend, and
-    ``"default"`` binds the architecture's own physical rules.  When a set
-    is bound, every candidate mapping is repaired to legality before
-    scoring and the response stats carry the repair-log counters.
-    Result-shaping, so part of the content key (only when a set actually
-    binds — unconstrained requests key identically to schema v3 ones)."""
+    """``None``, ``"none"`` or ``"default"`` on the wire (see
+    :attr:`SearchConfig.constraints`)."""
     schema_version: int = API_SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         _check_schema_version(self.schema_version, "SearchRequest")
-        if self.constraints is not None:
-            if self.constraints not in ("none", "default"):
-                raise InvalidRequestError(
-                    "constraints must be None, 'none' or 'default', "
-                    f"got {self.constraints!r}")
-            if self.max_mappings == "auto" and self.constraints == "default":
-                raise InvalidRequestError(
-                    "max_mappings='auto' grows the raw structured universe "
-                    "and cannot be combined with constraints='default'")
-        if self.metric not in _METRICS:
-            raise InvalidRequestError(
-                f"metric must be one of {_METRICS}, got {self.metric!r}")
-        if self.policy not in _POLICIES:
-            raise InvalidRequestError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        _integer(self, "budget", minimum=1, nullable=True)
-        if self.budget is not None and self.policy == "exhaustive":
-            raise InvalidRequestError(
-                "budget requires policy='halving' or 'evolutionary'")
-        if isinstance(self.max_mappings, str):
-            if self.max_mappings != "auto":
-                raise InvalidRequestError(
-                    "max_mappings must be a positive integer or 'auto', "
-                    f"got {self.max_mappings!r}")
-        else:
-            _integer(self, "max_mappings", minimum=1)
-        _integer(self, "seed")
-        _integer(self, "workers", minimum=1, nullable=True)
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
-        _normalize(self, "frontier", bool(self.frontier))
-        _normalize(self, "fused", bool(self.fused))
-        if self.max_mappings == "auto":
-            # The adaptive universe is a statement about the analytical
-            # model's admissible bounds and defines the scalar winner only.
-            if self.backend != "analytical":
-                raise InvalidRequestError(
-                    "max_mappings='auto' requires backend='analytical', "
-                    f"got {self.backend!r}")
-            if self.policy != "exhaustive":
-                raise InvalidRequestError(
-                    "max_mappings='auto' requires policy='exhaustive', "
-                    f"got {self.policy!r}")
-            if self.frontier or self.fused:
-                raise InvalidRequestError(
-                    "frontier/fused search requires an integer max_mappings")
-        if self.frontier or self.fused:
-            # The dominance prune and the fused-pair cost discounts are
-            # statements about the analytical model, and budgeted policies
-            # skip candidates the frontier must see.
-            if self.backend != "analytical":
-                raise InvalidRequestError(
-                    "frontier/fused search requires backend='analytical', "
-                    f"got {self.backend!r}")
-            if self.policy != "exhaustive":
-                raise InvalidRequestError(
-                    "frontier/fused search requires policy='exhaustive', "
-                    f"got {self.policy!r}")
+        if not isinstance(self.constraints, (str, type(None))):
+            raise InvalidRequestError(
+                f"constraints must be a string or null, "
+                f"got {self.constraints!r}")
+        config = SearchConfig(**{name: getattr(self, name)
+                                 for name in CONFIG_FIELDS})
+        config.check_backend(self.backend)
+        for name in CONFIG_FIELDS:
+            _normalize(self, name, getattr(config, name))
+        _normalize(self, "_config", config)
+        _normalize(self, "workers", strict_int("workers", self.workers,
+                                               minimum=1, nullable=True))
+        strict_bool("fresh_cache", self.fresh_cache)
         if not isinstance(self.workloads, str):
             _normalize(self, "workloads", tuple(self.workloads))
         if self.layouts is not None:
             _normalize(self, "layouts",
                        tuple(str(n) for n in self.layouts))
+
+    @property
+    def config(self) -> SearchConfig:
+        """The validated :class:`~repro.search.config.SearchConfig` these
+        flat fields spell."""
+        return self._config
+
+    @classmethod
+    def from_config(cls, config: SearchConfig, **request_fields
+                    ) -> "SearchRequest":
+        """A request searching under ``config``; ``request_fields`` supplies
+        the rest (``workloads``, ``arch``, ``model``, ``backend``, ...)."""
+        return cls(**{name: getattr(config, name) for name in CONFIG_FIELDS},
+                   **request_fields)
 
 
 @dataclass(frozen=True)
@@ -320,7 +251,10 @@ class SweepRequest(_RequestBase):
                 raise InvalidRequestError(
                     "pass either inline scenarios or a filter, not both")
             _normalize(self, "scenarios", tuple(self.scenarios))
-        _integer(self, "workers", minimum=1, nullable=True)
+        strict_bool("skip_incompatible", self.skip_incompatible)
+        strict_bool("force", self.force)
+        _normalize(self, "workers", strict_int("workers", self.workers,
+                                               minimum=1, nullable=True))
 
 
 #: Union of the three request types (isinstance checks, annotations).

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.api.requests import API_SCHEMA_VERSION
+from repro.search.config import CONSTRAINT_MODES, METRICS, POLICIES
 
 _SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
@@ -39,7 +40,7 @@ def _schema(title: str, description: str, properties: Dict,
 
 _SCHEMA_VERSION_PROP = {"type": "integer", "const": API_SCHEMA_VERSION}
 _NAME_OR_PAYLOAD = {"type": ["string", "object"]}
-_METRIC_PROP = {"type": "string", "enum": ["edp", "latency", "energy"]}
+_METRIC_PROP = {"type": "string", "enum": list(METRICS)}
 _WORKERS_PROP = {"type": ["integer", "null"], "minimum": 1}
 
 _CONFIG_PROPS = {
@@ -48,8 +49,7 @@ _CONFIG_PROPS = {
                                {"const": "auto"}]},
     "seed": {"type": "integer"},
     "prune": {"type": "boolean"},
-    "policy": {"type": "string",
-               "enum": ["exhaustive", "halving", "evolutionary"]},
+    "policy": {"type": "string", "enum": list(POLICIES)},
     "budget": {"type": ["integer", "null"], "minimum": 1},
 }
 
@@ -84,7 +84,7 @@ SEARCH_REQUEST_SCHEMA = _schema(
         "workers": _WORKERS_PROP,
         "fresh_cache": {"type": "boolean"},
         "constraints": {"type": ["string", "null"],
-                        "enum": ["none", "default", None]},
+                        "enum": [*CONSTRAINT_MODES, None]},
         "schema_version": _SCHEMA_VERSION_PROP,
     },
     required=("workloads", "arch"))

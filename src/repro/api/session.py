@@ -176,20 +176,12 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
             layouts=codec.resolve_layouts(request.layouts))
         if resolved.layouts is not None:
             _check_layout_dims(resolved.layouts, resolved.workloads)
-        # ``constraints`` is result-shaping, so it is keyed — but only when
-        # set, so unconstrained requests keep the exact key tuple of the
-        # previous schema (the no-constraints bit-identity promise).
-        constraints_part = (() if request.constraints is None
-                            else (("constraints", request.constraints),))
         return _digest((
             "search", API_SCHEMA_VERSION, repro.__version__, request.model,
             tuple(workload_signature(w) for w in resolved.workloads),
             tuple(getattr(w, "name", "") for w in resolved.workloads),
             arch_signature(resolved.arch, DEFAULT_ENERGY_TABLE),
-            (request.metric, request.max_mappings, request.seed,
-             request.prune, request.policy, request.budget,
-             request.frontier, request.fused),
-            request.layouts, request.backend) + constraints_part), resolved
+            request.config.key(), request.layouts, request.backend)), resolved
     if isinstance(request, SweepRequest):
         from repro.scenarios.runner import cell_key
 
@@ -208,8 +200,7 @@ def content_key(request: Request) -> str:
     Reuses the scenario-record hashing discipline
     (:func:`repro.scenarios.runner.cell_key`): keys cover resolved
     *structure* — workload shape signatures, the full architecture
-    signature, the search-config identity (``policy``/``budget``
-    included — they change the result), the package version — plus the
+    signature, :meth:`SearchConfig.key`, the package version — plus the
     labels that appear in the response; the guaranteed result-neutral
     execution knobs (``workers``, ``fresh_cache``) stay out.  Raises
     :class:`InvalidRequestError` when the request does not resolve.
@@ -422,20 +413,14 @@ class Session:
         from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
         from repro.layoutloop.mapper import Mapper
 
-        key = (arch_signature(arch, DEFAULT_ENERGY_TABLE), request.metric,
-               request.max_mappings, request.seed, request.prune,
-               request.backend, request.policy, request.budget,
-               request.constraints)
+        key = (arch_signature(arch, DEFAULT_ENERGY_TABLE), request.backend,
+               request.config.key())
         with self._lock:
             mapper = self._mappers.get(key)
         if mapper is not None:
             return mapper
-        mapper = Mapper(arch, metric=request.metric,
-                        max_mappings=request.max_mappings, seed=request.seed,
-                        prune=request.prune, evaluation_cache=self.cache,
-                        backend=backend, policy=request.policy,
-                        budget=request.budget,
-                        constraints=request.constraints)
+        mapper = Mapper(arch, request.config, evaluation_cache=self.cache,
+                        backend=backend)
         with self._lock:
             return self._mappers.setdefault(key, mapper)
 
@@ -629,7 +614,7 @@ class Session:
             return False
         backend = ("analytical" if request.backend == "analytical"
                    else self.backend_for(request.backend, resolved.arch,
-                                         request.seed))
+                                         request.config.seed))
         mapper = self._mapper_for(resolved.arch, request, backend)
         return all(mapper.has_result(wl, resolved.layouts)
                    for wl, _ in unique_workloads(resolved.workloads))
@@ -646,11 +631,8 @@ class Session:
             return None
         payload = dict(
             arch=resolved.arch, workloads=list(resolved.workloads),
-            model_name=request.model, metric=request.metric,
-            max_mappings=request.max_mappings, workers=1,
-            prune=request.prune, seed=request.seed, backend="analytical",
-            layouts=resolved.layouts, policy=request.policy,
-            budget=request.budget, constraints=request.constraints)
+            config=request.config, model_name=request.model, workers=1,
+            layouts=resolved.layouts)
         try:
             return pool.submit(_offloaded_search, payload).result()
         except (BrokenProcessPool, OSError):
@@ -692,7 +674,7 @@ class Session:
             search_backend = "analytical"
         else:
             search_backend = self.backend_for(request.backend, arch,
-                                              request.seed)
+                                              request.config.seed)
         mapper = (self._mapper_for(arch, request, search_backend)
                   if not request.fresh_cache and workers <= 1 and not crossval
                   else None)
@@ -704,7 +686,8 @@ class Session:
         if crossval:
             # Fail fast on incompatible cells before burning a co-search,
             # exactly like the standalone cross_validate_model.
-            simulator = self.backend_for("simulator", arch, request.seed)
+            simulator = self.backend_for("simulator", arch,
+                                         request.config.seed)
             serialize = getattr(simulator, "_session_serialize", serialize)
             for workload, _ in unique_workloads(workloads):
                 simulator.check_cell(workload)
@@ -755,14 +738,11 @@ class Session:
             pool = self._executor_for(workers)
             try:
                 cost = _search_model_impl(
-                    arch, workloads, model_name=request.model,
-                    metric=request.metric, max_mappings=request.max_mappings,
-                    workers=workers, prune=request.prune, seed=request.seed,
+                    arch, workloads, request.config, model_name=request.model,
+                    workers=workers,
                     cache=None if request.fresh_cache else self.cache,
                     backend=search_backend, layouts=layouts, executor=pool,
-                    mapper=mapper, policy=request.policy,
-                    budget=request.budget, frontier=request.frontier,
-                    fused=request.fused, constraints=request.constraints)
+                    mapper=mapper)
             finally:
                 self._release_executor(pool)
         if crossval:
@@ -776,10 +756,8 @@ class Session:
             label = (request.arch if isinstance(request.arch, str)
                      else arch.name)
             cost, validation = cross_validate_model(
-                arch, workloads, model_name=request.model,
-                metric=request.metric, max_mappings=request.max_mappings,
-                seed=request.seed, prune=request.prune, arch_label=label,
-                cost=cost, simulator=simulator)
+                arch, workloads, request.config, model_name=request.model,
+                arch_label=label, cost=cost, simulator=simulator)
             crossval_payload = validation.as_dict()
         elapsed = time.perf_counter() - start
         stats = cost.search_stats

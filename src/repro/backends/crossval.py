@@ -23,6 +23,7 @@ from repro.backends.simulator import SimulatorBackend
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import ModelCost
 from repro.layoutloop.energy import EnergyTable
+from repro.search.config import SearchConfig
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,22 @@ class CrossValidation:
 
 
 def cross_validate_model(arch: ArchSpec, workloads: Sequence,
-                         model_name: str = "model", metric: str = "edp",
-                         max_mappings: int = 50, seed: int = 0,
+                         config: Optional[SearchConfig] = None,
+                         model_name: str = "model",
                          energy: Optional[EnergyTable] = None,
-                         workers: Optional[int] = 1, prune: bool = True,
+                         workers: Optional[int] = 1,
                          arch_label: Optional[str] = None,
                          cost: Optional[ModelCost] = None,
                          simulator: Optional[SimulatorBackend] = None,
                          ) -> Tuple[ModelCost, CrossValidation]:
-    """Analytical co-search plus simulator execution of every winner.
+    """Analytical co-search under ``config`` plus simulator execution of
+    every winner.
 
     Returns ``(analytical ModelCost, CrossValidation)``; the analytical
     cost is exactly what an analytical :class:`~repro.api.SearchRequest`
-    returns for the same arguments, so cross-validation scenarios stay
-    comparable with plain analytical ones cell for cell.  ``workers=None``
+    returns for the same config, so cross-validation scenarios stay
+    comparable with plain analytical ones cell for cell.  ``config.seed``
+    also seeds the simulator's data generation.  ``workers=None``
     consults ``REPRO_SEARCH_WORKERS``.  ``arch_label`` overrides
     the architecture name embedded in the validation (the scenario runner
     passes its registry name so record and payload agree).
@@ -137,19 +140,18 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     from repro.search.engine import _search_model_impl
     from repro.search.parallel import resolve_workers
 
+    config = config if config is not None else SearchConfig()
     workloads = list(workloads)
     if simulator is None:
-        simulator = SimulatorBackend(arch, energy=energy, seed=seed)
+        simulator = SimulatorBackend(arch, energy=energy, seed=config.seed)
     for workload, _ in unique_workloads(workloads):
         simulator.check_cell(workload)
     if cost is None:
-        cost = _search_model_impl(arch, workloads, model_name=model_name,
-                                  metric=metric, max_mappings=max_mappings,
-                                  energy=energy,
-                                  workers=resolve_workers(workers),
-                                  seed=seed, prune=prune)
+        cost = _search_model_impl(arch, workloads, config,
+                                  model_name=model_name, energy=energy,
+                                  workers=resolve_workers(workers))
     validation = CrossValidation(arch=arch_label or cost.arch,
-                                 model=cost.model, seed=seed)
+                                 model=cost.model, seed=config.seed)
     for choice, (workload, count) in zip(cost.layer_choices,
                                          unique_workloads(workloads)):
         result = choice.result

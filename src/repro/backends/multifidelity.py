@@ -26,6 +26,7 @@ from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.energy import EnergyTable
 from repro.layoutloop.mapper import Mapper, _metric_value
+from repro.search.config import SearchConfig
 
 
 @dataclass
@@ -112,9 +113,9 @@ def multifidelity_search_layer(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     analytical = analytical or AnalyticalBackend(arch, energy=energy)
     simulator = simulator or SimulatorBackend(arch, energy=energy, seed=seed)
-    mapper = Mapper(arch, energy=energy, metric=metric,
-                    max_mappings=max_mappings, seed=seed,
-                    evaluation_cache=analytical.cache)
+    mapper = Mapper(arch, SearchConfig(metric=metric,
+                                       max_mappings=max_mappings, seed=seed),
+                    energy=energy, evaluation_cache=analytical.cache)
 
     layouts = mapper.candidate_layouts(workload)
     ranked: List[Tuple[float, int, object, object, BackendReport]] = []

@@ -2,9 +2,9 @@
 geomeans.
 
 Every experiment co-search is a :class:`~repro.api.SearchRequest` on a
-:class:`~repro.api.Session`: Fig. 13 runs its scenario cells
-(:mod:`repro.scenarios.ports`) through :func:`repro.scenarios.run_matrix`,
-Fig. 2 and Fig. 10 submit per-layer requests to a session of their own.
+:class:`~repro.api.Session`: Fig. 13 and Fig. 10 run their scenario cells
+(:mod:`repro.scenarios.ports`) through :mod:`repro.scenarios`, Fig. 2
+submits per-layer requests to a session of its own.
 ``workers=None`` honours the ``REPRO_SEARCH_WORKERS`` environment variable.
 """
 

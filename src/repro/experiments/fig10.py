@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.api import SearchRequest, Session
-from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.systolic import SystolicArray
-from repro.layoutloop.arch import feather_arch
-from repro.workloads.gemm import GemmSpec, fig10_workloads
+from repro.workloads.gemm import fig10_workloads
 
 
 @dataclass
@@ -37,34 +34,28 @@ class Fig10Row:
         return self.feather_utilization / self.systolic_utilization
 
 
-def run(array_rows: int = 4, array_cols: int = 4, max_mappings: int = 200,
-        seed: int = 0) -> List[Fig10Row]:
-    """Evaluate the four Fig. 10 workloads on a small array (4x4 as drawn).
+def run(max_mappings: int = 200, seed: int = 0) -> List[Fig10Row]:
+    """Evaluate the four Fig. 10 workloads on a 4x4 array (as drawn).
 
-    The FEATHER side runs through the :mod:`repro.api` façade: one
-    :class:`~repro.api.SearchRequest` per GEMM on a shared
-    :class:`~repro.api.Session`, whose evaluation cache is shared across
-    the four searches (bit-identical to separate searches).
+    The FEATHER column is the :func:`repro.scenarios.ports.fig10_scenario`
+    cell run through :func:`repro.scenarios.run_cell`; the systolic column
+    is the array's single fixed mapping.
     """
-    systolic = SystolicArray(array_rows, array_cols, name="systolic")
-    arch = arch_payload(feather_arch(array_rows, array_cols))
+    # Imported here: the scenario ports import this package (Fig13Series).
+    from repro.scenarios.ports import (
+        fig10_feather_utilizations,
+        fig10_scenario,
+    )
+    from repro.scenarios.runner import run_cell
 
-    rows = []
-    with Session(name="fig10") as session:
-        for gemm in fig10_workloads():
-            sa_util = systolic.steady_state_utilization_gemm(gemm)
-            response = session.run(SearchRequest(
-                workloads=(workload_payload(gemm),), arch=arch,
-                model=gemm.name, metric="latency",
-                max_mappings=max_mappings, seed=seed))
-            feather_report = response.cost.layer_choices[0].result.best_report
-            rows.append(Fig10Row(
-                workload=gemm.name,
-                m=gemm.m, k=gemm.k, n=gemm.n,
-                systolic_utilization=sa_util,
-                feather_utilization=feather_report.practical_utilization,
-            ))
-    return rows
+    record = run_cell(fig10_scenario(max_mappings, seed)).record
+    feather = fig10_feather_utilizations(record)
+    systolic = SystolicArray(4, 4, name="systolic")
+    return [Fig10Row(workload=gemm.name, m=gemm.m, k=gemm.k, n=gemm.n,
+                     systolic_utilization=(
+                         systolic.steady_state_utilization_gemm(gemm)),
+                     feather_utilization=feather[gemm.name])
+            for gemm in fig10_workloads()]
 
 
 def summary(rows: List[Fig10Row]) -> Dict[str, float]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.layoutloop.mapper import Mapper, SearchResult
+from repro.search.config import METRIC_FIELDS
 from repro.search.frontier import pareto_fold, tile_footprints
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
@@ -245,16 +246,6 @@ def fusible(producer, consumer) -> bool:
             and producer.q == consumer.w)
 
 
-def _fused_metric_value(candidate: Dict[str, object], metric: str) -> float:
-    if metric == "edp":
-        return candidate["edp"]
-    if metric == "latency":
-        return candidate["total_cycles"]
-    if metric == "energy":
-        return candidate["total_energy_pj"]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def fused_pair_search(mapper: Mapper, producer, consumer,
                       layouts: Optional[Sequence] = None) -> FusedPairResult:
     """Search a fused producer→consumer pair over shared intermediate layouts.
@@ -319,7 +310,8 @@ def fused_pair_search(mapper: Mapper, producer, consumer,
         })
 
     pool = [c for c in candidates if c["legal"]] or candidates
-    winner = min(pool, key=lambda c: (_fused_metric_value(c, mapper.metric),
+    metric = mapper.config.metric
+    winner = min(pool, key=lambda c: (c[METRIC_FIELDS[metric]],
                                       c["layout_index"]))
     front: List[Tuple[Tuple[float, ...], Dict[str, object]]] = []
     for candidate in pool:
@@ -336,7 +328,7 @@ def fused_pair_search(mapper: Mapper, producer, consumer,
     return FusedPairResult(
         producer=getattr(producer, "name", str(producer)),
         consumer=getattr(consumer, "name", str(consumer)),
-        arch=arch.name, metric=mapper.metric, points=points,
+        arch=arch.name, metric=metric, points=points,
         winner_index=points.index(winner),
         capacity_bytes=arch.buffer.capacity_bytes)
 

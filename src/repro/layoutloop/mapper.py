@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dataflow.mapping import (
     CONV_REDUCTION_DIMS,
@@ -47,7 +47,6 @@ from repro.dataflow.mapping import (
     TileLevel,
 )
 from repro.dataflow.space import MappingSpace
-from repro.errors import InvalidRequestError
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
@@ -56,12 +55,10 @@ from repro.layoutloop.energy import EnergyTable
 from repro.search import bulk
 from repro.search.bounds import cached_bound_statics
 from repro.search.cache import EvaluationCache
+from repro.search.config import METRIC_FIELDS, SearchConfig
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
-
-_METRICS = ("edp", "latency", "energy")
-_POLICIES = ("exhaustive", "halving", "evolutionary")
 
 
 @dataclass
@@ -105,56 +102,54 @@ class SearchResult:
 
 
 def _metric_value(report: CostReport, metric: str) -> float:
-    if metric == "edp":
-        return report.edp
-    if metric == "latency":
-        return report.total_cycles
-    if metric == "energy":
-        return report.total_energy_pj
-    raise ValueError(f"unknown metric {metric!r}")
+    return getattr(report, METRIC_FIELDS[metric])
+
+
+class _ResultKey(NamedTuple):
+    """Memo key of one search: the workload, its shape signature, the
+    layout restriction and the mapper's :meth:`SearchConfig.key`."""
+
+    workload: str
+    signature: Tuple
+    layouts: Optional[Tuple[str, ...]]
+    config: Tuple
 
 
 class Mapper:
     """Search dataflows (and layouts) for an architecture.
 
-    ``prune`` enables the admissible lower-bound pruning (exact; disable
-    only for A/B testing).  ``evaluation_cache`` may be shared between
-    mappers — keys embed the architecture and energy-table signature, so
-    cross-architecture sharing is safe.
+    ``config`` is the :class:`~repro.search.config.SearchConfig` every
+    search of this mapper runs under (default: ``SearchConfig()``): the
+    metric, the ``max_mappings`` sample, the seed, pruning, the search
+    policy and its budget, and the constraint layer.  ``frontier`` and
+    ``fused`` are honoured by the whole-model engine, which calls
+    :meth:`search_frontier` and :func:`~repro.layoutloop.cosearch.
+    fused_model_search`; a mapper only checks that its backend can run
+    them.
 
-    ``backend`` selects the evaluation backend scoring candidates: a
-    :mod:`repro.backends` registry name, an already-constructed
-    :class:`~repro.backends.base.EvaluationBackend`, or ``None`` for the
-    default analytical backend (built on ``evaluation_cache``).
-    Non-analytical backends disable pruning — the admissible bounds only
-    hold for the analytical model.
+    ``evaluation_cache`` may be shared between mappers — keys embed the
+    architecture and energy-table signature, so cross-architecture sharing
+    is safe.  ``backend`` selects the evaluation backend scoring
+    candidates: a :mod:`repro.backends` registry name, an
+    already-constructed :class:`~repro.backends.base.EvaluationBackend`,
+    or ``None`` for the default analytical backend (built on
+    ``evaluation_cache``).  Non-analytical backends disable pruning — the
+    admissible bounds only hold for the analytical model.
 
-    ``policy`` selects the search policy over the candidate universe:
-    ``"exhaustive"`` (default, scan everything minus admissible prunes),
-    ``"halving"`` or ``"evolutionary"`` (:mod:`repro.search.budget`);
-    ``budget`` caps the scored (mapping, layout) pairs of the budgeted
-    policies.  ``max_mappings="auto"`` (analytical, exhaustive policy only)
-    replaces the fixed sample with the adaptive universe: a small seeded
-    base sample grown only where the bound landscape is tight, returning
-    exactly the uncapped exhaustive winner of the full structured space.
-
-    ``constraints`` binds a :class:`~repro.constraints.ConstraintSet` (or
-    the string ``"default"`` for the architecture's own rules, ``"none"``
-    to force the layer off): every candidate universe is then repaired to
-    legality and deduplicated before any policy scores it, with the repair
-    accounted in ``SearchResult.repaired``/``repair``.  ``None`` inherits
-    the backend's own constraints — the analytical backend has none, so by
-    default nothing changes and results stay bit-identical.
+    A bound :class:`~repro.constraints.ConstraintSet` repairs every
+    candidate universe to legality and deduplicates it before any policy
+    scores it, with the repair accounted in ``SearchResult.repaired``/
+    ``repair``.  A config with ``constraints=None`` inherits the backend's
+    own set — the analytical backend has none, so by default nothing
+    changes.
 
     Invalid configurations raise :class:`~repro.errors.InvalidRequestError`.
     """
 
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 metric: str = "edp", max_mappings=200, seed: int = 0,
-                 prune: bool = True,
+    def __init__(self, arch: ArchSpec, config: Optional[SearchConfig] = None,
+                 *, energy: Optional[EnergyTable] = None,
                  evaluation_cache: Optional[EvaluationCache] = None,
-                 backend=None, policy: str = "exhaustive",
-                 budget: Optional[int] = None, constraints=None):
+                 backend=None):
         from repro.backends import (
             AnalyticalBackend,
             EvaluationBackend,
@@ -162,31 +157,8 @@ class Mapper:
         )
         from repro.constraints import resolve_constraints
 
-        if metric not in _METRICS:
-            raise InvalidRequestError(f"metric must be one of {_METRICS}")
-        if policy not in _POLICIES:
-            raise InvalidRequestError(f"policy must be one of {_POLICIES}")
-        if isinstance(max_mappings, str):
-            if max_mappings != "auto":
-                raise InvalidRequestError(
-                    "max_mappings must be a positive integer or 'auto'")
-            if policy != "exhaustive":
-                raise InvalidRequestError(
-                    "max_mappings='auto' requires policy='exhaustive'")
-        if budget is not None:
-            if not isinstance(budget, int) or budget < 1:
-                raise InvalidRequestError(
-                    "budget must be a positive integer or None")
-            if policy == "exhaustive":
-                raise InvalidRequestError(
-                    "budget requires policy='halving' or 'evolutionary'")
         self.arch = arch
-        self.metric = metric
-        self.max_mappings = max_mappings
-        self.seed = seed
-        self.prune = prune
-        self.policy = policy
-        self.budget = budget
+        self.config = config if config is not None else SearchConfig()
         if backend is None or backend == "analytical":
             self.backend = AnalyticalBackend(arch, energy=energy,
                                              cache=evaluation_cache)
@@ -194,18 +166,11 @@ class Mapper:
             self.backend = backend
         else:
             self.backend = create_backend(backend, arch, energy=energy,
-                                          seed=seed)
+                                          seed=self.config.seed)
         self._analytical = isinstance(self.backend, AnalyticalBackend)
-        self.constraints = resolve_constraints(constraints, arch,
+        self.config.check_backend(self._backend_name)
+        self.constraints = resolve_constraints(self.config.constraints, arch,
                                                backend=self.backend)
-        if max_mappings == "auto" and not self._analytical:
-            raise InvalidRequestError(
-                "max_mappings='auto' requires the analytical backend")
-        if max_mappings == "auto" and self.constraints is not None:
-            raise InvalidRequestError(
-                "max_mappings='auto' is incompatible with a bound "
-                "ConstraintSet (the adaptive universe is defined on the "
-                "raw structured space)")
         if self._analytical:
             self.cost_model = self.backend.cost_model
             self.evaluation_cache = self.backend.cache
@@ -217,14 +182,19 @@ class Mapper:
             self.evaluation_cache = (evaluation_cache
                                      if evaluation_cache is not None
                                      else EvaluationCache())
-        self._cache: Dict[Tuple, SearchResult] = {}
-        # Frontier results memoize separately: the budgeted policies'
-        # warm-start filters `_cache` positionally, and frontier pairs are
-        # (SearchResult, ShapeFrontier) tuples, not SearchResults.
-        self._frontier_cache: Dict[Tuple, Tuple] = {}
+        self._cache: Dict[_ResultKey, SearchResult] = {}
+        # Frontier results memoize separately: frontier pairs are
+        # (SearchResult, ShapeFrontier) tuples, and the evolutionary
+        # warm start reads `_cache` for winning mappings.
+        self._frontier_cache: Dict[_ResultKey, Tuple] = {}
         # Repaired candidate universes per workload signature: (mappings,
         # RepairLog).  Only populated when a ConstraintSet binds.
         self._repair_cache: Dict[Tuple, Tuple] = {}
+
+    @property
+    def _backend_name(self) -> str:
+        """The backend name :meth:`SearchConfig.check_backend` judges."""
+        return "analytical" if self._analytical else self.backend.name
 
     # ------------------------------------------------------------- candidates
     def candidate_mappings(self, workload) -> List[Mapping]:
@@ -250,7 +220,7 @@ class Mapper:
         cached = self._repair_cache.get(key)
         if cached is None:
             raw = list(bulk.structured_universe(self, workload,
-                                                self.max_mappings))
+                                                self.config.max_mappings))
             cached = self.constraints.repair_candidates(raw, workload,
                                                         self.arch)
             self._repair_cache[key] = cached
@@ -371,23 +341,24 @@ class Mapper:
                ) -> SearchResult:
         """Find the best (mapping, layout) pair under the configured metric.
 
-        Whole results are memoized per (workload, metric, layouts) tuple;
-        individual cost-model evaluations are additionally memoized in the
-        (possibly shared) evaluation cache.
+        Whole results are memoized per (workload, layouts) under the
+        mapper's config; individual cost-model evaluations are additionally
+        memoized in the (possibly shared) evaluation cache.
         """
         key = self._result_key(workload, layouts)
         if key in self._cache:
             return self._cache[key]
-        if self.policy != "exhaustive":
+        config = self.config
+        if config.policy != "exhaustive":
             # Budgeted policies live in repro.search.budget (imported lazily:
             # it builds on this module).
             from repro.search.budget import evolutionary_search, halving_search
 
-            search_fn = (halving_search if self.policy == "halving"
+            search_fn = (halving_search if config.policy == "halving"
                          else evolutionary_search)
             result = search_fn(self, workload, layouts=layouts,
-                               budget=self.budget)
-        elif self.max_mappings == "auto":
+                               budget=config.budget)
+        elif config.max_mappings == "auto":
             # Adaptive universe: seeded base sample grown where the bound
             # landscape is tight; returns exactly the uncapped exhaustive
             # winner of the full structured space.
@@ -410,10 +381,11 @@ class Mapper:
         universe = bulk.candidate_universe(self, workload)
         # The admissible bounds are statements about the analytical cost
         # model; any other backend scans exhaustively.
+        metric = self.config.metric
         bounds = None
-        if self.prune and self._analytical:
+        if self.config.prune and self._analytical:
             statics = cached_bound_statics(self.cost_model, workload)
-            bounds = universe.bounds(self.metric, statics).tolist()
+            bounds = universe.bounds(metric, statics).tolist()
 
         best: Optional[CostReport] = None
         best_value = math.inf
@@ -432,22 +404,22 @@ class Mapper:
             for layout, (report, hit) in zip(layouts, scored):
                 evaluated += 1
                 cache_hits += hit
-                value = _metric_value(report, self.metric)
+                value = _metric_value(report, metric)
                 if best is None or value < best_value:
                     best, best_mapping, best_layout = report, mapping, layout
                     best_value = value
 
+        return self._result(workload, best, best_mapping, best_layout,
+                            evaluated, pruned, cache_hits)
+
+    def _result(self, workload, report, mapping: Mapping, layout: Layout,
+                evaluated: int, pruned: int, cache_hits: int) -> SearchResult:
+        """A search winner packaged under this mapper's arch and metric."""
         return SearchResult(
             workload=getattr(workload, "name", str(workload)),
-            arch=self.arch.name,
-            best_report=best,
-            best_mapping=best_mapping,
-            best_layout=best_layout,
-            evaluated=evaluated,
-            metric=self.metric,
-            pruned=pruned,
-            cache_hits=cache_hits,
-        )
+            arch=self.arch.name, best_report=report, best_mapping=mapping,
+            best_layout=layout, evaluated=evaluated,
+            metric=self.config.metric, pruned=pruned, cache_hits=cache_hits)
 
     def search_frontier(self, workload,
                         layouts: Optional[Sequence[Layout]] = None) -> Tuple:
@@ -463,10 +435,6 @@ class Mapper:
         """
         from repro.search.frontier import frontier_search
 
-        if self.max_mappings == "auto":
-            raise InvalidRequestError(
-                "frontier search requires an integer max_mappings "
-                "(the adaptive universe is defined for the scalar winner only)")
         key = self._result_key(workload, layouts)
         cached = self._frontier_cache.get(key)
         if cached is None:
@@ -476,19 +444,13 @@ class Mapper:
         return cached
 
     def _result_key(self, workload,
-                    layouts: Optional[Sequence[Layout]] = None) -> Tuple:
-        """Memo key of a (workload, layout-restriction) search on this
-        mapper's configuration.  The constraints signature is appended only
-        when a set binds, so unconstrained keys are unchanged (and the
-        budgeted policies' positional warm-start filter keeps working)."""
-        key = (getattr(workload, "name", str(workload)),
-               self._workload_signature(workload), self.metric,
-               self.max_mappings, self.backend.name,
-               tuple(l.name for l in layouts) if layouts else None,
-               self.policy, self.budget)
-        if self.constraints is not None:
-            key += (self.constraints.signature(),)
-        return key
+                    layouts: Optional[Sequence[Layout]] = None) -> _ResultKey:
+        """Memo key of a (workload, layout-restriction) search under this
+        mapper's configuration."""
+        return _ResultKey(getattr(workload, "name", str(workload)),
+                          self._workload_signature(workload),
+                          tuple(l.name for l in layouts) if layouts else None,
+                          self.config.key())
 
     def has_result(self, workload,
                    layouts: Optional[Sequence[Layout]] = None) -> bool:
@@ -503,9 +465,9 @@ class Mapper:
         Used by the façade's request-level process offload
         (:class:`repro.api.Session`) to bring results produced in a worker
         process back into this mapper's cache, so later :meth:`search`
-        calls for the same workload return instantly.  The result must have been computed with the same
-        metric/max_mappings configuration as this mapper, under the same
-        ``layouts`` restriction.
+        calls for the same workload return instantly.  The result must have
+        been computed under this mapper's config and the same ``layouts``
+        restriction.
         """
         self._cache.setdefault(self._result_key(workload, layouts), result)
 

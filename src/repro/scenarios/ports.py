@@ -5,16 +5,18 @@ Each port pairs (a) a function returning the figure's cells as a
 resulting :class:`~repro.scenarios.record.ScenarioRecord` objects back to
 the figure's native output structures.  The ports use the same workload
 sets, architecture suite, metric, mapping budget and seed as the
-``repro.experiments`` modules.  Fig. 13 is computed *only* here:
-``repro.experiments.fig13.run`` runs :func:`fig13_scenarios` and converts
-the records with :func:`fig13_series_from_records`.
+``repro.experiments`` modules.  Fig. 13 and Fig. 10's FEATHER column are
+computed *only* here: ``repro.experiments.fig13.run`` runs
+:func:`fig13_scenarios` and converts the records with
+:func:`fig13_series_from_records`, and ``repro.experiments.fig10.run``
+runs :func:`fig10_scenario` and reads :func:`fig10_feather_utilizations`.
 
 Only the engine-shaped part of each figure is a scenario (a scenario *is*
 a co-search cell).  Fig. 2's fixed/theory/practice policies and Fig. 10's
 systolic baseline are bespoke evaluations and stay in their experiment
-modules; their FEATHER co-search columns are what the ports cover, and
-``tests/test_experiments_small.py`` pins those columns equal to the
-experiments' own.
+modules.  Fig. 2's FEATHER column is covered by :func:`fig2_scenarios`,
+and ``tests/test_experiments_small.py`` pins it equal to the experiment's
+own.
 """
 
 from __future__ import annotations

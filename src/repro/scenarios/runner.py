@@ -9,7 +9,7 @@ session is passed), and wrap the outcome in a
 
 Artifacts are **content-addressed**: every record embeds a sha256 ``key``
 over the *resolved* cell definition — the workload shape signatures, the
-full architecture + energy signature, the search-config identity and the
+full architecture + energy signature, ``SearchConfig.key()`` and the
 ``repro`` version.  When a runs directory is given, a cell whose artifact
 already exists with a matching key is skipped and the stored record is
 returned (``cached=True``); editing a workload table, an architecture or
@@ -37,7 +37,8 @@ from repro.scenarios.record import (
     record_from_model_cost,
 )
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
-from repro.scenarios.spec import Scenario, ScenarioMatrix, SearchConfig, slugify
+from repro.scenarios.spec import Scenario, ScenarioMatrix, slugify
+from repro.search.config import SearchConfig
 from repro.search.signatures import arch_signature, workload_signature
 
 #: Default artifact directory of the CLI (relative to the invocation cwd).
@@ -63,7 +64,7 @@ def _resolved_cell_key(scenario: Scenario, workloads: List, arch) -> str:
         repro.__version__,
         tuple(workload_signature(w) for w in workloads),
         arch_signature(arch, DEFAULT_ENERGY_TABLE),
-        scenario.config.identity(),
+        scenario.config.key(),
         scenario.backend,
     )
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
@@ -150,15 +151,11 @@ def run_cell(scenario: Scenario, workers: Optional[int] = None,
             if existing is not None and existing.key == key:
                 return CellResult(record=existing, cached=True, path=path)
 
-    config = scenario.config
     start = time.perf_counter()
-    response = session.run(SearchRequest(
-        workloads=scenario.workload_set, arch=scenario.arch,
-        model=scenario.name, metric=config.metric,
-        max_mappings=config.max_mappings, seed=config.seed,
-        prune=config.prune, policy=config.policy, budget=config.budget,
-        frontier=config.frontier, fused=config.fused,
-        backend=scenario.backend, workers=workers, fresh_cache=True))
+    response = session.run(SearchRequest.from_config(
+        scenario.config, workloads=scenario.workload_set, arch=scenario.arch,
+        model=scenario.name, backend=scenario.backend, workers=workers,
+        fresh_cache=True))
     elapsed = time.perf_counter() - start
     record = record_from_model_cost(scenario, response.cost, key=key,
                                     repro_version=repro.__version__,

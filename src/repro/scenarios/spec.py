@@ -1,8 +1,9 @@
 """Declarative scenario specifications.
 
-A :class:`Scenario` names one cell of the evaluation grid: a workload set,
-an architecture and a search configuration, each referenced *by registry
-name* (:mod:`repro.scenarios.registry`) rather than by object.  That keeps
+A :class:`Scenario` names one cell of the evaluation grid: a workload set
+and an architecture, each referenced *by registry name*
+(:mod:`repro.scenarios.registry`) rather than by object, plus a
+:class:`~repro.search.config.SearchConfig`.  That keeps
 scenarios serializable — a JSON record written by the runner carries enough
 information to rebuild and re-run its cell bit-identically.
 
@@ -20,82 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-_METRICS = ("edp", "latency", "energy")
-_POLICIES = ("exhaustive", "halving", "evolutionary")
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Search-engine settings of one scenario cell.
-
-    Only fields that change the *numbers* live here (they enter the cell's
-    content-address); the one execution knob that is guaranteed
-    result-neutral — ``workers`` — is a runner argument instead.
-    """
-
-    name: str
-    """Short label used in cell names (e.g. ``"edp-50"`` or ``"smoke"``)."""
-    metric: str = "edp"
-    """Objective the co-search minimises: ``edp``, ``latency`` or ``energy``."""
-    max_mappings: int = 50
-    """Bound on sampled mappings per layer (the pruned-random budget)."""
-    seed: int = 0
-    """RNG seed of the mapping sampler; embedded in every record."""
-    prune: bool = True
-    """Admissible lower-bound pruning (exact; off only for A/B studies)."""
-    policy: str = "exhaustive"
-    """Search policy (``exhaustive``/``halving``/``evolutionary``)."""
-    budget: Optional[int] = None
-    """Per-shape cap on scored (mapping, layout) pairs; only meaningful
-    with a non-exhaustive ``policy``."""
-    frontier: bool = False
-    """Keep a Pareto frontier over (EDP, latency, energy, buffer footprint)
-    per unique shape alongside the scalar winner (analytical + exhaustive
-    cells only)."""
-    fused: bool = False
-    """Additionally search fused two-layer mappings over adjacent fusible
-    layer pairs (analytical + exhaustive cells only)."""
-
-    def __post_init__(self) -> None:
-        if self.metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}, "
-                             f"got {self.metric!r}")
-        if self.max_mappings < 1:
-            raise ValueError(f"max_mappings must be >= 1, "
-                             f"got {self.max_mappings}")
-        if self.policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}, "
-                             f"got {self.policy!r}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1 (or None), "
-                             f"got {self.budget}")
-        if (self.frontier or self.fused) and self.policy != "exhaustive":
-            raise ValueError(
-                f"frontier/fused require policy='exhaustive', "
-                f"got {self.policy!r}")
-
-    def identity(self) -> Tuple:
-        """The fields that determine search results (name excluded)."""
-        return (self.metric, self.max_mappings, self.seed, self.prune,
-                self.policy, self.budget, self.frontier, self.fused)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "metric": self.metric,
-                "max_mappings": self.max_mappings, "seed": self.seed,
-                "prune": self.prune, "policy": self.policy,
-                "budget": self.budget, "frontier": self.frontier,
-                "fused": self.fused}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SearchConfig":
-        budget = data.get("budget")
-        return cls(name=str(data["name"]), metric=str(data["metric"]),
-                   max_mappings=int(data["max_mappings"]),
-                   seed=int(data["seed"]), prune=bool(data["prune"]),
-                   policy=str(data.get("policy", "exhaustive")),
-                   budget=None if budget is None else int(budget),
-                   frontier=bool(data.get("frontier", False)),
-                   fused=bool(data.get("fused", False)))
+from repro.search.config import SearchConfig
 
 
 def scenario_backend_names() -> Tuple[str, ...]:

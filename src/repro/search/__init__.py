@@ -2,6 +2,8 @@
 
 This package is the performance substrate under every figure reproduction:
 
+* :mod:`repro.search.config` — the one search configuration
+  (:class:`SearchConfig`) and its metric/policy vocabulary,
 * :mod:`repro.search.signatures` — canonical cache keys,
 * :mod:`repro.search.cache` — memoized cost-model evaluations,
 * :mod:`repro.search.bounds` — admissible pruning bounds,
@@ -22,6 +24,7 @@ from repro.search.bounds import (
     metric_lower_bound,
 )
 from repro.search.cache import CacheStats, EvaluationCache
+from repro.search.config import POLICIES
 from repro.search.parallel import WORKERS_ENV_VAR, resolve_workers
 from repro.search.signatures import (
     arch_signature,
@@ -37,6 +40,7 @@ __all__ = [
     "metric_lower_bound",
     "CacheStats",
     "EvaluationCache",
+    "POLICIES",
     "WORKERS_ENV_VAR",
     "resolve_workers",
     "arch_signature",
@@ -47,13 +51,12 @@ __all__ = [
     # import the layoutloop mapper, which itself imports the submodules
     # above.
     "SearchStats",
-    "POLICIES",
     "halving_search",
     "evolutionary_search",
 ]
 
 _ENGINE_NAMES = ("SearchStats",)
-_BUDGET_NAMES = ("POLICIES", "halving_search", "evolutionary_search")
+_BUDGET_NAMES = ("halving_search", "evolutionary_search")
 
 
 def __getattr__(name):

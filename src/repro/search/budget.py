@@ -50,9 +50,6 @@ from repro.search import bulk
 from repro.search.bounds import cached_bound_statics
 from repro.search.signatures import mapping_signature, workload_signature
 
-POLICIES: Tuple[str, ...] = ("exhaustive", "halving", "evolutionary")
-"""Search policies accepted by ``Mapper``/``SearchRequest``."""
-
 
 def default_budget(n_mappings: int, n_layouts: int) -> int:
     """Quarter-universe evaluation budget (at least one mapping's worth).
@@ -78,33 +75,18 @@ def _cheap_rung(mapper: Mapper, workload, universe, layouts
     about the expensive model, so the caller may order by it but never
     prune on it.
     """
+    metric = mapper.config.metric
     if mapper._analytical:
         statics = cached_bound_statics(mapper.cost_model, workload)
-        return (universe.bounds(mapper.metric, statics).tolist(),
-                mapper.prune)
+        return (universe.bounds(metric, statics).tolist(),
+                mapper.config.prune)
     scores = []
     for mapping in universe:
         reports = mapper.cost_model.evaluate_mapping_batch(workload, mapping,
                                                            layouts)
-        scores.append(min(_metric_value(report, mapper.metric)
+        scores.append(min(_metric_value(report, metric)
                           for report in reports))
     return scores, False
-
-
-def _finish(mapper: Mapper, workload, state) -> SearchResult:
-    """Package the incumbent into a :class:`SearchResult`."""
-    best, best_mapping, best_layout, evaluated, pruned, cache_hits = state
-    return SearchResult(
-        workload=getattr(workload, "name", str(workload)),
-        arch=mapper.arch.name,
-        best_report=best,
-        best_mapping=best_mapping,
-        best_layout=best_layout,
-        evaluated=evaluated,
-        metric=mapper.metric,
-        pruned=pruned,
-        cache_hits=cache_hits,
-    )
 
 
 class _Incumbent:
@@ -112,6 +94,7 @@ class _Incumbent:
 
     def __init__(self, mapper: Mapper, workload, layouts):
         self.mapper = mapper
+        self.metric = mapper.config.metric
         self.workload = workload
         self.layouts = layouts
         self.key: Optional[Tuple[float, int, int]] = None
@@ -129,7 +112,7 @@ class _Incumbent:
         for layout_idx, (report, hit) in enumerate(scored):
             self.evaluated += 1
             self.cache_hits += int(hit)
-            value = _metric_value(report, self.mapper.metric)
+            value = _metric_value(report, self.metric)
             if value < vmin:
                 vmin = value
             key = (value, index, layout_idx)
@@ -186,9 +169,9 @@ def halving_search(mapper: Mapper, workload,
             break
         incumbent.score(index, mappings[index])
 
-    return _finish(mapper, workload,
-                   (incumbent.report, incumbent.mapping, incumbent.layout,
-                    incumbent.evaluated, pruned, incumbent.cache_hits))
+    return mapper._result(workload, incumbent.report, incumbent.mapping,
+                          incumbent.layout, incumbent.evaluated, pruned,
+                          incumbent.cache_hits)
 
 
 def evolutionary_search(mapper: Mapper, workload,
@@ -206,7 +189,7 @@ def evolutionary_search(mapper: Mapper, workload,
     neighbours in cheap-rung rank order (mappings with adjacent lower
     bounds behave similarly) plus seeded random exploration.
 
-    Deterministic for a fixed ``(mapper.seed, cache state, budget)``.
+    Deterministic for a fixed ``(mapper.config.seed, cache state, budget)``.
     ``budget=None`` is uncapped — the same contract as
     :func:`halving_search`, under which the search covers the whole
     universe and returns exactly the exhaustive winner; pass
@@ -216,7 +199,7 @@ def evolutionary_search(mapper: Mapper, workload,
     mappings = bulk.candidate_universe(mapper, workload)
     n = len(mappings)
     pair_cost = len(layouts)
-    rng = random.Random(mapper.seed)
+    rng = random.Random(mapper.config.seed)
     rung, _ = _cheap_rung(mapper, workload, mappings, layouts)
     order = sorted(range(n), key=lambda i: (rung[i], i))
     rank_of = {index: rank for rank, index in enumerate(order)}
@@ -230,7 +213,7 @@ def evolutionary_search(mapper: Mapper, workload,
     seeds = sorted({
         sig_to_index[mapping_signature(prior.best_mapping)]
         for key, prior in mapper._cache.items()
-        if key[1] == shape_sig and key[2] == mapper.metric
+        if key.signature == shape_sig and prior.metric == mapper.config.metric
         and mapping_signature(prior.best_mapping) in sig_to_index
     })
     population = list(seeds)
@@ -276,6 +259,6 @@ def evolutionary_search(mapper: Mapper, workload,
             break
         frontier = children
 
-    return _finish(mapper, workload,
-                   (incumbent.report, incumbent.mapping, incumbent.layout,
-                    incumbent.evaluated, 0, incumbent.cache_hits))
+    return mapper._result(workload, incumbent.report, incumbent.mapping,
+                          incumbent.layout, incumbent.evaluated, 0,
+                          incumbent.cache_hits)

@@ -259,7 +259,8 @@ def structured_universe(mapper, workload, count) -> BulkUniverse:
     if space is None:
         return BulkUniverse.from_mappings(
             mapper._fixed_parallelism_mappings(workload), workload)
-    return BulkUniverse(space, space.sample_indices(count, seed=mapper.seed),
+    return BulkUniverse(space,
+                        space.sample_indices(count, seed=mapper.config.seed),
                         mapper._canonical_tail(workload), workload)
 
 
@@ -271,7 +272,7 @@ def candidate_universe(mapper, workload) -> BulkUniverse:
     if mapper.constraints is not None:
         return BulkUniverse.from_mappings(
             mapper._repaired_universe(workload)[0], workload)
-    return structured_universe(mapper, workload, mapper.max_mappings)
+    return structured_universe(mapper, workload, mapper.config.max_mappings)
 
 
 def full_universe(mapper, workload) -> BulkUniverse:
@@ -303,13 +304,14 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
     Requires the analytical backend (admissible bounds are statements about
     the analytical model); the mapper constructor enforces this.
     """
-    from repro.layoutloop.mapper import SearchResult, _metric_value
+    from repro.layoutloop.mapper import _metric_value
 
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
+    metric = mapper.config.metric
     universe = full_universe(mapper, workload)
     total = len(universe)
     statics = cached_bound_statics(mapper.cost_model, workload)
-    bounds = universe.bounds(mapper.metric, statics).tolist()
+    bounds = universe.bounds(metric, statics).tolist()
 
     best_key = None          # (value, flat position, layout index)
     best_report = None
@@ -326,7 +328,7 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
         for layout_idx, (report, hit) in enumerate(scored):
             evaluated += 1
             cache_hits += int(hit)
-            value = _metric_value(report, mapper.metric)
+            value = _metric_value(report, metric)
             key = (value, pos, layout_idx)
             if best_key is None or key < best_key:
                 best_key = key
@@ -334,7 +336,7 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
                 best_mapping = mapping
                 best_layout = layouts[layout_idx]
 
-    seeds = universe.seed_positions(base, mapper.seed)
+    seeds = universe.seed_positions(base, mapper.config.seed)
     for pos in seeds:
         if best_key is not None and bounds[pos] > best_key[0]:
             continue
@@ -351,14 +353,6 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
             continue
         score(pos)
 
-    return SearchResult(
-        workload=getattr(workload, "name", str(workload)),
-        arch=mapper.arch.name,
-        best_report=best_report,
-        best_mapping=best_mapping,
-        best_layout=best_layout,
-        evaluated=evaluated,
-        metric=mapper.metric,
-        pruned=total * len(layouts) - evaluated,
-        cache_hits=cache_hits,
-    )
+    return mapper._result(workload, best_report, best_mapping, best_layout,
+                          evaluated, total * len(layouts) - evaluated,
+                          cache_hits)

@@ -35,6 +35,7 @@ from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
 from repro.layoutloop.energy import EnergyTable
 from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.search.cache import CacheStats, EvaluationCache
+from repro.search.config import SearchConfig
 from repro.search.parallel import (
     chunked,
     default_chunk_size,
@@ -94,37 +95,30 @@ def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
     configuration, so a chunk's results do not depend on which process (or
     how many) ran it.
     """
-    (arch, energy, metric, max_mappings, seed, prune, layouts, policy,
-     budget, constraints, shapes) = payload
-    mapper = Mapper(arch, energy=energy, metric=metric,
-                    max_mappings=max_mappings, seed=seed, prune=prune,
-                    evaluation_cache=EvaluationCache(), policy=policy,
-                    budget=budget, constraints=constraints)
+    arch, energy, config, layouts, shapes = payload
+    mapper = Mapper(arch, config, energy=energy,
+                    evaluation_cache=EvaluationCache())
     results = [mapper.search(wl, layouts=layouts) for wl in shapes]
     stats = mapper.evaluation_cache.stats
     return results, stats.hits, stats.misses
 
 
 def _search_model_impl(arch: ArchSpec, workloads: Sequence,
-                       model_name: str = "model", metric: str = "edp",
-                       max_mappings=200,
+                       config: SearchConfig, model_name: str = "model",
                        energy: Optional[EnergyTable] = None,
-                       workers: int = 1, prune: bool = True, seed: int = 0,
+                       workers: int = 1,
                        cache: Optional[EvaluationCache] = None,
                        backend="analytical",
                        layouts: Optional[Sequence] = None,
                        executor=None,
-                       mapper: Optional[Mapper] = None,
-                       policy: str = "exhaustive",
-                       budget: Optional[int] = None,
-                       frontier: bool = False, fused: bool = False,
-                       constraints=None) -> ModelCost:
+                       mapper: Optional[Mapper] = None) -> ModelCost:
     """The whole-model co-search engine behind :meth:`repro.api.Session.run`.
 
-    This is the execution layer: ``workers`` must already be a concrete
-    count (user-facing resolution — explicit argument over the
-    ``REPRO_SEARCH_WORKERS`` environment variable over the serial default —
-    happens in exactly one place, :meth:`repro.api.Session.resolve_workers`).
+    Every shape is searched under ``config``.  This is the execution
+    layer: ``workers`` must already be a concrete count (user-facing
+    resolution — explicit argument over the ``REPRO_SEARCH_WORKERS``
+    environment variable over the serial default — happens in exactly one
+    place, :meth:`repro.api.Session.resolve_workers`).
     ``backend`` is ``"analytical"`` or a constructed non-analytical backend
     instance (searched serially, keeping its simulation memos warm).
     ``layouts`` optionally restricts the candidate layout library (used by
@@ -133,7 +127,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     (see :func:`repro.search.parallel.run_fanout`).
 
     ``mapper`` (serial paths only) is a caller-owned persistent
-    :class:`Mapper` whose configuration must match the other arguments —
+    :class:`Mapper` built on the same arch, config and backend —
     the :class:`repro.api.Session` passes one per configuration so repeat
     requests hit its whole-result memo instead of re-sampling; determinism
     makes the memoized results identical to fresh ones, but the engine
@@ -141,17 +135,16 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     is why per-call-deterministic callers (records, golden files) do not
     pass one.
 
-    The search-configuration rules (``max_mappings="auto"``, frontier and
-    fused searches need the analytical backend and the exhaustive policy)
-    are enforced by :class:`~repro.api.SearchRequest` and
-    :class:`~repro.layoutloop.mapper.Mapper`; this layer only rejects what
-    needs the resolved workloads.
+    The config's own rules and its pairing with the backend are checked by
+    :class:`~repro.search.config.SearchConfig` and :class:`Mapper`; this
+    layer only rejects what needs the resolved workloads.
     """
     workloads = list(workloads)
     if not workloads:
         raise InvalidRequestError(
             f"model {model_name!r} has no workloads to search")
     analytical = backend == "analytical"
+    frontier, fused = config.frontier, config.fused
     if fused and len(workloads) < 2:
         raise InvalidRequestError(
             "fused search requires at least two workloads "
@@ -171,24 +164,20 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     stats = SearchStats(model=model_name, arch=arch.name,
                         layers_total=len(workloads),
                         layers_unique=len(grouped), workers=workers,
-                        backend=backend_name, policy=policy, budget=budget)
+                        backend=backend_name, policy=config.policy,
+                        budget=config.budget)
 
     shape_frontiers = None
     if not analytical:
         if mapper is None:
-            mapper = Mapper(arch, energy=energy, metric=metric,
-                            max_mappings=max_mappings, seed=seed, prune=prune,
-                            backend=backend, policy=policy, budget=budget,
-                            constraints=constraints)
+            mapper = Mapper(arch, config, energy=energy, backend=backend)
         results = [mapper.search(wl, layouts=layouts) for wl in shapes]
     elif workers <= 1 or len(shapes) <= 1:
         stats.workers = 1
         if mapper is None:
             eval_cache = cache if cache is not None else EvaluationCache()
-            mapper = Mapper(arch, energy=energy, metric=metric,
-                            max_mappings=max_mappings, seed=seed, prune=prune,
-                            evaluation_cache=eval_cache, policy=policy,
-                            budget=budget, constraints=constraints)
+            mapper = Mapper(arch, config, energy=energy,
+                            evaluation_cache=eval_cache)
         else:
             eval_cache = mapper.evaluation_cache
         # Shared caches outlive this call: report this run's delta, not the
@@ -206,8 +195,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                                  misses=eval_cache.stats.misses - before_misses)
     else:
         size = default_chunk_size(len(shapes), workers)
-        payloads = [(arch, energy, metric, max_mappings, seed, prune,
-                     layouts, policy, budget, constraints, chunk)
+        payloads = [(arch, energy, config, layouts, chunk)
                     for chunk in chunked(shapes, size)]
         chunk_outputs, stats.workers = run_fanout(_search_chunk, payloads,
                                                   workers, executor=executor)

@@ -32,6 +32,7 @@ prune, this is a statement about the analytical model only.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -223,26 +224,22 @@ def frontier_search(mapper, workload,
     mapping and layout — the counters reflect *this* scan's frontier
     pruning) and ``frontier`` is the shape's :class:`ShapeFrontier`.
 
-    Requires the analytical backend and the exhaustive policy — the
-    admissible bounds the dominance prune builds on are statements about
-    the analytical model, and budgeted policies deliberately skip
-    candidates the frontier must see.
+    The mapper's config must be valid as a ``frontier=True`` config on its
+    backend (:meth:`~repro.search.config.SearchConfig.check_backend`):
+    analytical backend, exhaustive policy, integer ``max_mappings``.
     """
-    from repro.layoutloop.mapper import SearchResult, _metric_value
+    from repro.layoutloop.mapper import _metric_value
     from repro.search.bulk import candidate_universe
 
-    if mapper.policy != "exhaustive":
-        raise ValueError(
-            "frontier search requires policy='exhaustive', "
-            f"got {mapper.policy!r}")
-    if not mapper._analytical:
-        raise ValueError(
-            "frontier search requires the analytical backend, "
-            f"got {mapper.backend.name!r}")
+    # Rebuilding the config with frontier=True runs its frontier rules
+    # whatever the mapper's own flag (direct callers leave it False).
+    config = dataclasses.replace(mapper.config, frontier=True)
+    config.check_backend(mapper._backend_name)
+    metric = config.metric
 
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     statics = (cached_bound_statics(mapper.cost_model, workload)
-               if mapper.prune else None)
+               if config.prune else None)
     arch = mapper.arch
     # Footprints and cycle floors for the whole universe in one numpy pass;
     # mappings materialize lazily, so dominance-pruned entries are never
@@ -286,7 +283,7 @@ def frontier_search(mapper, workload,
         for l_idx, (layout, (report, hit)) in enumerate(zip(layouts, scored)):
             evaluated += 1
             cache_hits += hit
-            value = _metric_value(report, mapper.metric)
+            value = _metric_value(report, metric)
             if best is None or value < best_value:
                 best, best_mapping, best_layout = report, mapping, layout
                 best_value = value
@@ -316,19 +313,10 @@ def frontier_search(mapper, workload,
     winner_index = next(index for index, (_, payload) in enumerate(front)
                         if payload[:2] == winner_key)
 
-    result = SearchResult(
-        workload=getattr(workload, "name", str(workload)),
-        arch=arch.name,
-        best_report=best,
-        best_mapping=best_mapping,
-        best_layout=best_layout,
-        evaluated=evaluated,
-        metric=mapper.metric,
-        pruned=pruned,
-        cache_hits=cache_hits,
-    )
+    result = mapper._result(workload, best, best_mapping, best_layout,
+                            evaluated, pruned, cache_hits)
     frontier = ShapeFrontier(
-        workload=result.workload, arch=arch.name, metric=mapper.metric,
+        workload=result.workload, arch=arch.name, metric=metric,
         points=points, winner_index=winner_index, evaluated=evaluated,
         pruned=pruned)
     return result, frontier

@@ -38,8 +38,8 @@ def reference_candidates(mapper: Mapper, workload) -> Tuple[List, object]:
     if space is None:
         raw = mapper._fixed_parallelism_mappings(workload)
     else:
-        raw = space.sample(mapper.max_mappings, seed=mapper.seed,
-                           materialize=True)
+        raw = space.sample(mapper.config.max_mappings,
+                           seed=mapper.config.seed, materialize=True)
         raw.extend(mapper._canonical_tail(workload))
     if mapper.constraints is None:
         return raw, None
@@ -50,11 +50,12 @@ def reference_search(mapper: Mapper, workload,
                      layouts: Optional[Sequence] = None) -> SearchResult:
     """Exhaustive search of ``mapper``'s configuration, one mapping and one
     layout at a time (see the module docstring)."""
-    assert mapper.policy == "exhaustive" and mapper.max_mappings != "auto"
+    config = mapper.config
+    assert config.policy == "exhaustive" and config.max_mappings != "auto"
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     mappings, log = reference_candidates(mapper, workload)
     statics = (cached_bound_statics(mapper.cost_model, workload)
-               if mapper.prune and mapper._analytical else None)
+               if config.prune and mapper._analytical else None)
 
     best = None
     best_value = math.inf
@@ -64,7 +65,7 @@ def reference_search(mapper: Mapper, workload,
     for mapping in mappings:
         if statics is not None and best is not None:
             bound = metric_lower_bound(
-                mapper.metric, mapping.compute_cycles(workload), statics)
+                config.metric, mapping.compute_cycles(workload), statics)
             if bound >= best_value:
                 pruned += len(layouts)
                 continue
@@ -79,7 +80,7 @@ def reference_search(mapper: Mapper, workload,
         for layout, (report, hit) in zip(layouts, scored):
             evaluated += 1
             cache_hits += hit
-            value = _metric_value(report, mapper.metric)
+            value = _metric_value(report, config.metric)
             if best is None or value < best_value:
                 best, best_mapping, best_layout = report, mapping, layout
                 best_value = value
@@ -87,7 +88,7 @@ def reference_search(mapper: Mapper, workload,
     result = SearchResult(
         workload=getattr(workload, "name", str(workload)),
         arch=mapper.arch.name, best_report=best, best_mapping=best_mapping,
-        best_layout=best_layout, evaluated=evaluated, metric=mapper.metric,
+        best_layout=best_layout, evaluated=evaluated, metric=config.metric,
         pruned=pruned, cache_hits=cache_hits)
     if log is not None:
         result.repaired = log.merged * len(layouts)

@@ -37,6 +37,7 @@ from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.scenarios import golden_matrix, resolve_arch, resolve_workload_set
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -86,7 +87,7 @@ class TestRegistry:
 # ------------------------------------------------------- analytical parity
 class TestAnalyticalBackend:
     def test_bit_identical_to_cost_model(self, small_conv_layer):
-        mapper = Mapper(ARCH88, max_mappings=4)
+        mapper = Mapper(ARCH88, SearchConfig(max_mappings=4))
         mapping = mapper.candidate_mappings(small_conv_layer)[0]
         layout = mapper.candidate_layouts(small_conv_layer)[0]
 
@@ -116,7 +117,7 @@ class TestAnalyticalBackend:
 class TestSimulatorBackend:
     def test_deterministic_across_instances(self):
         conv = micro_conv_layers()[0]
-        mapper = Mapper(ARCH44, max_mappings=4)
+        mapper = Mapper(ARCH44, SearchConfig(max_mappings=4))
         result = mapper.search(conv)
         a = SimulatorBackend(ARCH44, seed=3).evaluate(
             conv, result.best_mapping, result.best_layout)
@@ -151,7 +152,7 @@ class TestSimulatorBackend:
     def test_mac_bound_guards_against_huge_cells(self):
         big = ConvLayerSpec("big", m=64, c=64, h=56, w=56, r=3, s=3)
         backend = SimulatorBackend(ARCH44)
-        mapper = Mapper(ARCH44, max_mappings=1)
+        mapper = Mapper(ARCH44, SearchConfig(max_mappings=1))
         mapping = mapper.candidate_mappings(big)[0]
         layout = mapper.candidate_layouts(big)[0]
         with pytest.raises(ValueError, match="micro-cells"):
@@ -159,7 +160,7 @@ class TestSimulatorBackend:
 
     def test_report_consistency(self):
         gemm = micro_gemm_layers()[0]
-        mapper = Mapper(ARCH44, max_mappings=4)
+        mapper = Mapper(ARCH44, SearchConfig(max_mappings=4))
         result = mapper.search(gemm)
         report = SimulatorBackend(ARCH44).evaluate(
             gemm, result.best_mapping, result.best_layout)
@@ -210,7 +211,8 @@ class TestRirClaimMachineChecked:
     ])
     def test_cosearched_pair_is_conflict_free_in_simulation(self, workload,
                                                            arch):
-        result = Mapper(arch, max_mappings=8, seed=0).search(workload)
+        result = Mapper(arch, SearchConfig(max_mappings=8, seed=0)).search(
+            workload)
         # Analytical side: RIR co-switching means max(lines/ports, 1)
         # never binds — the model prices the winner stall-free.
         assert result.best_report.slowdown == 1.0
@@ -222,7 +224,7 @@ class TestRirClaimMachineChecked:
         # realise the model's claim — measured StaB read conflicts at
         # exactly 1.0 — and *no* layout may ever serialize oAct writes.
         simulator = SimulatorBackend(arch, seed=0)
-        mapper = Mapper(arch, max_mappings=8, seed=0)
+        mapper = Mapper(arch, SearchConfig(max_mappings=8, seed=0))
         reports = [simulator.evaluate(workload, result.best_mapping, layout)
                    for layout in mapper.candidate_layouts(workload)]
         assert all(r.extra["write_serialization"] == 1.0 for r in reports)
@@ -257,7 +259,7 @@ class TestRirClaimMachineChecked:
         """The agreement above is not vacuous: a layout that scatters the
         concurrently-read words across one bank's lines does stall."""
         gemm = bert_head_micro(seq_len=16)
-        mapper = Mapper(ARCH44, max_mappings=8)
+        mapper = Mapper(ARCH44, SearchConfig(max_mappings=8))
         mapping = mapper.search(gemm).best_mapping
         # K-major with a 1-wide intra-line block: the col_k lanes read K
         # values that live in different lines of the same bank region.
@@ -272,7 +274,7 @@ class TestRirClaimMachineChecked:
 class TestSearchOnSimulator:
     def test_mapper_search_on_simulator_backend(self):
         gemm = micro_gemm_layers()[0]
-        mapper = Mapper(ARCH44, metric="latency", max_mappings=4,
+        mapper = Mapper(ARCH44, SearchConfig(metric="latency", max_mappings=4),
                         backend="simulator")
         result = mapper.search(gemm)
         assert result.best_report.backend == "simulator"
@@ -346,8 +348,8 @@ CROSSVAL_CELLS = [s for s in golden_matrix() if s.backend == "crossval"]
 class TestCrossValidation:
     def test_deltas_and_rir_claim(self):
         cost, validation = cross_validate_model(
-            ARCH44, micro_gemm_layers(), model_name="micro",
-            metric="latency", max_mappings=6)
+            ARCH44, micro_gemm_layers(),
+            SearchConfig(metric="latency", max_mappings=6), model_name="micro")
         assert len(validation.cells) == len(cost.layer_choices)
         assert validation.rir_claim_holds
         for cell in validation.cells:
@@ -362,8 +364,9 @@ class TestCrossValidation:
 
     def test_analytical_side_matches_plain_search(self):
         layers = micro_gemm_layers()
-        cost, _ = cross_validate_model(ARCH44, layers, model_name="micro",
-                                       metric="latency", max_mappings=6)
+        cost, _ = cross_validate_model(
+            ARCH44, layers, SearchConfig(metric="latency", max_mappings=6),
+            model_name="micro")
         plain = search(ARCH44, layers, model="micro", metric="latency",
                        max_mappings=6).cost
         assert cost.total_cycles == plain.total_cycles
@@ -374,19 +377,14 @@ class TestCrossValidation:
     def test_standalone_matches_crossval_request(self, scenario):
         """``cross_validate_model`` == ``SearchRequest(backend="crossval")``
         on the golden crossval cells, validation payload included."""
-        config = scenario.config
         cost, validation = cross_validate_model(
             resolve_arch(scenario.arch),
-            resolve_workload_set(scenario.workload_set),
-            model_name=scenario.name, metric=config.metric,
-            max_mappings=config.max_mappings, seed=config.seed,
-            prune=config.prune, arch_label=scenario.arch)
+            resolve_workload_set(scenario.workload_set), scenario.config,
+            model_name=scenario.name, arch_label=scenario.arch)
         with Session(name="crossval") as session:
-            response = session.run(SearchRequest(
-                workloads=scenario.workload_set, arch=scenario.arch,
-                model=scenario.name, metric=config.metric,
-                max_mappings=config.max_mappings, seed=config.seed,
-                prune=config.prune, backend="crossval"))
+            response = session.run(SearchRequest.from_config(
+                scenario.config, workloads=scenario.workload_set,
+                arch=scenario.arch, model=scenario.name, backend="crossval"))
         assert response.crossval == validation.as_dict()
         assert response.cost.total_cycles == cost.total_cycles
         assert response.cost.total_energy_pj == cost.total_energy_pj
@@ -395,8 +393,8 @@ class TestCrossValidation:
         import json
 
         _, validation = cross_validate_model(
-            ARCH44, micro_gemm_layers()[:1], model_name="one",
-            metric="latency", max_mappings=4)
+            ARCH44, micro_gemm_layers()[:1],
+            SearchConfig(metric="latency", max_mappings=4), model_name="one")
         payload = validation.as_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["cells"][0]["simulated_write_serialization"] == 1.0

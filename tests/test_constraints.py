@@ -13,6 +13,8 @@ and asserts the repair contract the search engine is built on:
   (``evaluated + pruned + repaired == universe_pairs``).
 """
 
+import dataclasses
+
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.constraints import (
@@ -26,6 +28,7 @@ from repro.constraints import (
 from repro.dataflow.mapping import Mapping, ParallelSpec, TileLevel
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 
 ARCH = feather_arch()
@@ -132,10 +135,11 @@ def test_pruning_bounds_admissible_on_repaired_universes(cset):
     """A pruned constrained search must return the unpruned winner
     bit-identically, with counters closing over the raw universe."""
     try:
-        pruned = Mapper(ARCH, metric="edp", max_mappings=8, seed=0,
-                        constraints=cset, prune=True).search(WORKLOAD)
-        full = Mapper(ARCH, metric="edp", max_mappings=8, seed=0,
-                      constraints=cset, prune=False).search(WORKLOAD)
+        config = SearchConfig(metric="edp", max_mappings=8, seed=0,
+                              constraints=cset)
+        pruned = Mapper(ARCH, config).search(WORKLOAD)
+        full = Mapper(ARCH, dataclasses.replace(config, prune=False)).search(
+            WORKLOAD)
     except UnsatisfiableConstraintError:
         assume(False)
     assert pruned.best_report == full.best_report

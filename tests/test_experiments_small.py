@@ -157,14 +157,14 @@ class TestTables:
 
 
 class TestScenarioPorts:
-    """The Fig. 2 and Fig. 10 ports reproduce the experiments' FEATHER
-    columns *exactly*.
+    """The Fig. 2 port reproduces the experiment's FEATHER column
+    *exactly*.
 
-    Those experiments keep their own bespoke evaluations beside the FEATHER
-    co-search, so the port re-runs the same workload sets with the same
-    engine settings; any inequality here means it silently drifted — every
-    comparison below is ``==``, never ``approx``.  (Fig. 13 has no second
-    pipeline: ``fig13.run`` *is* the port.)
+    Fig. 2 keeps its own bespoke evaluations beside the FEATHER co-search,
+    so the port re-runs the same workload sets with the same engine
+    settings; any inequality here means it silently drifted — every
+    comparison below is ``==``, never ``approx``.  (Fig. 10 and Fig. 13
+    have no second pipeline: their ``run`` *is* the port.)
     """
 
     def test_fig2_port_matches_legacy_feather_column(self):
@@ -177,14 +177,6 @@ class TestScenarioPorts:
         assert len(latencies) == len(motivation_rows)
         for row in motivation_rows:
             assert latencies[row.workload] == row.feather_latency
-
-    def test_fig10_port_matches_legacy_feather_column(self):
-        legacy = fig10.run(max_mappings=150)
-        record = run_cell(ports.fig10_scenario(max_mappings=150)).record
-        utilizations = ports.fig10_feather_utilizations(record)
-        assert len(utilizations) == len(legacy)
-        for row in legacy:
-            assert utilizations[row.workload] == row.feather_utilization
 
     def test_search_stats_rows_cover_the_suite(self):
         matrix = ports.tables_scenarios("resnet50[:2]", max_mappings=12)

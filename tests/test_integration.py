@@ -10,6 +10,7 @@ from repro.feather.rir import RirPlanner
 from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 
 
@@ -20,7 +21,8 @@ class TestCosearchDrivesAccelerator:
 
     def test_cosearched_pair_runs_conflict_free(self, rng):
         layer = ConvLayerSpec("e2e", m=8, c=8, h=8, w=8, r=3, s=3, padding=1)
-        result = Mapper(feather_arch(4, 8), max_mappings=40).search(layer)
+        result = Mapper(feather_arch(4, 8),
+                        SearchConfig(max_mappings=40)).search(layer)
         assert result.best_report.slowdown == 1.0
 
         config = FeatherConfig(array_rows=4, array_cols=8, stab_lines=1024)

@@ -32,6 +32,7 @@ from repro.layout.patterns import ReorderPattern
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -211,8 +212,9 @@ class TestBatchedEvaluation:
     def test_vectorized_search_identical_to_scalar_search(self):
         workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)
         for arch in (sigma_like(reorder="offchip"), feather_arch()):
-            fast = Mapper(arch, max_mappings=16).search(workload)
-            slow = reference_search(Mapper(arch, max_mappings=16), workload)
+            config = SearchConfig(max_mappings=16)
+            fast = Mapper(arch, config).search(workload)
+            slow = reference_search(Mapper(arch, config), workload)
             assert fast.best_report == slow.best_report
             assert fast.best_mapping == slow.best_mapping
             assert fast.best_layout == slow.best_layout

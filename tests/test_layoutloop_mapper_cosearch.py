@@ -8,6 +8,7 @@ from repro.baselines.registry import eyeriss_like, nvdla_like, sigma_like
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.mapper import Mapper
+from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -39,11 +40,11 @@ class TestMapper:
         assert mappings[0].parallel_degree("C") == 16
 
     def test_flexible_arch_has_many_mappings(self):
-        mapper = Mapper(feather_arch(), max_mappings=50)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=50))
         assert len(mapper.candidate_mappings(LAYER)) > 10
 
     def test_allowed_parallel_dims_respected(self):
-        mapper = Mapper(eyeriss_like(), max_mappings=50)
+        mapper = Mapper(eyeriss_like(), SearchConfig(max_mappings=50))
         allowed = set(eyeriss_like().allowed_parallel_dims)
         for mapping in mapper.candidate_mappings(LAYER):
             assert all(p.dim in allowed for p in mapping.parallel)
@@ -66,31 +67,33 @@ class TestMapper:
         assert len(mapper.candidate_layouts(GEMM)) == 3
 
     def test_search_returns_best_by_metric(self):
-        mapper = Mapper(feather_arch(), metric="latency", max_mappings=40)
+        mapper = Mapper(feather_arch(),
+                        SearchConfig(metric="latency", max_mappings=40))
         result = mapper.search(LAYER)
         assert result.best_report is not None
         assert result.evaluated > 0
         assert result.best_value == result.best_report.total_cycles
 
     def test_search_cached(self):
-        mapper = Mapper(feather_arch(), max_mappings=40)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=40))
         first = mapper.search(LAYER)
         second = mapper.search(LAYER)
         assert first is second
 
     def test_invalid_metric(self):
         with pytest.raises(ValueError):
-            Mapper(feather_arch(), metric="speed")
+            Mapper(feather_arch(), SearchConfig(metric="speed"))
 
     def test_feather_beats_nvdla_on_small_channel_layer(self):
         # NVDLA's fixed C=16 parallelism wastes PEs when C=3; FEATHER adapts.
-        feather = Mapper(feather_arch(), metric="latency", max_mappings=60).search(
+        feather = Mapper(feather_arch(), SearchConfig(
+            metric="latency", max_mappings=60)).search(SMALL_C_LAYER)
+        nvdla = Mapper(nvdla_like(), SearchConfig(metric="latency")).search(
             SMALL_C_LAYER)
-        nvdla = Mapper(nvdla_like(), metric="latency").search(SMALL_C_LAYER)
         assert feather.best_report.total_cycles < nvdla.best_report.total_cycles
 
     def test_gemm_search(self):
-        mapper = Mapper(feather_arch(), max_mappings=40)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=40))
         result = mapper.search(GEMM)
         assert result.best_report.macs == GEMM.macs
 
@@ -113,7 +116,8 @@ class TestUniqueWorkloads:
 
 class TestCosearchAndModelEvaluation:
     def test_cosearch_layer(self):
-        result = Mapper(feather_arch(), max_mappings=40).search(LAYER)
+        result = Mapper(feather_arch(),
+                        SearchConfig(max_mappings=40)).search(LAYER)
         assert result.best_layout is not None
         assert result.best_report.slowdown == 1.0
 

@@ -11,6 +11,8 @@ preset, which repairs most candidates — the only route on which repaired
 universes are pruned by the bulk bounds.
 """
 
+import dataclasses
+
 import pytest
 
 from reference import reference_search
@@ -45,10 +47,9 @@ def _mapper(cell, constraints) -> Mapper:
                else create_backend(cell.backend, arch, seed=cell.config.seed))
     if constraints == "systolic":
         constraints = systolic_constraints(arch)
-    return Mapper(arch, metric=cell.config.metric,
-                  max_mappings=cell.config.max_mappings,
-                  seed=cell.config.seed, prune=cell.config.prune,
-                  backend=backend, constraints=constraints)
+    return Mapper(arch, dataclasses.replace(cell.config,
+                                            constraints=constraints),
+                  backend=backend)
 
 
 @pytest.mark.parametrize("cell,workload,constraints", list(_cases()))

@@ -6,6 +6,7 @@ cache, seed/version embedding with worker-count determinism, the name
 registries and the CLI.
 """
 
+import dataclasses
 import json
 import string
 
@@ -211,6 +212,16 @@ class TestResultCache:
         assert (second.record.deterministic_payload()
                 == first.record.deterministic_payload())
         assert not run_cell(scenario, runs_dir=tmp_path, force=True).cached
+
+    def test_constrained_cell_is_keyed_and_replayable(self):
+        plain = tiny_scenario()
+        constrained = dataclasses.replace(plain, config=dataclasses.replace(
+            plain.config, constraints="default"))
+        assert cell_key(constrained) != cell_key(plain)
+        record = run_cell(constrained).record
+        assert record.config["constraints"] == "default"
+        assert record.search["repair"] is not None
+        assert scenario_from_record(record).config == constrained.config
 
     def test_stale_key_forces_recompute(self, tmp_path):
         scenario = tiny_scenario()

@@ -33,11 +33,11 @@ from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.search.bounds import bound_statics, cached_bound_statics
 from repro.search.budget import (
-    POLICIES,
     default_budget,
     evolutionary_search,
     halving_search,
 )
+from repro.search.config import POLICIES, SearchConfig
 from repro.search.signatures import workload_signature
 from repro.workloads.resnet50 import resnet50_layers
 
@@ -59,10 +59,7 @@ def _mapper_for_cell(cell):
         backend = SimulatorBackend(arch, seed=cell.config.seed)
     else:
         backend = "analytical"
-    return Mapper(arch, metric=cell.config.metric,
-                  max_mappings=cell.config.max_mappings,
-                  seed=cell.config.seed, prune=cell.config.prune,
-                  backend=backend)
+    return Mapper(arch, cell.config, backend=backend)
 
 
 def _same_result(a, b) -> None:
@@ -85,18 +82,18 @@ def test_full_budget_halving_matches_exhaustive(cell):
 def test_policies_tuple_is_the_public_contract():
     assert POLICIES == ("exhaustive", "halving", "evolutionary")
     with pytest.raises(ValueError, match="policy"):
-        Mapper(feather_arch(), policy="anneal")
+        Mapper(feather_arch(), SearchConfig(policy="anneal"))
     with pytest.raises(ValueError, match="budget"):
-        Mapper(feather_arch(), policy="halving", budget=0)
+        Mapper(feather_arch(), SearchConfig(policy="halving", budget=0))
     with pytest.raises(ValueError, match="budget requires"):
-        Mapper(feather_arch(), budget=10)
+        Mapper(feather_arch(), SearchConfig(budget=10))
 
 
 def test_mapper_policy_dispatch_matches_direct_call():
     workload = resnet50_layers(include_fc=False)[0]
-    exhaustive = Mapper(feather_arch(), max_mappings=12, seed=0)
-    budgeted = Mapper(feather_arch(), max_mappings=12, seed=0,
-                      policy="halving")
+    exhaustive = Mapper(feather_arch(), SearchConfig(max_mappings=12, seed=0))
+    budgeted = Mapper(feather_arch(), SearchConfig(max_mappings=12, seed=0,
+                                                   policy="halving"))
     _same_result(budgeted.search(workload), exhaustive.search(workload))
     assert budgeted.search(workload) is budgeted.search(workload)  # memoized
 
@@ -106,7 +103,7 @@ def test_mapper_policy_dispatch_matches_direct_call():
        policy=st.sampled_from(("halving", "evolutionary")))
 def test_evaluated_never_exceeds_budget(budget_mappings, policy):
     workload = resnet50_layers(include_fc=False)[0]
-    mapper = Mapper(feather_arch(), max_mappings=24, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=24, seed=0))
     layouts = mapper.candidate_layouts(workload)
     budget = budget_mappings * len(layouts)
     search = halving_search if policy == "halving" else evolutionary_search
@@ -121,7 +118,8 @@ def test_evolutionary_is_seed_deterministic(seed, budget_mappings):
     workload = resnet50_layers(include_fc=False)[0]
 
     def run():
-        mapper = Mapper(feather_arch(), max_mappings=24, seed=seed)
+        mapper = Mapper(feather_arch(),
+                        SearchConfig(max_mappings=24, seed=seed))
         budget = budget_mappings * len(mapper.candidate_layouts(workload))
         return evolutionary_search(mapper, workload, budget=budget)
 
@@ -133,8 +131,8 @@ def test_evolutionary_is_seed_deterministic(seed, budget_mappings):
 
 def test_warm_started_evolutionary_reaches_exhaustive_winner():
     arch = feather_arch()
-    exhaustive = Mapper(arch, max_mappings=24, seed=0)
-    warm = Mapper(arch, max_mappings=24, seed=0)
+    exhaustive = Mapper(arch, SearchConfig(max_mappings=24, seed=0))
+    warm = Mapper(arch, SearchConfig(max_mappings=24, seed=0))
     for workload in _unique(resnet50_layers(include_fc=False)):
         reference = exhaustive.search(workload)
         warm._cache.update(exhaustive._cache)
@@ -148,12 +146,12 @@ def test_uncapped_evolutionary_covers_the_universe():
     # budget >= universe size: every candidate is scored, so the winner is
     # exactly the exhaustive one even with an empty warm-start memo.
     workload = resnet50_layers(include_fc=False)[0]
-    mapper = Mapper(feather_arch(), max_mappings=12, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=12, seed=0))
     universe = (len(mapper.candidate_mappings(workload))
                 * len(mapper.candidate_layouts(workload)))
     result = evolutionary_search(mapper, workload, budget=universe)
-    reference = Mapper(feather_arch(), max_mappings=12, seed=0).search(
-        workload)
+    reference = Mapper(feather_arch(),
+                       SearchConfig(max_mappings=12, seed=0)).search(workload)
     _same_result(result, reference)
 
 
@@ -162,13 +160,13 @@ def test_budget_none_is_uncapped_for_both_policies():
     # latter used to silently default to a quarter-universe refinement
     # cap) — both must return exactly the exhaustive winner.
     workload = resnet50_layers(include_fc=False)[0]
-    reference = Mapper(feather_arch(), max_mappings=12, seed=0).search(
-        workload)
+    reference = Mapper(feather_arch(),
+                       SearchConfig(max_mappings=12, seed=0)).search(workload)
     for search in (halving_search, evolutionary_search):
-        mapper = Mapper(feather_arch(), max_mappings=12, seed=0)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=12, seed=0))
         _same_result(search(mapper, workload, budget=None), reference)
     # Uncapped evolutionary scores the whole universe (no hidden cap left).
-    mapper = Mapper(feather_arch(), max_mappings=12, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=12, seed=0))
     universe = (len(mapper.candidate_mappings(workload))
                 * len(mapper.candidate_layouts(workload)))
     assert evolutionary_search(mapper, workload).evaluated == universe
@@ -180,7 +178,7 @@ def test_default_budget_is_the_legacy_quarter_universe():
     assert default_budget(0, 0) == 1  # degenerate inputs stay a valid budget
     # Passed explicitly, it caps the search like any other budget.
     workload = resnet50_layers(include_fc=False)[0]
-    mapper = Mapper(feather_arch(), max_mappings=24, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=24, seed=0))
     budget = default_budget(len(mapper.candidate_mappings(workload)),
                             len(mapper.candidate_layouts(workload)))
     result = evolutionary_search(mapper, workload, budget=budget)
@@ -203,10 +201,10 @@ def test_cached_bound_statics_matches_oracle():
 
 def test_halving_reports_admissible_prunes():
     workload = resnet50_layers(include_fc=False)[0]
-    mapper = Mapper(feather_arch(), max_mappings=24, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=24, seed=0))
     result = halving_search(mapper, workload)
-    reference = Mapper(feather_arch(), max_mappings=24, seed=0).search(
-        workload)
+    reference = Mapper(feather_arch(),
+                       SearchConfig(max_mappings=24, seed=0)).search(workload)
     # Conservation: every (mapping, layout) pair is either scored or pruned.
     universe = (len(mapper.candidate_mappings(workload))
                 * len(mapper.candidate_layouts(workload)))

@@ -39,6 +39,7 @@ from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.search.bounds import cached_bound_statics, metric_lower_bound
 from repro.search.bulk import candidate_universe, full_universe
+from repro.search.config import SearchConfig
 from repro.search.frontier import buffer_footprint_bytes
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
@@ -78,8 +79,8 @@ def test_bulk_bounds_match_scalar_on_random_convs(m, c, h, w, r, s, stride,
     assume(h + 2 * padding >= r and w + 2 * padding >= s)
     layer = ConvLayerSpec("prop", m=m, c=c, h=h, w=w, r=r, s=s,
                           stride=stride, padding=padding)
-    mapper = Mapper(feather_arch(pe, pe), metric=metric, max_mappings=40,
-                    seed=3)
+    mapper = Mapper(feather_arch(pe, pe),
+                    SearchConfig(metric=metric, max_mappings=40, seed=3))
     universe = candidate_universe(mapper, layer)
     statics = cached_bound_statics(mapper.cost_model, layer)
     bounds = universe.bounds(metric, statics).tolist()
@@ -99,8 +100,8 @@ def test_bulk_bounds_match_scalar_on_random_convs(m, c, h, w, r, s, stride,
        pe=st.sampled_from([8, 16]), metric=_metrics)
 def test_bulk_bounds_match_scalar_on_random_gemms(m, k, n, pe, metric):
     gemm = GemmSpec("prop", m=m, k=k, n=n)
-    mapper = Mapper(feather_arch(pe, pe), metric=metric, max_mappings=40,
-                    seed=5)
+    mapper = Mapper(feather_arch(pe, pe),
+                    SearchConfig(metric=metric, max_mappings=40, seed=5))
     universe = candidate_universe(mapper, gemm)
     statics = cached_bound_statics(mapper.cost_model, gemm)
     bounds = universe.bounds(metric, statics).tolist()
@@ -125,7 +126,7 @@ def test_universe_enumerates_candidate_mappings_in_order():
     materializes — same sample draw, same canonical tail, same order."""
     layer = ConvLayerSpec("layer", m=32, c=64, h=16, w=16, r=3, s=3,
                           stride=1, padding=1)
-    mapper = Mapper(feather_arch(), max_mappings=24, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=24, seed=0))
     universe = candidate_universe(mapper, layer)
     mappings, _ = reference_candidates(mapper, layer)
     assert len(universe) == len(mappings)
@@ -134,7 +135,7 @@ def test_universe_enumerates_candidate_mappings_in_order():
 
 def test_full_universe_covers_the_whole_space_plus_tail():
     layer = ConvLayerSpec("layer", m=16, c=16, h=8, w=8, r=3, s=3, padding=1)
-    mapper = Mapper(feather_arch(), max_mappings=4, seed=0)
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=4, seed=0))
     space = mapper._mapping_space(layer)
     universe = full_universe(mapper, layer)
     assert len(universe) == space.size() + len(mapper._canonical_tail(layer))
@@ -144,10 +145,12 @@ def test_full_universe_covers_the_whole_space_plus_tail():
 @pytest.mark.parametrize("cell", ANALYTICAL_GOLDEN, ids=lambda c: c.name)
 def test_adaptive_never_loses_the_uncapped_exhaustive_winner(cell):
     arch = resolve_arch(cell.arch)
-    auto = Mapper(arch, metric=cell.config.metric, max_mappings="auto",
-                  seed=cell.config.seed)
-    exhaustive = Mapper(arch, metric=cell.config.metric,
-                        max_mappings=UNCAPPED, seed=cell.config.seed)
+    auto = Mapper(arch, SearchConfig(metric=cell.config.metric,
+                                     max_mappings="auto",
+                                     seed=cell.config.seed))
+    exhaustive = Mapper(arch, SearchConfig(metric=cell.config.metric,
+                                           max_mappings=UNCAPPED,
+                                           seed=cell.config.seed))
     for workload in _unique(resolve_workload_set(cell.workload_set)):
         adaptive = auto.search(workload)
         reference = exhaustive.search(workload)
@@ -168,9 +171,10 @@ def test_adaptive_matches_uncapped_exhaustive_on_random_convs(m, c, h, w, r,
                                                               metric):
     assume(h >= r and w >= r)
     layer = ConvLayerSpec("prop", m=m, c=c, h=h, w=w, r=r, s=r)
-    auto = Mapper(feather_arch(8, 8), metric=metric, max_mappings="auto")
-    exhaustive = Mapper(feather_arch(8, 8), metric=metric,
-                        max_mappings=UNCAPPED)
+    auto = Mapper(feather_arch(8, 8),
+                  SearchConfig(metric=metric, max_mappings="auto"))
+    exhaustive = Mapper(feather_arch(8, 8),
+                        SearchConfig(metric=metric, max_mappings=UNCAPPED))
     adaptive = auto.search(layer)
     reference = exhaustive.search(layer)
     assert adaptive.best_mapping == reference.best_mapping
@@ -185,17 +189,16 @@ class TestAutoValidation:
 
         arch = feather_arch(4, 4)
         with pytest.raises(ValueError, match="analytical"):
-            Mapper(arch, max_mappings="auto",
+            Mapper(arch, SearchConfig(max_mappings="auto"),
                    backend=SimulatorBackend(arch, seed=0))
 
     def test_auto_requires_the_exhaustive_policy(self):
         with pytest.raises(ValueError, match="auto"):
-            Mapper(feather_arch(), max_mappings="auto", policy="halving",
-                   budget=24)
+            SearchConfig(max_mappings="auto", policy="halving", budget=24)
 
     def test_non_auto_strings_are_rejected(self):
         with pytest.raises(ValueError, match="auto"):
-            Mapper(feather_arch(), max_mappings="all")
+            Mapper(feather_arch(), SearchConfig(max_mappings="all"))
         with pytest.raises(InvalidRequestError, match="auto"):
             SearchRequest(workloads="fig10_gemms", arch="FEATHER-4x4",
                           max_mappings="all")
@@ -203,7 +206,7 @@ class TestAutoValidation:
     def test_frontier_search_rejects_auto(self):
         layer = ConvLayerSpec("layer", m=16, c=16, h=8, w=8, r=3, s=3,
                               padding=1)
-        mapper = Mapper(feather_arch(), max_mappings="auto")
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings="auto"))
         with pytest.raises(ValueError, match="frontier"):
             mapper.search_frontier(layer)
         with pytest.raises(InvalidRequestError, match="frontier"):

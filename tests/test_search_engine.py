@@ -12,6 +12,7 @@ Covers the acceptance properties of the engine:
 * the zero-MAC / empty-model edge cases fail loudly or degrade sanely.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -34,6 +35,7 @@ from repro.search import (
     resolve_workers,
     workload_signature,
 )
+from repro.search.config import SearchConfig
 from repro.search.parallel import WORKERS_ENV_VAR, chunked, default_chunk_size
 from repro.workloads.bert import bert_unique_gemms
 from repro.workloads.conv import ConvLayerSpec
@@ -79,7 +81,7 @@ class TestSignatures:
 
 class TestEvaluationCache:
     def test_hit_miss_accounting(self):
-        mapper = Mapper(feather_arch(), max_mappings=20)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=20))
         first = mapper.search(LAYER)
         assert first.cache_hits == 0
         assert mapper.evaluation_cache.stats.misses == first.evaluated
@@ -103,7 +105,8 @@ class TestEvaluationCache:
 
     def test_clear(self):
         cache = EvaluationCache()
-        mapper = Mapper(feather_arch(), max_mappings=10, evaluation_cache=cache)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=10),
+                        evaluation_cache=cache)
         mapper.search(SMALL)
         assert len(cache) > 0
         cache.clear()
@@ -112,7 +115,7 @@ class TestEvaluationCache:
     def test_cache_hit_reports_carry_current_labels(self):
         # Keys exclude names, so a hit may come from another layer's search;
         # the returned report must still be labelled for the current call.
-        mapper = Mapper(feather_arch(), max_mappings=15)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=15))
         mapper.search(LAYER)
         second = mapper.search(RENAMED)
         assert second.cache_hits > 0
@@ -135,7 +138,7 @@ class TestBounds:
     def test_bound_is_admissible(self, metric, arch_fn):
         """The lower bound never exceeds the true metric value."""
         arch = arch_fn()
-        mapper = Mapper(arch, metric=metric, max_mappings=12)
+        mapper = Mapper(arch, SearchConfig(metric=metric, max_mappings=12))
         statics = bound_statics(mapper.cost_model, LAYER)
         for mapping in mapper.candidate_mappings(LAYER):
             bound = metric_lower_bound(metric, mapping.compute_cycles(LAYER),
@@ -154,17 +157,18 @@ class TestPruning:
     @pytest.mark.parametrize("metric", ["edp", "latency", "energy"])
     def test_pruned_matches_exhaustive(self, metric):
         for workload in (LAYER, SMALL, GEMM):
-            pruned = Mapper(feather_arch(), metric=metric,
-                            max_mappings=25).search(workload)
-            full = Mapper(feather_arch(), metric=metric, max_mappings=25,
-                          prune=False).search(workload)
+            config = SearchConfig(metric=metric, max_mappings=25)
+            pruned = Mapper(feather_arch(), config).search(workload)
+            full = Mapper(feather_arch(), dataclasses.replace(
+                config, prune=False)).search(workload)
             assert pruned.best_value == full.best_value
             assert pruned.best_mapping == full.best_mapping
             assert pruned.best_layout.name == full.best_layout.name
             assert pruned.evaluated + pruned.pruned == full.evaluated
 
     def test_pruning_actually_prunes(self):
-        result = Mapper(feather_arch(), max_mappings=40).search(LAYER)
+        result = Mapper(feather_arch(),
+                        SearchConfig(max_mappings=40)).search(LAYER)
         assert result.pruned > 0
 
     @settings(max_examples=12, deadline=None)
@@ -178,9 +182,10 @@ class TestPruning:
         assume(h + 2 * padding >= r and w + 2 * padding >= s)
         layer = ConvLayerSpec("prop", m=m, c=c, h=h, w=w, r=r, s=s,
                               stride=stride, padding=padding)
-        pruned = Mapper(feather_arch(8, 8), max_mappings=10).search(layer)
-        full = Mapper(feather_arch(8, 8), max_mappings=10,
-                      prune=False).search(layer)
+        pruned = Mapper(feather_arch(8, 8),
+                        SearchConfig(max_mappings=10)).search(layer)
+        full = Mapper(feather_arch(8, 8),
+                      SearchConfig(max_mappings=10, prune=False)).search(layer)
         assert pruned.best_value == full.best_value
         assert pruned.best_mapping == full.best_mapping
         assert pruned.best_layout.name == full.best_layout.name
@@ -240,7 +245,7 @@ class TestSearchModelAPI:
         # The engine equals the plain per-shape Mapper loop weighted by
         # occurrence count, float for float.
         layers = [LAYER, SMALL, LAYER]
-        mapper = Mapper(feather_arch(), max_mappings=10)
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=10))
         plain = ModelCost(arch="FEATHER", model="model", layer_choices=[
             LayerChoice(result=mapper.search(wl), count=count)
             for wl, count in unique_workloads(layers)])

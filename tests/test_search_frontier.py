@@ -8,8 +8,9 @@ The contracts under test:
   non-dominated front whatever the insertion order.
 * **The scalar winner is always a frontier member** — on every analytical
   golden cell, ``search_frontier`` returns a :class:`SearchResult`
-  bit-identical to :meth:`Mapper.search` (report, mapping and layout) and
-  the frontier's ``winner()`` is that same candidate.
+  bit-identical to :meth:`Mapper.search` (report, mapping and layout),
+  the frontier's ``winner()`` is that same candidate, and the scan's
+  ``evaluated + pruned`` covers the exhaustive universe exactly.
 * **Frontier payloads round-trip bit-identically** — ``to_dict -> json ->
   from_dict -> to_dict`` is the identity for :class:`ShapeFrontier` and
   :class:`FusedPairResult`, and a ``frontier=True``/``fused=True`` cell's
@@ -40,7 +41,7 @@ from repro.layoutloop.mapper import Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
-from repro.scenarios.spec import SearchConfig
+from repro.search.config import SearchConfig
 from repro.search.frontier import (
     OBJECTIVES,
     ShapeFrontier,
@@ -110,14 +111,16 @@ def test_pareto_fold_front_is_mutually_non_dominated(vectors):
                          ids=lambda c: c.name)
 def test_frontier_winner_is_bit_identical_to_scalar_search(cell):
     arch = resolve_arch(cell.arch)
-    config = cell.config
     for workload in _unique(resolve_workload_set(cell.workload_set)):
-        scalar = Mapper(arch, metric=config.metric,
-                        max_mappings=config.max_mappings,
-                        seed=config.seed).search(workload)
-        result, frontier = Mapper(
-            arch, metric=config.metric, max_mappings=config.max_mappings,
-            seed=config.seed).search_frontier(workload)
+        scalar = Mapper(arch, cell.config).search(workload)
+        mapper = Mapper(arch, cell.config)
+        result, frontier = mapper.search_frontier(workload)
+        # The dominance prune only removes work: the scan covers the whole
+        # exhaustive universe and scores no more than it.
+        universe = (len(mapper.candidate_mappings(workload))
+                    * len(mapper.candidate_layouts(workload)))
+        assert result.evaluated + result.pruned == universe
+        assert result.evaluated <= universe
         assert result.best_report == scalar.best_report
         assert result.best_mapping.name == scalar.best_mapping.name
         assert result.best_layout.name == scalar.best_layout.name
@@ -132,7 +135,8 @@ def test_frontier_winner_is_bit_identical_to_scalar_search(cell):
 def test_frontier_points_are_mutually_non_dominated_and_canonical():
     arch = resolve_arch("FEATHER")
     workload = resnet50_residual_block()[0]
-    _, frontier = Mapper(arch, max_mappings=12).search_frontier(workload)
+    _, frontier = Mapper(arch, SearchConfig(max_mappings=12)).search_frontier(
+        workload)
     assert len(frontier.points) >= 1
     vectors = [p.objectives for p in frontier.points]
     for i, a in enumerate(vectors):
@@ -143,7 +147,7 @@ def test_frontier_points_are_mutually_non_dominated_and_canonical():
             for p in frontier.points]
     assert keys == sorted(keys)  # canonical order, deterministic JSON
     # The footprint objective is the documented tile measure.
-    mapper = Mapper(arch, max_mappings=12)
+    mapper = Mapper(arch, SearchConfig(max_mappings=12))
     by_index = {m_idx: mapping
                 for m_idx, mapping in enumerate(
                     mapper.candidate_mappings(workload))}
@@ -156,14 +160,15 @@ def test_frontier_requires_exhaustive_analytical():
     arch = resolve_arch("FEATHER")
     workload = resnet50_residual_block()[0]
     with pytest.raises(ValueError, match="exhaustive"):
-        Mapper(arch, policy="halving").search_frontier(workload)
+        Mapper(arch, SearchConfig(policy="halving")).search_frontier(workload)
 
 
 # ------------------------------------------------------------- round tripping
 def test_shape_frontier_round_trips_bit_identically():
     arch = resolve_arch("FEATHER")
     workload = resnet50_residual_block()[1]
-    _, frontier = Mapper(arch, max_mappings=12).search_frontier(workload)
+    _, frontier = Mapper(arch, SearchConfig(max_mappings=12)).search_frontier(
+        workload)
     payload = frontier.to_dict()
     rebuilt = ShapeFrontier.from_dict(json.loads(json.dumps(payload)))
     assert rebuilt == frontier
@@ -174,7 +179,7 @@ def test_shape_frontier_round_trips_bit_identically():
 def test_fused_pair_result_round_trips_bit_identically():
     arch = resolve_arch("FEATHER")
     producer, consumer = resnet50_residual_block()[:2]
-    fused = fused_pair_search(Mapper(arch, max_mappings=12),
+    fused = fused_pair_search(Mapper(arch, SearchConfig(max_mappings=12)),
                               producer, consumer)
     payload = fused.to_dict()
     rebuilt = FusedPairResult.from_dict(json.loads(json.dumps(payload)))
@@ -214,7 +219,7 @@ def test_residual_block_pairs_are_fusible_and_legal():
     layers = resnet50_residual_block()
     assert [l.name for l in layers] == [
         "resnet50_layer6", "resnet50_layer7", "resnet50_layer8"]
-    mapper = Mapper(arch, max_mappings=12)
+    mapper = Mapper(arch, SearchConfig(max_mappings=12))
     for producer, consumer in zip(layers, layers[1:]):
         assert fusible(producer, consumer)
         fused = fused_pair_search(mapper, producer, consumer)
@@ -235,7 +240,7 @@ def test_fused_rejects_non_fusible_pairs():
     assert not fusible(layers[1], layers[0])
     with pytest.raises(InvalidRequestError, match="fusible"):
         # layer7 -> layer6: the 3x3 emits 64 channels, layer6 eats 256.
-        fused_pair_search(Mapper(arch, max_mappings=12),
+        fused_pair_search(Mapper(arch, SearchConfig(max_mappings=12)),
                           layers[1], layers[0])
 
 
@@ -255,4 +260,4 @@ def test_search_config_validates_frontier_policy():
     config = SearchConfig(name="ok", frontier=True, fused=True)
     rebuilt = SearchConfig.from_dict(config.as_dict())
     assert rebuilt == config
-    assert config.identity() != SearchConfig(name="ok").identity()
+    assert config.key() != SearchConfig(name="ok").key()

@@ -22,6 +22,13 @@ import urllib.request
 import pytest
 
 from repro.api import EvalRequest, SearchRequest, Session, SweepRequest
+from repro.api.codec import (
+    arch_payload,
+    mapping_payload,
+    resolve_arch,
+    resolve_mapping,
+    resolve_workload,
+)
 from repro.serve import create_server
 
 SEARCH = {"workloads": "fig10_gemms", "arch": "FEATHER-4x4",
@@ -140,6 +147,20 @@ def test_error_codes_are_stable(service):
 
 _EVAL = {"workload": "fig10_gemms#0", "arch": "FEATHER-4x4",
          "layout": "MK_K32"}
+_ARCH = arch_payload(resolve_arch(_EVAL["arch"]))
+_MAPPING = mapping_payload(resolve_mapping(
+    "output_stationary", resolve_workload(_EVAL["workload"]),
+    resolve_arch(_EVAL["arch"])))
+_CELL = {"name": "inline", "workload_set": "fig10_gemms[:1]",
+         "arch": "FEATHER-4x4",
+         "config": {"name": "c", "metric": "latency", "max_mappings": 2,
+                    "seed": 0, "prune": True}}
+
+
+def _cell(**config) -> dict:
+    """The inline sweep cell with its config fields overridden."""
+    return {**_CELL, "config": {**_CELL["config"], **config}}
+
 
 
 @pytest.mark.parametrize("path,body", [
@@ -163,10 +184,39 @@ _EVAL = {"workload": "fig10_gemms#0", "arch": "FEATHER-4x4",
                  id="eval-conv-layout-on-gemm"),
     pytest.param("/v1/sweep", {"filter": "smoke", "workers": "2"},
                  id="sweep-workers-str"),
+    pytest.param("/v1/search", {**SEARCH, "fused": "false"},
+                 id="search-fused-str"),
+    pytest.param("/v1/search", {**SEARCH, "prune": "false"},
+                 id="search-prune-str"),
+    pytest.param("/v1/search", {**SEARCH, "fresh_cache": "false"},
+                 id="search-fresh-cache-str"),
+    pytest.param("/v1/sweep", {"filter": "golden-fig10",
+                               "skip_incompatible": "false"},
+                 id="sweep-skip-incompatible-str"),
+    pytest.param("/v1/sweep", {"filter": "golden-fig10", "force": "false"},
+                 id="sweep-force-str"),
+    pytest.param("/v1/sweep", {"scenarios": [_cell(max_mappings=2.7)]},
+                 id="sweep-cell-max-mappings-fraction"),
+    pytest.param("/v1/sweep", {"scenarios": [_cell(seed="5")]},
+                 id="sweep-cell-seed-str"),
+    pytest.param("/v1/sweep", {"scenarios": [_cell(frontier="false")]},
+                 id="sweep-cell-frontier-str"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {
+        **_ARCH, "runtime_layout_flexible": "false"}},
+                 id="eval-arch-bool-str"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {**_ARCH, "pe_rows": 4.9}},
+                 id="eval-arch-pe-rows-fraction"),
+    pytest.param("/v1/eval", {**_EVAL, "workload": {
+        "type": "gemm", "name": "g", "m": "8", "k": 2.5, "n": True}},
+                 id="eval-gemm-dims-coerced"),
+    pytest.param("/v1/eval", {**_EVAL, "mapping": {
+        **_MAPPING, "array_rows": 4.5}},
+                 id="eval-mapping-rows-fraction"),
 ])
 def test_bad_field_values_are_invalid_request(service, path, body):
-    """Wrong-typed integers and layouts over foreign dimensions are a
-    structured 400, never a 500 or a silently coerced run."""
+    """Wrong-typed integers, booleans and inline payload fields, and
+    layouts over foreign dimensions, are a structured 400, never a 500 or
+    a silently coerced run."""
     base, _ = service
     status, payload = _post(base, path, body)
     assert status == 400, (body, payload)

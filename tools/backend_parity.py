@@ -49,10 +49,11 @@ def cross_architecture_parity(arch) -> bool:
     docstring.
     """
     from repro.backends import create_backend
-    from repro.layoutloop.mapper import Mapper
+    from repro.layoutloop import Mapper, SearchConfig
     from repro.workloads.micro import micro_conv_layers
 
     analytical = create_backend("analytical", arch)
+    config = SearchConfig(metric="edp", max_mappings=8)
     ok = True
 
     print("\nbackend parity — systolic + reduction NoCs on FEATHER-4x4 "
@@ -61,8 +62,7 @@ def cross_architecture_parity(arch) -> bool:
           f"{'exposed':>8s}  gate")
     for workload in micro_conv_layers():
         sys_backend = create_backend("systolic", arch)
-        sys_res = Mapper(arch, metric="edp", max_mappings=8,
-                         backend=sys_backend).search(workload)
+        sys_res = Mapper(arch, config, backend=sys_backend).search(workload)
         base = analytical.evaluate(workload, sys_res.best_mapping,
                                    sys_res.best_layout)
         rep = sys_res.best_report
@@ -78,7 +78,7 @@ def cross_architecture_parity(arch) -> bool:
 
         # One tree-legal winner (the strictest reduction universe) priced
         # on every topology: legal for tree implies legal for all three.
-        tree_res = Mapper(arch, metric="edp", max_mappings=8,
+        tree_res = Mapper(arch, config,
                           backend=create_backend("noc:tree", arch)
                           ).search(workload)
         mapping, layout = tree_res.best_mapping, tree_res.best_layout
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.backends import cross_validate_model
-    from repro.layoutloop.arch import feather_arch
+    from repro.layoutloop import SearchConfig, feather_arch
     from repro.workloads.micro import micro_conv_layers, micro_gemm_layers
 
     arch = feather_arch(4, 4)
@@ -139,9 +139,9 @@ def main(argv=None) -> int:
 
     print("backend parity — micro convs on FEATHER-4x4 "
           f"(gate: |delta| <= {args.max_cycle_delta:.0%}, no stalls)")
-    _, conv_val = cross_validate_model(arch, micro_conv_layers(),
-                                       model_name="parity-convs",
-                                       metric="edp", max_mappings=4)
+    _, conv_val = cross_validate_model(
+        arch, micro_conv_layers(), SearchConfig(metric="edp", max_mappings=4),
+        model_name="parity-convs")
     show(conv_val, gated_workloads=("micro_conv3x3",))
     if not conv_val.rir_claim_holds:
         print("FAIL: a co-searched conv cell stalled in simulation "
@@ -149,9 +149,10 @@ def main(argv=None) -> int:
         failed = True
 
     print("\nbackend parity — micro gemms (context, warmup-dominated)")
-    _, gemm_val = cross_validate_model(arch, micro_gemm_layers(),
-                                       model_name="parity-gemms",
-                                       metric="latency", max_mappings=6)
+    _, gemm_val = cross_validate_model(
+        arch, micro_gemm_layers(),
+        SearchConfig(metric="latency", max_mappings=6),
+        model_name="parity-gemms")
     show(gemm_val)
     if not gemm_val.rir_claim_holds:
         print("FAIL: a co-searched GEMM cell stalled in simulation "

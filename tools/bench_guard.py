@@ -11,11 +11,7 @@ measurably faster, and also when the reports differ — a fast wrong path
 still fails the guard.  The threshold is deliberately below the locally
 measured speedup (~12x) so only a real regression trips on a noisy CI box.
 
-The remaining gates are off by default.  **frontier** (``--gates frontier``)
-is an identity gate on the Pareto-frontier search: on every unique shape
-of the ResNet-50 residual block the frontier scan must return the scalar
-winner bit-identically (and contain it as a frontier member) while scoring
-no more candidates than the exhaustive universe.
+The remaining gates are off by default.
 **budget** (``--gates budget``) counts
 full cost-model evaluations instead of wall-clock: the budgeted search
 policies must reproduce the exhaustive winner on every unique ResNet-50
@@ -115,8 +111,7 @@ def budget_reduction() -> float:
       seeded from the memoized per-shape winners; must also reproduce every
       exhaustive winner, and its reduction is the gated ratio.
     """
-    from repro.layoutloop.arch import feather_arch
-    from repro.layoutloop.mapper import Mapper
+    from repro.layoutloop import Mapper, SearchConfig, feather_arch
     from repro.search.budget import evolutionary_search, halving_search
     from repro.search.signatures import workload_signature
     from repro.workloads.resnet50 import resnet50_layers
@@ -127,7 +122,8 @@ def budget_reduction() -> float:
     shapes = list(unique.values())
 
     arch = feather_arch()
-    exhaustive = Mapper(arch, max_mappings=24, seed=0)
+    config = SearchConfig(max_mappings=24, seed=0)
+    exhaustive = Mapper(arch, config)
     winners = {}
     baseline = 0
     for workload in shapes:
@@ -144,7 +140,7 @@ def budget_reduction() -> float:
                 and result.best_mapping.name == won.best_mapping.name
                 and result.best_layout.name == won.best_layout.name)
 
-    cold = Mapper(arch, max_mappings=24, seed=0)
+    cold = Mapper(arch, config)
     halving_evals = 0
     for workload in shapes:
         result = halving_search(cold, workload)
@@ -154,7 +150,7 @@ def budget_reduction() -> float:
                   f"{result.workload}")
             sys.exit(1)
 
-    warm = Mapper(arch, max_mappings=24, seed=0)
+    warm = Mapper(arch, config)
     warm._cache.update(exhaustive._cache)  # the repeat-session memo
     evo_evals = 0
     for workload in shapes:
@@ -170,57 +166,6 @@ def budget_reduction() -> float:
           f"({baseline / halving_evals:.2f}x)  warm evolutionary {evo_evals} "
           f"({reduction:.2f}x)  identical winners on {len(shapes)} shapes")
     return reduction
-
-
-def frontier_identity() -> int:
-    """Frontier-search correctness gate (``--gates frontier``).
-
-    On every unique shape of the ResNet-50 residual block (FEATHER,
-    ``max_mappings=12``), the Pareto frontier search must (a) return a
-    scalar winner bit-identical to :meth:`Mapper.search` — report, mapping
-    and layout — with the winner a member of the returned frontier, and
-    (b) score no more candidates than the unpruned exhaustive universe
-    (``mappings x layouts``): the dominance prune may only remove work.
-    Identity gates, not timing gates — a frontier that disagrees with the
-    scalar search breaks the ``frontier=`` API contract outright.
-    """
-    from repro.layoutloop.mapper import Mapper
-    from repro.scenarios.registry import resolve_arch, resolve_workload_set
-
-    arch = resolve_arch("FEATHER")
-    shapes = resolve_workload_set("resnet50_residual_block")
-    total_points = 0
-    for workload in shapes:
-        scalar = Mapper(arch, metric="edp", max_mappings=12).search(workload)
-        mapper = Mapper(arch, metric="edp", max_mappings=12)
-        result, frontier = mapper.search_frontier(workload)
-        universe = (len(mapper.candidate_mappings(workload))
-                    * len(mapper.candidate_layouts(workload)))
-        if (result.best_report != scalar.best_report
-                or result.best_mapping.name != scalar.best_mapping.name
-                or result.best_layout.name != scalar.best_layout.name):
-            print(f"FAIL: frontier scalar winner differs from Mapper.search "
-                  f"on {result.workload}")
-            sys.exit(1)
-        winner = frontier.winner()
-        if (winner.mapping, winner.layout) != (scalar.best_mapping.name,
-                                               scalar.best_layout.name):
-            print(f"FAIL: scalar winner is not the frontier's winner member "
-                  f"on {result.workload}")
-            sys.exit(1)
-        if result.evaluated + result.pruned != universe:
-            print(f"FAIL: frontier scan covered "
-                  f"{result.evaluated + result.pruned} of {universe} "
-                  f"candidates on {result.workload}")
-            sys.exit(1)
-        if result.evaluated > universe:
-            print(f"FAIL: frontier search scored {result.evaluated} > "
-                  f"exhaustive {universe} on {result.workload}")
-            sys.exit(1)
-        total_points += len(frontier.points)
-    print(f"frontier : identical winners on {len(shapes)} shapes, "
-          f"{total_points} frontier points, coverage == universe")
-    return total_points
 
 
 def constraints_identity() -> int:
@@ -243,6 +188,8 @@ def constraints_identity() -> int:
       search counters must close over the raw universe exactly:
       ``evaluated + pruned + repaired == universe_pairs``.
     """
+    import dataclasses
+
     from repro.backends import create_backend
     from repro.layoutloop.mapper import Mapper
     from repro.scenarios.builtin import golden_matrix
@@ -254,10 +201,9 @@ def constraints_identity() -> int:
         backend = ("analytical" if cell.backend in ("analytical", "crossval")
                    else create_backend(cell.backend, arch,
                                        seed=cell.config.seed))
-        return Mapper(arch, metric=cell.config.metric,
-                      max_mappings=cell.config.max_mappings,
-                      seed=cell.config.seed, prune=cell.config.prune,
-                      backend=backend, constraints=constraints)
+        return Mapper(arch, dataclasses.replace(cell.config,
+                                                constraints=constraints),
+                      backend=backend)
 
     def unique(workloads):
         seen = {}
@@ -365,8 +311,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gates", default="kernel",
                         help="comma-separated gates to run "
-                             "(kernel, budget, frontier, constraints, "
-                             "service)")
+                             "(kernel, budget, constraints, service)")
     parser.add_argument("--min-kernel-speedup", type=float, default=3.0,
                         help="minimum scalar/batched evaluation ratio")
     parser.add_argument("--min-budget-reduction", type=float, default=3.0,
@@ -383,8 +328,7 @@ def main(argv=None) -> int:
                         help="timing rounds per path (best-of)")
     args = parser.parse_args(argv)
     gates = {g.strip() for g in args.gates.split(",") if g.strip()}
-    unknown = gates - {"kernel", "budget", "frontier", "constraints",
-                       "service"}
+    unknown = gates - {"kernel", "budget", "constraints", "service"}
     if unknown:
         parser.error(f"unknown gates: {sorted(unknown)}")
 
@@ -401,8 +345,6 @@ def main(argv=None) -> int:
             print(f"FAIL: budgeted-search reduction {budget:.2f}x below the "
                   f"{args.min_budget_reduction:.2f}x floor")
             failed = True
-    if "frontier" in gates:
-        frontier_identity()  # exits on any identity violation
     if "constraints" in gates:
         constraints_identity()  # exits on any identity violation
     if "service" in gates:
