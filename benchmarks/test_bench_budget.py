@@ -7,8 +7,7 @@ lower bound and stops once the bound proves the incumbent optimal;
 session case) refines from the previous optimum under a hard budget.  This
 benchmark runs all three policies over the deduplicated ResNet-50 co-search
 on FEATHER, prints evaluation counts and wall time, and asserts winner
-identity and the evaluation reductions (the gate CI's
-``bench_guard --gates budget`` mirrors).  It records nothing: the
+identity and the evaluation reductions.  It records nothing: the
 measurement of record is ``bench/run.py``.
 """
 

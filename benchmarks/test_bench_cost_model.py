@@ -3,23 +3,24 @@
 Times the innermost co-search kernel — scoring one mapping under every
 candidate layout — both ways over the deduplicated ResNet-50 conv shapes:
 
-* **scalar** — one ``CostModel.evaluate`` call per (mapping, layout), the
-  PR-1 path (dict-per-coordinate addressing, per-cycle Python concordance);
+* **scalar** — the tests oracle's ``reference_evaluate`` per (mapping,
+  layout) (dict-per-coordinate addressing, per-cycle Python concordance;
+  ``tests/reference.py``);
 * **batched** — one ``CostModel.evaluate_mapping_batch`` call per mapping
   (compiled layouts + ``(cycles, lanes, ndims)`` footprints +
-  ``analyze_concordance_batch``).
+  ``analyze_concordance_batch``), the only production pricing path.
 
 Two architectures are measured: SIGMA with off-chip reordering (the
 concordance analysis dominates) and FEATHER/RIR (concordance is skipped, so
 the win is amortizing the mapping-level quantities).  Both must produce
 identical reports; the batched path must be measurably faster on each.
-``tools/bench_guard.py`` runs the same comparison as a CI gate.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from reference import reference_evaluate
 from repro.baselines.registry import sigma_like
 from repro.dataflow.space import MappingSpace
 from repro.layout.library import conv_layout_library
@@ -44,7 +45,8 @@ def _workbench():
 
 
 def _run_scalar(model: CostModel, cases, layouts):
-    return [[model.evaluate(wl, mapping, layout) for layout in layouts]
+    return [[reference_evaluate(model, wl, mapping, layout)
+             for layout in layouts]
             for wl, mapping in cases]
 
 

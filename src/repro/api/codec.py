@@ -21,7 +21,7 @@ import numbers
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.dataflow.mapping import Mapping, ParallelSpec, TileLevel
-from repro.errors import InvalidRequestError
+from repro.errors import InvalidRequestError, ReproError
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.patterns import ReorderImplementation, ReorderPattern
 from repro.layoutloop.arch import ArchSpec, BufferGeometry
@@ -49,6 +49,14 @@ def _int(payload: Payload, key: str, default: Optional[int] = None) -> int:
 def _bool(payload: Payload, key: str, default: bool) -> bool:
     """A boolean field (JSON booleans only)."""
     return strict_bool(key, payload.get(key, default))
+
+
+def _str(payload: Payload, key: str, default: Optional[str] = None) -> str:
+    """A string field (JSON strings only: no numbers or booleans coerced)."""
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise InvalidRequestError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _float(payload: Payload, key: str, default: float) -> float:
@@ -87,7 +95,7 @@ def workload_from_payload(payload: Payload):
         if kind == "conv":
             _require(payload, ("name", "m", "c", "h", "w"), "conv workload")
             return ConvLayerSpec(
-                name=str(payload["name"]), n=_int(payload, "n", 1),
+                name=_str(payload, "name"), n=_int(payload, "n", 1),
                 m=_int(payload, "m"), c=_int(payload, "c"),
                 h=_int(payload, "h"), w=_int(payload, "w"),
                 r=_int(payload, "r", 1), s=_int(payload, "s", 1),
@@ -98,7 +106,7 @@ def workload_from_payload(payload: Payload):
                 groups=_int(payload, "groups", 1))
         if kind == "gemm":
             _require(payload, ("name", "m", "k", "n"), "gemm workload")
-            return GemmSpec(name=str(payload["name"]), m=_int(payload, "m"),
+            return GemmSpec(name=_str(payload, "name"), m=_int(payload, "m"),
                             k=_int(payload, "k"), n=_int(payload, "n"),
                             bits=_int(payload, "bits", 8))
     except (TypeError, ValueError) as exc:
@@ -187,7 +195,7 @@ def arch_from_payload(payload: Payload) -> ArchSpec:
         fixed = payload.get("fixed_parallelism")
         allowed = payload.get("allowed_parallel_dims")
         return ArchSpec(
-            name=str(payload["name"]), pe_rows=_int(payload, "pe_rows"),
+            name=_str(payload, "name"), pe_rows=_int(payload, "pe_rows"),
             pe_cols=_int(payload, "pe_cols"),
             flexible_order=_bool(payload, "flexible_order", True),
             flexible_parallelism=_bool(payload, "flexible_parallelism",
@@ -255,7 +263,7 @@ def mapping_from_payload(payload: Payload) -> Mapping:
                        "tile", "order", "reduction_dims"), "mapping")
     try:
         return Mapping(
-            name=str(payload["name"]),
+            name=_str(payload, "name"),
             array_rows=_int(payload, "array_rows"),
             array_cols=_int(payload, "array_cols"),
             parallel=tuple(ParallelSpec(str(d), strict_int("parallel degree",
@@ -330,15 +338,20 @@ def scenario_from_payload(payload: Payload):
         raise InvalidRequestError(
             f"scenario payload must be an object, got {type(payload).__name__}")
     _require(payload, ("name", "workload_set", "arch", "config"), "scenario")
+    tags = payload.get("tags", ())
+    if (not isinstance(tags, (list, tuple))
+            or not all(isinstance(tag, str) for tag in tags)):
+        raise InvalidRequestError(
+            f"tags must be a list of strings, got {tags!r}")
     try:
         return Scenario(
-            name=str(payload["name"]),
-            workload_set=str(payload["workload_set"]),
-            arch=str(payload["arch"]),
+            name=_str(payload, "name"),
+            workload_set=_str(payload, "workload_set"),
+            arch=_str(payload, "arch"),
             config=SearchConfig.from_dict(payload["config"]),
-            tags=tuple(str(t) for t in payload.get("tags", ())),
-            backend=str(payload.get("backend", "analytical")))
+            tags=tuple(tags),
+            backend=_str(payload, "backend", "analytical"))
     except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, InvalidRequestError):
+        if isinstance(exc, ReproError):
             raise
         raise InvalidRequestError(f"bad scenario payload: {exc}") from exc

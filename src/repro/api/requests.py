@@ -183,6 +183,9 @@ class SearchRequest(_RequestBase):
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
+        if not isinstance(self.model, str):
+            raise InvalidRequestError(
+                f"model must be a string, got {self.model!r}")
         if not isinstance(self.constraints, (str, type(None))):
             raise InvalidRequestError(
                 f"constraints must be a string or null, "
@@ -251,6 +254,17 @@ class SweepRequest(_RequestBase):
                 raise InvalidRequestError(
                     "pass either inline scenarios or a filter, not both")
             _normalize(self, "scenarios", tuple(self.scenarios))
+        if not isinstance(self.filter, (str, type(None))):
+            raise InvalidRequestError(
+                f"filter must be a string or null, got {self.filter!r}")
+        if self.backend is not None:
+            from repro.scenarios.spec import check_scenario_backend
+
+            if not isinstance(self.backend, str):
+                raise InvalidRequestError(
+                    f"backend must be a registry name or null, "
+                    f"got {self.backend!r}")
+            check_scenario_backend(self.backend)
         strict_bool("skip_incompatible", self.skip_incompatible)
         strict_bool("force", self.force)
         _normalize(self, "workers", strict_int("workers", self.workers,

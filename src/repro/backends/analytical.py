@@ -1,12 +1,14 @@
 """The analytical backend: Layoutloop's cost model behind the protocol.
 
-A thin, state-carrying wrapper over :class:`~repro.layoutloop.cost_model.CostModel`
-plus an :class:`~repro.search.cache.EvaluationCache`.  The wrapper is what
-:class:`~repro.layoutloop.mapper.Mapper` builds on: the mapper keeps using
-``backend.cost_model`` / ``backend.cache`` directly on its hot path (cached
-batch evaluation, admissible pruning), so the analytical numbers are
-bit-identical to the pre-backend code — the protocol adds a uniform surface,
-not a new code path.
+A thin wrapper over :class:`~repro.layoutloop.cost_model.CostModel` that
+prices every cell through the batched
+:meth:`~repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`,
+memoized in an :class:`~repro.search.cache.EvaluationCache` when the
+caller hands it one (a :class:`~repro.layoutloop.mapper.Mapper` or a
+:class:`~repro.api.Session` owns the memo; the backend never builds one).
+The mapper uses ``backend.cost_model`` directly on its hot path (cached
+batch evaluation, admissible pruning), so the protocol adds a uniform
+surface, not a new code path.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from repro.search.cache import EvaluationCache
 
 
 class AnalyticalBackend(EvaluationBackend):
-    """Timeloop-style analytical evaluation (§V), memoized and batched.
+    """Timeloop-style analytical evaluation (§V), batched.
 
-    ``cache`` may be shared across backends/mappers (keys embed the full
-    arch + energy signature).  ``seed`` is accepted for registry-signature
-    uniformity and ignored: the analytical model is deterministic by
-    construction.
+    ``cache``, when given, memoizes every evaluation and may be shared
+    across backends/mappers (keys embed the full arch + energy signature);
+    without one each call prices afresh.  ``seed`` is accepted for
+    registry-signature uniformity and ignored: the analytical model is
+    deterministic by construction.
     """
 
     name = "analytical"
@@ -36,7 +39,7 @@ class AnalyticalBackend(EvaluationBackend):
         super().__init__(arch)
         del seed  # deterministic: nothing to seed
         self.cost_model = CostModel(arch, energy)
-        self.cache = cache if cache is not None else EvaluationCache()
+        self.cache = cache
 
     @property
     def energy(self):
@@ -48,7 +51,11 @@ class AnalyticalBackend(EvaluationBackend):
 
     def evaluate_mapping(self, workload, mapping,
                          layouts: Sequence) -> List[BackendReport]:
-        scored = self.cache.evaluate_batch(self.cost_model, workload,
-                                           mapping, layouts)
+        if self.cache is None:
+            reports = self.cost_model.evaluate_mapping_batch(
+                workload, mapping, layouts)
+        else:
+            reports = [report for report, _ in self.cache.evaluate_batch(
+                self.cost_model, workload, mapping, layouts)]
         return [report_from_cost(report, backend=self.name)
-                for report, _ in scored]
+                for report in reports]

@@ -107,7 +107,7 @@ def multifidelity_search_layer(
     :class:`~repro.layoutloop.mapper.Mapper` searches (same mapping sampler,
     same seed, same layout library) and ranks every pair without pruning;
     the simulator stage re-prices the ``top_k`` best pairs.  Backends may
-    be passed in to share caches across shapes.
+    be passed in to share them (and the simulator's memo) across shapes.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -115,7 +115,7 @@ def multifidelity_search_layer(
     simulator = simulator or SimulatorBackend(arch, energy=energy, seed=seed)
     mapper = Mapper(arch, SearchConfig(metric=metric,
                                        max_mappings=max_mappings, seed=seed),
-                    energy=energy, evaluation_cache=analytical.cache)
+                    energy=energy)
 
     layouts = mapper.candidate_layouts(workload)
     ranked: List[Tuple[float, int, object, object, BackendReport]] = []
@@ -160,9 +160,8 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
                          ) -> MultiFidelityModelResult:
     """Multi-fidelity co-search over a whole model (shape-deduplicated).
 
-    Shares one analytical cache and one simulator instance across the
-    unique shapes, exactly as the batch engine (:mod:`repro.search.engine`)
-    shares its evaluation cache.
+    Shares one analytical backend and one simulator instance (with its
+    simulation memo) across the unique shapes.
     """
     workloads = list(workloads)
     if not workloads:

@@ -27,8 +27,6 @@ evaluations of an illegal cell fail with the violated constraint named.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backends.base import BackendReport, EvaluationBackend
 from repro.backends.simulator import BackendCompatibilityError
 from repro.constraints import noc_constraints
@@ -39,7 +37,6 @@ from repro.noc.reference_networks import (
     ForwardingAdderNetwork,
     LinearReductionChain,
 )
-from repro.search.cache import EvaluationCache
 
 #: Topology name -> reference network class.
 TOPOLOGIES = {
@@ -62,7 +59,6 @@ class NocBackend(EvaluationBackend):
         self.name = f"noc:{topology}"
         self.seed = seed
         self._cost_model = CostModel(arch, energy)
-        self._energy_cache = EvaluationCache()
         self.constraints = noc_constraints(topology, arch)
 
     # ------------------------------------------------------------- reduction
@@ -95,8 +91,7 @@ class NocBackend(EvaluationBackend):
 
     # -------------------------------------------------------------- evaluate
     def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        cost = self._cost_model.evaluate(workload, mapping, layout)
         cycles_per_step, adds_per_step = self._reduction_cycles(mapping)
         # The analytical model already accounts one accumulate per step;
         # anything beyond it is exposed reduction latency.

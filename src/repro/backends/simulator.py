@@ -42,7 +42,6 @@ from repro.layout.patterns import ReorderImplementation
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.energy import EnergyTable
-from repro.search.cache import EvaluationCache
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -151,7 +150,6 @@ class SimulatorBackend(EvaluationBackend):
         # Analytical companion for the energy breakdown (and for callers
         # that want side-by-side estimates without building two backends).
         self._cost_model = CostModel(arch, energy)
-        self._energy_cache = EvaluationCache()
         # Timing is layout-dependent but mapping-independent (FEATHER runs
         # its own internal dataflow), so simulations memoize on the
         # (workload shape, layout) pair.
@@ -160,8 +158,7 @@ class SimulatorBackend(EvaluationBackend):
     # -------------------------------------------------------------- protocol
     def evaluate(self, workload, mapping, layout) -> BackendReport:
         stats = self._simulate(workload, layout)
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        cost = self._cost_model.evaluate(workload, mapping, layout)
         batches = getattr(workload, "n", 1) if isinstance(
             workload, ConvLayerSpec) else 1
         macs = workload.macs

@@ -22,14 +22,11 @@ array's legal loop orders and M x C/K parallelism before scoring.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backends.base import BackendReport, EvaluationBackend
 from repro.baselines.systolic import SystolicArray
 from repro.constraints import systolic_constraints
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostModel
-from repro.search.cache import EvaluationCache
 from repro.workloads.conv import ConvLayerSpec
 
 
@@ -44,7 +41,6 @@ class SystolicBackend(EvaluationBackend):
         # Energy companion: the analytical model prices the same cell's
         # energy so cross-backend energy columns compare like for like.
         self._cost_model = CostModel(arch, energy)
-        self._energy_cache = EvaluationCache()
         self.constraints = systolic_constraints(arch)
 
     def _array_for(self, mapping) -> SystolicArray:
@@ -58,8 +54,7 @@ class SystolicBackend(EvaluationBackend):
                              name=f"systolic:{self.arch.name}")
 
     def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        cost = self._cost_model.evaluate(workload, mapping, layout)
         array = self._array_for(mapping)
         if isinstance(workload, ConvLayerSpec):
             timing = array.run_conv(workload)

@@ -6,7 +6,9 @@ enumerate a *structured* subspace: parallelism assignments over one or two
 dimensions whose degrees divide (or pad to) the array axes, a small set of
 canonical loop orders (stationarities), and tile sizes induced by the
 parallelism.  The pruned-random search in :mod:`repro.layoutloop.mapper`
-samples from this space.
+samples from this space by flat index (:meth:`MappingSpace.sample_indices`),
+building a :class:`~repro.dataflow.mapping.Mapping` only for the entries it
+draws.
 """
 
 from __future__ import annotations
@@ -146,23 +148,16 @@ class MappingSpace:
             reduction_dims=self._reduction,
         )
 
-    def sample(self, count: int, seed: int = 0, *,
-               materialize: bool = False) -> List[Mapping]:
+    def sample(self, count: int, seed: int = 0) -> List[Mapping]:
         """Pruned random sample of the space (the paper's search algorithm).
 
-        The default streaming path samples flat *indices* and materializes
-        only the ``count`` chosen mappings; ``materialize=True`` builds every
-        mapping first and samples the list (the original implementation,
-        kept as the reference oracle).  Both return identical mappings in
-        identical order for the same seed: ``random.sample`` draws the same
-        index sequence from ``range(n)`` as from any length-``n`` sequence.
+        Samples flat *indices* (:meth:`sample_indices`) and materializes
+        only the ``count`` chosen mappings.  The result equals sampling the
+        fully built :meth:`iter_mappings` list with the same seed, because
+        ``random.sample`` draws the same index sequence from ``range(n)`` as
+        from any length-``n`` sequence; the tests' reference oracle keeps
+        that materializing sampler and checks the two agree.
         """
-        if materialize:
-            all_mappings = list(self.iter_mappings())
-            if count >= len(all_mappings):
-                return all_mappings
-            rng = random.Random(seed)
-            return rng.sample(all_mappings, count)
         candidates = self.parallelism_candidates()
         return [self._mapping_at(candidates, i)
                 for i in self.sample_indices(count, seed)]

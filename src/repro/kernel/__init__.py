@@ -1,9 +1,8 @@
 """Vectorized cost-model kernel.
 
-The scalar Layoutloop path (``repro.layout`` + ``repro.layoutloop``) maps one
-Python dict per tensor coordinate through :meth:`repro.layout.Layout.address`
-— fine for unit tests, quadratic-in-Python-overhead for co-search traffic.
-This package is the array-native core that PR 2 layers underneath it:
+The cost model prices every cell through this package.  A dict per tensor
+coordinate through :meth:`repro.layout.Layout.address` is fine for a unit
+test but far too slow for co-search traffic, so the kernel works on arrays:
 
 * :class:`~repro.kernel.compiled.CompiledLayout` — a layout compiled against
   concrete tensor extents into integer stride/divisor vectors, so a whole
@@ -15,11 +14,12 @@ This package is the array-native core that PR 2 layers underneath it:
   analysis over all sample cycles and all candidate layouts of one mapping at
   once, via ``np.unique``/``np.bincount``.
 
-Everything here is **result-identical** to the scalar path: the integer
-address math is the same algebra, and every float (slowdowns, averages) is
-produced by the same IEEE-754 operations in the same order.  The scalar
-implementations remain in place as the property-tested reference oracle
-(``tests/test_kernel_equivalence.py``).
+Everything here is **result-identical** to the scalar algebra: the integer
+address math is the same, and every float (slowdowns, averages) is produced
+by the same IEEE-754 operations in the same order.  The scalar model —
+coordinate dicts through :func:`repro.layout.concordance.analyze_concordance`
+— lives in the tests' reference oracle (``tests/reference.py``), which
+``tests/test_kernel_equivalence.py`` property-tests this package against.
 """
 
 from repro.kernel.compiled import CompiledLayout, compile_layout

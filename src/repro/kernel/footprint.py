@@ -1,9 +1,8 @@
 """Per-cycle access footprints as ``(cycles, lanes, ndims)`` integer arrays.
 
-The scalar cost model (:func:`repro.layoutloop.cost_model._conv_iact_coords`
-and ``_gemm_input_coords``) expands a mapping's parallel dimensions into a
-list of coordinate dicts per sampled cycle.  The functions here produce the
-same coordinates — the same modular walk, in the same lane nesting order —
+The scalar reference model (``tests/reference.py``) expands a mapping's
+parallel dimensions into a list of coordinate dicts per sampled cycle.  The
+functions here produce the same coordinates — the same modular walk, in the same lane nesting order —
 but as one int64 array per workload covering every sample base at once, so a
 compiled layout can address the whole footprint in a single numpy shot.
 """

@@ -8,11 +8,13 @@ coordinates per cycle), maps each coordinate through a :class:`~repro.layout.Lay
 groups the touched lines into banks, and reports the slowdown
 ``max(lines_per_bank / ports, 1)`` from §V-B.
 
-This module is the *scalar reference oracle*: the search-traffic hot path
-runs the vectorized, bit-identical
+This scalar analysis serves the functional simulator, which measures
+conflicts on its own access stream, and the Fig. 4 tables, which need
+per-cycle traces (``keep_trace``); the cost model prices cells through the vectorized, bit-identical
 :func:`repro.kernel.concordance.analyze_concordance_batch` instead, and
 ``tests/test_kernel_equivalence.py`` property-tests the two against each
-other.  Keep behaviour changes mirrored in both.
+other (the tests' scalar cost model, ``tests/reference.py``, is built on
+this one).  Keep behaviour changes mirrored in both.
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ given architecture it computes:
 
 The absolute pJ values come from a calibrated table; all experiments report
 results normalized to FEATHER, which is how the paper presents Fig. 13.
+
+One code path prices a cell: :meth:`CostModel.evaluate_mapping_batch`
+scores one mapping under a list of layouts, with the slowdowns taken from
+the batched concordance kernel (:mod:`repro.kernel`).  The single-cell
+:meth:`CostModel.evaluate` is a one-layout batch.  The scalar model the
+kernel replaced (coordinate dicts through
+:func:`repro.layout.concordance.analyze_concordance`) is kept only as the
+tests' reference oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataflow.mapping import Mapping
 from repro.kernel.concordance import analyze_concordance_batch
 from repro.kernel.footprint import streaming_access_coords
-from repro.layout.concordance import analyze_concordance
 from repro.layout.layout import Layout
-from repro.layout.patterns import ReorderImplementation, ReorderPattern
+from repro.layout.patterns import ReorderImplementation
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from repro.workloads.conv import ConvLayerSpec
@@ -100,67 +107,10 @@ class CostReport:
         return self.total_cycles / (frequency_mhz * 1e6)
 
 
-# ---------------------------------------------------------------------------
-# Per-cycle access-coordinate generation for the streaming tensor.
-# ---------------------------------------------------------------------------
-
-_CONV_IACT_DIMS = ("C", "H", "W")
+#: Base coordinates of the sampled access cycles (one per cycle): the
+#: streaming-tensor footprint is expanded from each by the mapping's
+#: parallel dims (:func:`repro.kernel.footprint.streaming_access_coords`).
 _SAMPLE_BASES = ((0, 0, 0), (1, 1, 1), (2, 5, 3), (0, 3, 6))
-
-
-def _conv_iact_coords(layer: ConvLayerSpec, mapping: Mapping,
-                      base: Tuple[int, int, int]) -> List[Dict[str, int]]:
-    """Concurrent iAct coordinates demanded by the mapping's parallel dims."""
-    c0, h0, w0 = base
-    deg = mapping.parallel_dims
-    coords = [{"C": c0 % max(1, layer.c), "H": h0 % max(1, layer.h),
-               "W": w0 % max(1, layer.w)}]
-
-    def expand(dim_key: str, count: int, apply):
-        nonlocal coords
-        if count <= 1:
-            return
-        expanded = []
-        for coord in coords:
-            for idx in range(count):
-                new = dict(coord)
-                apply(new, idx)
-                expanded.append(new)
-        coords = expanded
-
-    expand("C", deg.get("C", 1), lambda c, i: c.update(C=(c["C"] + i) % max(1, layer.c)))
-    expand("P", deg.get("P", 1),
-           lambda c, i: c.update(H=(c["H"] + i * layer.stride) % max(1, layer.h)))
-    expand("Q", deg.get("Q", 1),
-           lambda c, i: c.update(W=(c["W"] + i * layer.stride) % max(1, layer.w)))
-    expand("R", deg.get("R", 1), lambda c, i: c.update(H=(c["H"] + i) % max(1, layer.h)))
-    expand("S", deg.get("S", 1), lambda c, i: c.update(W=(c["W"] + i) % max(1, layer.w)))
-    # M and N parallelism broadcasts the same iActs: no new coordinates.
-    return coords
-
-
-def _gemm_input_coords(gemm: GemmSpec, mapping: Mapping,
-                       base: Tuple[int, int, int]) -> List[Dict[str, int]]:
-    m0, k0, _ = base
-    deg = mapping.parallel_dims
-    coords = [{"M": m0 % max(1, gemm.m), "K": k0 % max(1, gemm.k)}]
-
-    def expand(dim: str, count: int, extent: int):
-        nonlocal coords
-        if count <= 1:
-            return
-        expanded = []
-        for coord in coords:
-            for idx in range(count):
-                new = dict(coord)
-                new[dim] = (coord[dim] + idx) % max(1, extent)
-                expanded.append(new)
-        coords = expanded
-
-    expand("M", deg.get("M", 1), gemm.m)
-    expand("K", deg.get("K", 1), gemm.k)
-    # N parallelism broadcasts the same input row: no new coordinates.
-    return coords
 
 
 def _workload_name(workload) -> str:
@@ -183,8 +133,8 @@ def streaming_tensor_dims(workload) -> Dict[str, int]:
 class CostModel:
     """Analytical latency/energy model with layout awareness.
 
-    The search scores candidates through :meth:`evaluate_mapping_batch`;
-    the scalar :meth:`evaluate` is its bit-identical reference oracle.
+    :meth:`evaluate_mapping_batch` is the one code path that prices a cell;
+    :meth:`evaluate` is its single-cell entry point.
     """
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
@@ -193,16 +143,9 @@ class CostModel:
 
     # ----------------------------------------------------------------- public
     def evaluate(self, workload, mapping: Mapping, layout: Layout) -> CostReport:
-        """Full latency/energy report of one (workload, mapping, layout).
-
-        This is the scalar reference path; the search engine's hot loop runs
-        :meth:`evaluate_mapping_batch`, which is bit-identical.
-        """
-        slowdown = self.estimate_slowdown(workload, mapping, layout)
-        return self._assemble_report(workload, mapping, layout, slowdown,
-                                     mapping.compute_cycles(workload),
-                                     self.reorder_costs(workload),
-                                     self._energy_breakdown_parts(workload, mapping))
+        """Full latency/energy report of one (workload, mapping, layout):
+        a one-layout :meth:`evaluate_mapping_batch`."""
+        return self.evaluate_mapping_batch(workload, mapping, [layout])[0]
 
     def evaluate_mapping_batch(self, workload, mapping: Mapping,
                                layouts: Sequence[Layout]) -> List[CostReport]:
@@ -211,8 +154,8 @@ class CostModel:
         Everything layout-independent (compute cycles, reorder costs, the
         energy breakdown apart from the slowdown-scaled buffer reads) is
         computed once; the per-layout slowdowns come from the batched
-        concordance kernel.  Bit-identical to calling :meth:`evaluate` per
-        layout — the same floats in the same order.
+        concordance kernel.  The tests' scalar oracle
+        (``tests/reference.py``) reproduces every report bit for bit.
         """
         layouts = list(layouts)
         compute_cycles = mapping.compute_cycles(workload)
@@ -224,18 +167,6 @@ class CostModel:
                                       compute_cycles, reorder, parts,
                                       workload_name=workload_name)
                 for layout, slowdown in zip(layouts, slowdowns)]
-
-    def evaluate_batch(self, workload, mappings: Sequence[Mapping],
-                       layouts: Sequence[Layout]) -> List[List[CostReport]]:
-        """Reports for the whole (mappings x layouts) cross product.
-
-        Returns one inner list per mapping, in input order.  This is the
-        entry point :class:`~repro.layoutloop.mapper.Mapper` and
-        :mod:`repro.search.engine` build on (they interleave it with cache
-        lookups and pruning, which need per-mapping granularity).
-        """
-        return [self.evaluate_mapping_batch(workload, mapping, layouts)
-                for mapping in mappings]
 
     def _assemble_report(self, workload, mapping: Mapping, layout: Layout,
                          slowdown: float, compute_cycles: float,
@@ -274,28 +205,6 @@ class CostModel:
         )
 
     # -------------------------------------------------------------- slowdown
-    def estimate_slowdown(self, workload, mapping: Mapping, layout: Layout) -> float:
-        """Average bank-conflict slowdown of streaming-tensor reads under ``layout``."""
-        if self.arch.reorder_implementation is ReorderImplementation.RIR:
-            # FEATHER co-switches to a concordant layout; by construction the
-            # chosen dataflow never reads more lines than ports (§IV-B).
-            return 1.0
-        dims = streaming_tensor_dims(workload)
-        per_cycle = []
-        for base in _SAMPLE_BASES:
-            if isinstance(workload, ConvLayerSpec):
-                per_cycle.append(_conv_iact_coords(workload, mapping, base))
-            else:
-                per_cycle.append(_gemm_input_coords(workload, mapping, base))
-        report = analyze_concordance(
-            per_cycle, layout, dims,
-            ports_per_bank=self.arch.buffer.ports_per_bank,
-            lines_per_bank=self.arch.buffer.conflict_depth,
-            num_banks=self.arch.buffer.banks,
-            pattern=self.arch.reorder_pattern,
-        )
-        return report.avg_slowdown
-
     def estimate_slowdown_batch(self, workload, mapping: Mapping,
                                 layouts: Sequence[Layout]) -> List[float]:
         """Per-layout slowdowns of one mapping via the vectorized kernel.
@@ -303,7 +212,6 @@ class CostModel:
         The access footprint is generated once as a ``(cycles, lanes, ndims)``
         array (:mod:`repro.kernel.footprint`) and every layout is addressed
         through its compiled stride vectors in one batched concordance pass.
-        Values are bit-identical to :meth:`estimate_slowdown` per layout.
         """
         if self.arch.reorder_implementation is ReorderImplementation.RIR:
             return [1.0] * len(layouts)

@@ -159,9 +159,10 @@ class Mapper:
 
         self.arch = arch
         self.config = config if config is not None else SearchConfig()
+        cache = (evaluation_cache if evaluation_cache is not None
+                 else EvaluationCache())
         if backend is None or backend == "analytical":
-            self.backend = AnalyticalBackend(arch, energy=energy,
-                                             cache=evaluation_cache)
+            self.backend = AnalyticalBackend(arch, energy=energy, cache=cache)
         elif isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
@@ -173,15 +174,15 @@ class Mapper:
                                                backend=self.backend)
         if self._analytical:
             self.cost_model = self.backend.cost_model
-            self.evaluation_cache = self.backend.cache
+            self.evaluation_cache = (self.backend.cache
+                                     if self.backend.cache is not None
+                                     else cache)
         else:
             # Kept for API compatibility (bound statics, shared-cache
             # callers, the budgeted policies' analytical cheap rung); the
             # exhaustive loop does not consult them.
             self.cost_model = CostModel(arch, energy)
-            self.evaluation_cache = (evaluation_cache
-                                     if evaluation_cache is not None
-                                     else EvaluationCache())
+            self.evaluation_cache = cache
         self._cache: Dict[_ResultKey, SearchResult] = {}
         # Frontier results memoize separately: frontier pairs are
         # (SearchResult, ShapeFrontier) tuples, and the evolutionary

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import InvalidRequestError, UnknownBackendError
 from repro.search.config import SearchConfig
 
 
@@ -32,6 +33,15 @@ def scenario_backend_names() -> Tuple[str, ...]:
     from repro.backends import backend_names
 
     return tuple(backend_names()) + ("crossval",)
+
+
+def check_scenario_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.UnknownBackendError` unless ``backend``
+    is one of :func:`scenario_backend_names`."""
+    allowed = scenario_backend_names()
+    if backend not in allowed:
+        raise UnknownBackendError(
+            f"backend must be one of {allowed}, got {backend!r}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +63,7 @@ class Scenario:
     CLI's ``run --backend`` overrides it for a whole sweep."""
 
     def __post_init__(self) -> None:
-        allowed = scenario_backend_names()
-        if self.backend not in allowed:
-            raise ValueError(
-                f"backend must be one of {allowed}, "
-                f"got {self.backend!r}")
+        check_scenario_backend(self.backend)
 
     def matches(self, pattern: Optional[str]) -> bool:
         """Case-insensitive substring match on name, tags and backend."""
@@ -170,7 +176,7 @@ class ScenarioMatrix:
                     scenario.backend) != (
                     existing.workload_set, existing.arch, existing.config,
                     existing.backend):
-                raise ValueError(
+                raise InvalidRequestError(
                     f"scenario name {scenario.name!r} is reused for "
                     f"different cell content; rename one of the cells")
             new_tags = tuple(t for t in scenario.tags

@@ -21,7 +21,6 @@ from repro.search.bounds import (
     BoundStatics,
     bound_statics,
     cached_bound_statics,
-    metric_lower_bound,
 )
 from repro.search.cache import CacheStats, EvaluationCache
 from repro.search.config import POLICIES
@@ -37,7 +36,6 @@ __all__ = [
     "BoundStatics",
     "bound_statics",
     "cached_bound_statics",
-    "metric_lower_bound",
     "CacheStats",
     "EvaluationCache",
     "POLICIES",

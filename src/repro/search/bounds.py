@@ -1,12 +1,14 @@
-"""Admissible lower bounds used to prune mapping candidates before full
-cost-model evaluation.
+"""Workload-level components of the admissible pruning bounds.
 
 The expensive part of scoring a (mapping, layout) candidate is the
 bank-conflict concordance analysis inside
-:meth:`repro.layoutloop.cost_model.CostModel.evaluate`.  Everything below
-computes *sound* lower bounds from quantities that are either workload-only
-(tensor footprints, reorder-mechanism cost) or mapping-only (padded compute
-cycles) — both orders of magnitude cheaper than a full evaluation:
+:meth:`repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`.  The
+pruning bounds are *sound* lower bounds built from quantities that are
+either workload-only (tensor footprints, reorder-mechanism cost, computed
+here once per search as :class:`BoundStatics`) or mapping-only (padded
+compute cycles, combined with the statics for the whole universe at once
+by :meth:`repro.search.bulk.BulkUniverse.bounds`) — both orders of
+magnitude cheaper than a full evaluation:
 
 * ``total_cycles  >= compute_cycles + exposed reorder cycles`` because the
   bank-conflict slowdown is always >= 1 (it is ``max(lines/ports, 1)``);
@@ -18,7 +20,9 @@ cycles) — both orders of magnitude cheaper than a full evaluation:
 Because the bounds never exceed the true metric value, skipping a candidate
 whose bound is already >= the incumbent best can never drop the optimum —
 the pruned search returns bit-identical results to the exhaustive one (see
-``tests/test_search_engine.py`` for the property test).
+``tests/test_search_engine.py`` for the property test).  The scalar
+per-mapping bound the bulk pass replicates lives in the tests' reference
+oracle (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class BoundStatics:
     """Workload-level (mapping-independent) bound components.
 
     Computed once per search; combined with per-mapping compute cycles by
-    :func:`metric_lower_bound`.
+    :meth:`repro.search.bulk.BulkUniverse.bounds`.
     """
 
     energy_floor_pj: float
@@ -93,16 +97,3 @@ def cached_bound_statics(cost_model, workload) -> BoundStatics:
         with _STATICS_LOCK:
             _STATICS_CACHE.setdefault(key, statics)
     return statics
-
-
-def metric_lower_bound(metric: str, compute_cycles: float,
-                       statics: BoundStatics) -> float:
-    """Lower bound of ``metric`` for any layout under the given mapping."""
-    cycles_floor = compute_cycles + statics.reorder_cycles
-    if metric == "latency":
-        return cycles_floor
-    if metric == "energy":
-        return statics.energy_floor_pj
-    if metric == "edp":
-        return statics.energy_floor_pj * cycles_floor
-    raise ValueError(f"unknown metric {metric!r}")

@@ -7,8 +7,8 @@ mapper's seeded sample plus the canonical weight-stationary mapping — but
 order and cap the full-fidelity evaluations:
 
 * :func:`halving_search` — successive halving collapsed to its exact limit:
-  rank every mapping by its cheap-rung score (the admissible
-  :func:`repro.search.bounds.metric_lower_bound` on the analytical backend,
+  rank every mapping by its cheap-rung score (the admissible bound of
+  :meth:`repro.search.bulk.BulkUniverse.bounds` on the analytical backend,
   a full analytical pre-pass on any other), then evaluate in rank order.
   Evaluating rungs of size 1 in bound order dominates any coarser halving
   schedule — no candidate is ever evaluated after the bound already proves

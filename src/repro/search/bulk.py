@@ -16,18 +16,19 @@ computes for the entire universe in single numpy passes:
 * ``compute_cycles()`` — exact padded trip-count products (int64), computed
   once per *parallelism candidate* and gathered per flat index, since loop
   order never changes the product;
-* ``bounds(metric, statics)`` — the admissible
-  :func:`repro.search.bounds.metric_lower_bound` per entry, replicating the
-  scalar float op order exactly (int cycles -> float64 ``+ reorder_cycles``,
-  then one multiply for EDP), so every value is bit-identical to the scalar
-  oracle;
+* ``bounds(metric, statics)`` — the admissible metric lower bound per
+  entry, replicating the scalar float op order exactly (int cycles ->
+  float64 ``+ reorder_cycles``, then one multiply for EDP), so every value
+  is bit-identical to the per-mapping bound of the tests' scalar oracle
+  (``tests/reference.py``);
 * ``footprints(arch)`` — the exact integer tile footprints of
   :func:`repro.search.frontier.buffer_footprint_bytes`.
 
 Mappings are only materialized lazily, on first ``universe[i]`` access —
 i.e. only for entries that actually survive the bulk prune mask.
 
-Exactness of the integer trip counts: the scalar oracle computes
+Exactness of the integer trip counts: the scalar
+:meth:`~repro.dataflow.mapping.Mapping.compute_cycles` computes
 ``math.ceil(extent / degree)`` (float true division); the bulk pipeline uses
 int64 ``(extent + degree - 1) // degree``.  The two agree whenever the float
 quotient rounds within the same unit interval, which holds for all extents
@@ -166,8 +167,8 @@ class BulkUniverse:
 
     def bounds(self, metric: str, statics: BoundStatics) -> np.ndarray:
         """Admissible metric lower bound per entry, bit-identical to the
-        scalar :func:`repro.search.bounds.metric_lower_bound` (same float op
-        order: int64 cycles -> float64 add, then one multiply for EDP)."""
+        tests oracle's scalar per-mapping bound (same float op order: int64
+        cycles -> float64 add, then one multiply for EDP)."""
         cycles_floor = self.cycles_floor(statics)
         if metric == "latency":
             return cycles_floor

@@ -6,7 +6,10 @@ across experiments (Fig. 9-14 all sweep ResNet-50), and the canonical
 weight-stationary mapping that the mapper appends to every sampled space.
 :class:`EvaluationCache` memoizes the resulting
 :class:`~repro.layoutloop.cost_model.CostReport` objects and keeps hit/miss
-accounting so callers can report cache effectiveness.
+accounting so callers can report cache effectiveness.  Its one scoring
+entry point, :meth:`EvaluationCache.evaluate_batch`, prices every miss
+through the batched cost model; the per-pair scalar memo the golden
+oracle replays lives in ``tests/reference.py``.
 
 Caches are plain dictionaries: a cache is owned by one process (workers in
 the parallel engine each build their own) and reports are immutable
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.search.signatures import (
     arch_signature,
@@ -61,12 +64,13 @@ class CacheStats:
 
 
 class EvaluationCache:
-    """Memoizes ``CostModel.evaluate`` results.
+    """Memoizes cost-model reports per (workload-shape, arch, mapping, layout).
 
-    Keys are built from :mod:`repro.search.signatures`, so the cache keys on
-    the (workload-shape, arch, mapping, layout) tuple — never on layer or
-    mapping names — and one instance may be shared by mappers for different
-    architectures or energy calibrations.
+    Keys are built from :mod:`repro.search.signatures` — never from layer or
+    mapping names — so one instance may be shared by mappers for different
+    architectures or energy calibrations.  :meth:`evaluate_batch` is the
+    memoized scoring entry point; :meth:`get`/:meth:`put` are the raw
+    counted lookup and store it is built from.
     """
 
     def __init__(self) -> None:
@@ -77,12 +81,6 @@ class EvaluationCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._reports)
-
-    @staticmethod
-    def key(arch, energy, workload, mapping, layout) -> Tuple:
-        """Canonical cache key of one evaluation."""
-        return (arch_signature(arch, energy), workload_signature(workload),
-                mapping_signature(mapping), layout_signature(layout))
 
     def get(self, key: Tuple):
         """Look up a report; counts a hit or miss. Returns None on miss."""
@@ -99,36 +97,21 @@ class EvaluationCache:
         with self._lock:
             self._reports[key] = report
 
-    def evaluate(self, cost_model, workload, mapping, layout):
-        """Memoized ``cost_model.evaluate``; returns ``(report, was_hit)``.
+    def evaluate_batch(self, cost_model, workload, mapping, layouts
+                       ) -> List[Tuple[object, bool]]:
+        """Memoized evaluation of one mapping under many layouts.
 
-        Cache keys exclude free-text names, so a hit may come from a
+        Returns ``[(report, was_hit), ...]`` in layout order.  Every layout
+        is one counted lookup (a layout repeated within the batch is a miss
+        on first sight and a hit on every repeat), and all misses are
+        priced together by one
+        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`
+        call.  Cache keys exclude free-text names, so a hit may come from a
         different layer/mapping label than the current call's; hits are
         returned as copies relabelled with the caller's names and carrying
         their own breakdown dict, so no returned report aliases mutable
-        state with the cached entry (``put`` stores a private copy for the
-        same reason).
-        """
-        key = self.key(cost_model.arch, cost_model.energy, workload, mapping,
-                       layout)
-        report = self.get(key)
-        if report is not None:
-            return self._relabel(report, workload, mapping, layout), True
-        report = cost_model.evaluate(workload, mapping, layout)
-        self.put(key, replace(
-            report, energy_breakdown_pj=dict(report.energy_breakdown_pj)))
-        return report, False
-
-    def evaluate_batch(self, cost_model, workload, mapping, layouts
-                       ) -> List[Tuple[object, bool]]:
-        """Memoized batch evaluation of one mapping under many layouts.
-
-        Returns ``[(report, was_hit), ...]`` in layout order with exactly
-        the semantics of calling :meth:`evaluate` per layout — the same
-        hit/miss accounting, the same relabelling of hits, the same private
-        copies stored — but the arch/workload/mapping signatures are
-        computed once and all cache misses are evaluated together through
-        the vectorized :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`.
+        state with the cached entry (a private copy is stored for the same
+        reason).
         """
         prefix = (arch_signature(cost_model.arch, cost_model.energy),
                   workload_signature(workload), mapping_signature(mapping))
@@ -154,8 +137,8 @@ class EvaluationCache:
                     report, energy_breakdown_pj=dict(report.energy_breakdown_pj)))
                 out[i] = (report, False)
         for i in deferred:
-            # Same accounting as the scalar loop: a duplicate layout is a
-            # miss on first sight and a (counted) hit on every repeat.
+            # A duplicate layout is a miss on first sight and a (counted)
+            # hit on every repeat.
             report = self.get(keys[i])
             out[i] = (self._relabel(report, workload, mapping, layouts[i]), True)
         return out

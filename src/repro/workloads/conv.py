@@ -79,6 +79,11 @@ class ConvLayerSpec:
             raise ValueError(
                 f"groups={self.groups} must divide both C={self.c} and M={self.m}"
             )
+        if self.p < 1 or self.q < 1:
+            raise ValueError(
+                f"the {self.r}x{self.s} kernel does not fit the "
+                f"{self.h}x{self.w} input with padding {self.padding}: "
+                f"output is {self.p}x{self.q}")
 
     # ------------------------------------------------------------------ sizes
     @property

@@ -1,36 +1,201 @@
-"""Scalar reference search: the oracle the production search is checked
+"""Scalar reference oracle: the code the production search is checked
 against.
 
-The production search (:meth:`repro.layoutloop.mapper.Mapper.search`) scans
-a lazily materialized :class:`~repro.search.bulk.BulkUniverse`, takes every
-admissible bound from one numpy pass and scores each surviving mapping under
-all of its layouts in one batched, memoized call.  The search here is the
-loop that path replaced, one object at a time:
+The production path prices every cell through the cost model's one
+batched call (array footprints, compiled layouts, the batched concordance
+kernel of :mod:`repro.kernel`), and
+:meth:`repro.layoutloop.mapper.Mapper.search` scans a lazily materialized
+:class:`~repro.search.bulk.BulkUniverse` whose admissible bounds come from
+one numpy pass.  This module keeps the scalar twin of each piece, one
+object at a time:
 
-* the candidate universe is materialized up front
-  (``MappingSpace.sample(materialize=True)`` plus the canonical tail, then
-  constraint repair when a set binds);
-* each mapping's bound is the scalar
-  :func:`repro.search.bounds.metric_lower_bound` of its compute cycles;
-* each (mapping, layout) pair is priced by ``EvaluationCache.evaluate``
-  (the scalar ``CostModel.evaluate`` behind a per-pair cache lookup), or by
-  the backend's ``evaluate_mapping`` on a non-analytical backend.
+* :func:`reference_evaluate` prices one (workload, mapping, layout) cell
+  from coordinate dicts through the scalar
+  :func:`repro.layout.concordance.analyze_concordance`; only the
+  layout-independent terms (``_assemble_report``,
+  ``_energy_breakdown_parts``, ``reorder_costs``) are shared with the cost
+  model;
+* :func:`reference_evaluate_cached` memoizes it in an
+  :class:`~repro.search.cache.EvaluationCache` with exactly the keys and
+  hit/miss counts of ``EvaluationCache.evaluate_batch``;
+* :func:`metric_lower_bound` is the per-mapping admissible bound;
+* :func:`materialized_sample` builds the whole mapping space and samples
+  the list;
+* :func:`reference_search` is the exhaustive search loop over all of them
+  (the candidate universe is materialized up front, then repaired when a
+  ConstraintSet binds; non-analytical backends score through their own
+  ``evaluate_mapping``).
 
-It covers the exhaustive policy over an integer ``max_mappings``: the
-configuration every golden cell uses.  Given a fresh mapper of the same
-configuration, it must reproduce the production result exactly — winner
-report, mapping, layout and every counter.
+The search covers the exhaustive policy over an integer ``max_mappings``:
+the configuration every golden cell uses.  Given a fresh mapper of the
+same configuration, it must reproduce the production result exactly —
+winner report, mapping, layout and every counter.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.layout.concordance import analyze_concordance
+from repro.layout.patterns import ReorderImplementation
+from repro.layoutloop.cost_model import (
+    _SAMPLE_BASES,
+    CostReport,
+    streaming_tensor_dims,
+)
 from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
-from repro.search.bounds import cached_bound_statics, metric_lower_bound
+from repro.search.bounds import BoundStatics, cached_bound_statics
+from repro.search.signatures import (
+    arch_signature,
+    layout_signature,
+    mapping_signature,
+    workload_signature,
+)
+from repro.workloads.conv import ConvLayerSpec
 
 
+# ------------------------------------------------------------- cost model
+def _conv_iact_coords(layer, mapping, base) -> List[Dict[str, int]]:
+    """Concurrent iAct coordinates demanded by the mapping's parallel dims."""
+    c0, h0, w0 = base
+    deg = mapping.parallel_dims
+    coords = [{"C": c0 % max(1, layer.c), "H": h0 % max(1, layer.h),
+               "W": w0 % max(1, layer.w)}]
+
+    def expand(count: int, apply):
+        nonlocal coords
+        if count <= 1:
+            return
+        expanded = []
+        for coord in coords:
+            for idx in range(count):
+                new = dict(coord)
+                apply(new, idx)
+                expanded.append(new)
+        coords = expanded
+
+    expand(deg.get("C", 1),
+           lambda c, i: c.update(C=(c["C"] + i) % max(1, layer.c)))
+    expand(deg.get("P", 1),
+           lambda c, i: c.update(H=(c["H"] + i * layer.stride)
+                                 % max(1, layer.h)))
+    expand(deg.get("Q", 1),
+           lambda c, i: c.update(W=(c["W"] + i * layer.stride)
+                                 % max(1, layer.w)))
+    expand(deg.get("R", 1),
+           lambda c, i: c.update(H=(c["H"] + i) % max(1, layer.h)))
+    expand(deg.get("S", 1),
+           lambda c, i: c.update(W=(c["W"] + i) % max(1, layer.w)))
+    # M and N parallelism broadcasts the same iActs: no new coordinates.
+    return coords
+
+
+def _gemm_input_coords(gemm, mapping, base) -> List[Dict[str, int]]:
+    """Concurrent GEMM input coordinates demanded by the parallel dims."""
+    m0, k0, _ = base
+    deg = mapping.parallel_dims
+    coords = [{"M": m0 % max(1, gemm.m), "K": k0 % max(1, gemm.k)}]
+
+    def expand(dim: str, count: int, extent: int):
+        nonlocal coords
+        if count <= 1:
+            return
+        expanded = []
+        for coord in coords:
+            for idx in range(count):
+                new = dict(coord)
+                new[dim] = (coord[dim] + idx) % max(1, extent)
+                expanded.append(new)
+        coords = expanded
+
+    expand("M", deg.get("M", 1), gemm.m)
+    expand("K", deg.get("K", 1), gemm.k)
+    # N parallelism broadcasts the same input row: no new coordinates.
+    return coords
+
+
+def reference_slowdown(cost_model, workload, mapping, layout) -> float:
+    """Average bank-conflict slowdown of streaming-tensor reads under
+    ``layout``, from per-cycle coordinate dicts."""
+    arch = cost_model.arch
+    if arch.reorder_implementation is ReorderImplementation.RIR:
+        # FEATHER co-switches to a concordant layout (§IV-B).
+        return 1.0
+    expand = (_conv_iact_coords if isinstance(workload, ConvLayerSpec)
+              else _gemm_input_coords)
+    per_cycle = [expand(workload, mapping, base) for base in _SAMPLE_BASES]
+    report = analyze_concordance(
+        per_cycle, layout, streaming_tensor_dims(workload),
+        ports_per_bank=arch.buffer.ports_per_bank,
+        lines_per_bank=arch.buffer.conflict_depth,
+        num_banks=arch.buffer.banks,
+        pattern=arch.reorder_pattern,
+    )
+    return report.avg_slowdown
+
+
+def reference_evaluate(cost_model, workload, mapping, layout) -> CostReport:
+    """Scalar report of one (workload, mapping, layout) cell."""
+    return cost_model._assemble_report(
+        workload, mapping, layout,
+        reference_slowdown(cost_model, workload, mapping, layout),
+        mapping.compute_cycles(workload), cost_model.reorder_costs(workload),
+        cost_model._energy_breakdown_parts(workload, mapping))
+
+
+def reference_evaluate_cached(cache, cost_model, workload, mapping, layout
+                              ) -> Tuple[CostReport, bool]:
+    """:func:`reference_evaluate` memoized in ``cache``: ``(report,
+    was_hit)``.
+
+    One counted lookup per call under the key ``evaluate_batch`` uses
+    (arch + energy, workload shape, mapping and layout signatures).  A hit
+    is returned relabelled with the caller's names and with its own
+    breakdown dict; a miss stores a private copy.
+    """
+    key = (arch_signature(cost_model.arch, cost_model.energy),
+           workload_signature(workload), mapping_signature(mapping),
+           layout_signature(layout))
+    report = cache.get(key)
+    if report is not None:
+        return dataclasses.replace(
+            report, workload=getattr(workload, "name", str(workload)),
+            mapping=mapping.name, layout=layout.name,
+            energy_breakdown_pj=dict(report.energy_breakdown_pj)), True
+    report = reference_evaluate(cost_model, workload, mapping, layout)
+    cache.put(key, dataclasses.replace(
+        report, energy_breakdown_pj=dict(report.energy_breakdown_pj)))
+    return report, False
+
+
+# ------------------------------------------------------- bounds and space
+def metric_lower_bound(metric: str, compute_cycles: float,
+                       statics: BoundStatics) -> float:
+    """Admissible lower bound of ``metric`` for any layout under a mapping
+    of ``compute_cycles``."""
+    cycles_floor = compute_cycles + statics.reorder_cycles
+    if metric == "latency":
+        return cycles_floor
+    if metric == "energy":
+        return statics.energy_floor_pj
+    if metric == "edp":
+        return statics.energy_floor_pj * cycles_floor
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def materialized_sample(space, count: int, seed: int = 0) -> List:
+    """``space.sample(count, seed)`` computed by building every mapping of
+    the space first and sampling the list."""
+    all_mappings = list(space.iter_mappings())
+    if count >= len(all_mappings):
+        return all_mappings
+    return random.Random(seed).sample(all_mappings, count)
+
+
+# ------------------------------------------------------------------ search
 def reference_candidates(mapper: Mapper, workload) -> Tuple[List, object]:
     """The materialized candidate list of ``mapper`` and its RepairLog
     (``None`` when no ConstraintSet binds)."""
@@ -38,8 +203,8 @@ def reference_candidates(mapper: Mapper, workload) -> Tuple[List, object]:
     if space is None:
         raw = mapper._fixed_parallelism_mappings(workload)
     else:
-        raw = space.sample(mapper.config.max_mappings,
-                           seed=mapper.config.seed, materialize=True)
+        raw = materialized_sample(space, mapper.config.max_mappings,
+                                  seed=mapper.config.seed)
         raw.extend(mapper._canonical_tail(workload))
     if mapper.constraints is None:
         return raw, None
@@ -70,9 +235,9 @@ def reference_search(mapper: Mapper, workload,
                 pruned += len(layouts)
                 continue
         if mapper._analytical:
-            scored = [mapper.evaluation_cache.evaluate(
-                mapper.cost_model, workload, mapping, layout)
-                for layout in layouts]
+            scored = [reference_evaluate_cached(
+                mapper.evaluation_cache, mapper.cost_model, workload,
+                mapping, layout) for layout in layouts]
         else:
             scored = [(report, False) for report in
                       mapper.backend.evaluate_mapping(workload, mapping,

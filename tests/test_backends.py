@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference import reference_evaluate
 from repro.api import SearchRequest, Session
 from repro.api.codec import arch_payload, workload_payload
 from repro.backends import (
@@ -91,7 +92,8 @@ class TestAnalyticalBackend:
         mapping = mapper.candidate_mappings(small_conv_layer)[0]
         layout = mapper.candidate_layouts(small_conv_layer)[0]
 
-        direct = CostModel(ARCH88).evaluate(small_conv_layer, mapping, layout)
+        direct = reference_evaluate(CostModel(ARCH88), small_conv_layer,
+                                    mapping, layout)
         via_backend = AnalyticalBackend(ARCH88).evaluate(
             small_conv_layer, mapping, layout)
         assert via_backend == report_from_cost(direct)

@@ -11,12 +11,20 @@ and asserts the repair contract the search engine is built on:
   constrained search returns the unpruned winner bit-identically and its
   counters close over the raw universe
   (``evaluated + pruned + repaired == universe_pairs``).
+
+Plus the identity checks on every golden cell: with no ConstraintSet
+bound, forcing the layer off (``constraints="none"``) is bit-identical to
+the default mapper; on the constrained-backend cells every repaired
+candidate validates, repair is idempotent on it and the counters close
+over the universe.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.backends import create_backend
 from repro.constraints import (
     NO_REPAIR,
     ConstraintSet,
@@ -28,7 +36,10 @@ from repro.constraints import (
 from repro.dataflow.mapping import Mapping, ParallelSpec, TileLevel
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
+from repro.scenarios import golden_matrix
+from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.search.config import SearchConfig
+from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 
 ARCH = feather_arch()
@@ -163,3 +174,60 @@ def test_unsatisfiable_order_raises():
         assert "loop-order" in str(exc)
     else:
         raise AssertionError("expected UnsatisfiableConstraintError")
+
+
+# ----------------------------------------------------- golden-cell identity
+GOLDEN = list(golden_matrix())
+
+
+def _golden_mapper(cell, constraints=None) -> Mapper:
+    """A fresh mapper of a golden cell's configuration and backend."""
+    arch = resolve_arch(cell.arch)
+    backend = ("analytical" if cell.backend in ("analytical", "crossval")
+               else create_backend(cell.backend, arch, seed=cell.config.seed))
+    return Mapper(arch, dataclasses.replace(cell.config,
+                                            constraints=constraints),
+                  backend=backend)
+
+
+def _unique_shapes(cell):
+    seen = {}
+    for workload in resolve_workload_set(cell.workload_set):
+        seen.setdefault(workload_signature(workload), workload)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("cell", GOLDEN, ids=[c.name for c in GOLDEN])
+def test_constraint_layer_identity_on_golden_cells(cell):
+    """Unconstrained cells: ``constraints="none"`` is bit-identical to the
+    default mapper (winner, counters, frontier) and accounts no repairs.
+    Constrained cells: the repaired universe is legal, repair is idempotent
+    on it and ``evaluated + pruned + repaired == universe_pairs``."""
+    plain = _golden_mapper(cell)
+    if plain.constraints is None:
+        off = _golden_mapper(cell, constraints="none")
+        for workload in _unique_shapes(cell):
+            if cell.config.frontier:
+                p_res, p_front = plain.search_frontier(workload)
+                o_res, o_front = off.search_frontier(workload)
+                assert p_front.to_dict() == o_front.to_dict()
+            else:
+                p_res = plain.search(workload)
+                o_res = off.search(workload)
+            assert p_res.best_report == o_res.best_report
+            assert p_res.best_mapping.name == o_res.best_mapping.name
+            assert p_res.best_layout.name == o_res.best_layout.name
+            assert ((p_res.evaluated, p_res.pruned)
+                    == (o_res.evaluated, o_res.pruned))
+            for result in (p_res, o_res):
+                assert result.repaired == 0 and result.repair is None
+        return
+    cset = plain.constraints
+    for workload in _unique_shapes(cell):
+        result = plain.search(workload)
+        for mapping in plain.candidate_mappings(workload):
+            assert cset.validate(mapping, workload, plain.arch), mapping.name
+            fixed, _ = cset.repair(mapping, workload, plain.arch)
+            assert fixed is mapping, mapping.name
+        assert (result.evaluated + result.pruned + result.repaired
+                == result.repair["universe_pairs"])

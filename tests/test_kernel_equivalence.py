@@ -8,8 +8,8 @@ inputs:
   (every report field, including the float averages, compared with ``==``),
 * streaming ``MappingSpace.sample`` == the materializing sampler for the
   same seed, and ``CostModel.evaluate_mapping_batch`` / ``Mapper.search``
-  == the scalar evaluation and the scalar reference search
-  (``tests/reference.py``).
+  == the scalar evaluation and the scalar reference search — all three
+  scalar sides from the tests oracle (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_search
+from reference import (
+    materialized_sample,
+    reference_evaluate,
+    reference_evaluate_cached,
+    reference_search,
+)
 from repro.baselines.registry import medusa_like, mtia_like, sigma_like, tpu_like
 from repro.dataflow.space import MappingSpace
 from repro.kernel import analyze_concordance_batch, compile_layout
@@ -142,7 +147,7 @@ class TestStreamingSampler:
         layer = ConvLayerSpec(name="l", m=64, c=32, h=14, w=14, r=3, s=3)
         space = MappingSpace(layer, 16, 16)
         streamed = space.sample(count, seed=seed)
-        materialized = space.sample(count, seed=seed, materialize=True)
+        materialized = materialized_sample(space, count, seed=seed)
         assert streamed == materialized
         assert [m.name for m in streamed] == [m.name for m in materialized]
 
@@ -174,21 +179,12 @@ class TestBatchedEvaluation:
             for mapping in space.sample(5, seed=2):
                 batch = model.evaluate_mapping_batch(workload, mapping, layouts)
                 for layout, report in zip(layouts, batch):
-                    assert model.evaluate(workload, mapping, layout) == report
-
-    def test_evaluate_batch_covers_cross_product(self):
-        arch = feather_arch()
-        model = CostModel(arch)
-        workload = ConvLayerSpec(name="c", m=32, c=16, h=7, w=7, r=3, s=3)
-        mappings = MappingSpace(workload, 16, 16).sample(3, seed=0)
-        layouts = conv_layout_library()
-        grid = model.evaluate_batch(workload, mappings, layouts)
-        assert len(grid) == len(mappings)
-        assert all(len(row) == len(layouts) for row in grid)
+                    assert reference_evaluate(model, workload, mapping,
+                                              layout) == report
 
     def test_duplicate_layouts_keep_scalar_hit_accounting(self):
         """A layout repeated within one batch is a miss then a hit, exactly
-        like the scalar per-pair loop — evaluated once, not twice."""
+        like the scalar per-pair memo — evaluated once, not twice."""
         from repro.search.cache import EvaluationCache
 
         arch = sigma_like(reorder="offchip")
@@ -201,7 +197,8 @@ class TestBatchedEvaluation:
         batched = batch_cache.evaluate_batch(model, workload, mapping,
                                              [layout, layout])
         scalar_cache = EvaluationCache()
-        scalar = [scalar_cache.evaluate(model, workload, mapping, l)
+        scalar = [reference_evaluate_cached(scalar_cache, model, workload,
+                                            mapping, l)
                   for l in (layout, layout)]
         assert [hit for _, hit in batched] == [hit for _, hit in scalar] == \
                [False, True]

@@ -4,8 +4,8 @@ Property tests (hypothesis) over the two exactness claims the bulk
 pipeline makes:
 
 * **Bound identity** — for random conv/GEMM shapes, every entry of
-  ``BulkUniverse.bounds`` equals the scalar
-  :func:`repro.search.bounds.metric_lower_bound` of the materialized
+  ``BulkUniverse.bounds`` equals the oracle's scalar
+  ``metric_lower_bound`` (``tests/reference.py``) of the materialized
   mapping bit for bit (same float op order), and every entry of
   ``BulkUniverse.footprints`` equals the scalar
   :func:`repro.search.frontier.buffer_footprint_bytes` exactly (integer
@@ -31,13 +31,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_candidates
+from reference import metric_lower_bound, reference_candidates
 from repro.api import InvalidRequestError, SearchRequest
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
-from repro.search.bounds import cached_bound_statics, metric_lower_bound
+from repro.search.bounds import cached_bound_statics
 from repro.search.bulk import candidate_universe, full_universe
 from repro.search.config import SearchConfig
 from repro.search.frontier import buffer_footprint_bytes

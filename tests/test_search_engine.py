@@ -31,10 +31,10 @@ from repro.search import (
     EvaluationCache,
     bound_statics,
     mapping_signature,
-    metric_lower_bound,
     resolve_workers,
     workload_signature,
 )
+from repro.search.bulk import candidate_universe
 from repro.search.config import SearchConfig
 from repro.search.parallel import WORKERS_ENV_VAR, chunked, default_chunk_size
 from repro.workloads.bert import bert_unique_gemms
@@ -136,21 +136,23 @@ class TestBounds:
     @pytest.mark.parametrize("metric", ["edp", "latency", "energy"])
     @pytest.mark.parametrize("arch_fn", [feather_arch, nvdla_like, eyeriss_like])
     def test_bound_is_admissible(self, metric, arch_fn):
-        """The lower bound never exceeds the true metric value."""
+        """The pruning bound never exceeds the true metric value."""
         arch = arch_fn()
         mapper = Mapper(arch, SearchConfig(metric=metric, max_mappings=12))
         statics = bound_statics(mapper.cost_model, LAYER)
-        for mapping in mapper.candidate_mappings(LAYER):
-            bound = metric_lower_bound(metric, mapping.compute_cycles(LAYER),
-                                       statics)
-            for layout in mapper.candidate_layouts(LAYER):
-                report = mapper.cost_model.evaluate(LAYER, mapping, layout)
+        universe = candidate_universe(mapper, LAYER)
+        layouts = mapper.candidate_layouts(LAYER)
+        for bound, mapping in zip(universe.bounds(metric, statics).tolist(),
+                                  universe):
+            for report in mapper.cost_model.evaluate_mapping_batch(
+                    LAYER, mapping, layouts):
                 assert bound <= _metric_value(report, metric) * (1 + 1e-12)
 
     def test_unknown_metric_rejected(self):
-        statics = bound_statics(Mapper(feather_arch()).cost_model, SMALL)
+        mapper = Mapper(feather_arch())
+        statics = bound_statics(mapper.cost_model, SMALL)
         with pytest.raises(ValueError):
-            metric_lower_bound("speed", 1.0, statics)
+            candidate_universe(mapper, SMALL).bounds("speed", statics)
 
 
 class TestPruning:

@@ -136,6 +136,10 @@ def test_error_codes_are_stable(service):
                         "backend": "simulator"}, 422, "incompatible_cell"),
         ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
                         "schema_version": 99}, 400, "invalid_request"),
+        ("/v1/sweep", {"filter": "golden-fig10", "backend": "nope"},
+         400, "unknown_backend"),
+        ("/v1/sweep", {"scenarios": [{**_CELL, "backend": "nope"}]},
+         400, "unknown_backend"),
         ("/v1/nope", {}, 404, "not_found"),
     ]
     for path, body, expected_status, expected_code in cases:
@@ -212,11 +216,30 @@ def _cell(**config) -> dict:
     pytest.param("/v1/eval", {**_EVAL, "mapping": {
         **_MAPPING, "array_rows": 4.5}},
                  id="eval-mapping-rows-fraction"),
+    pytest.param("/v1/sweep", {"filter": 5}, id="sweep-filter-int"),
+    pytest.param("/v1/sweep", {"filter": "golden-fig10", "backend": 5},
+                 id="sweep-backend-int"),
+    pytest.param("/v1/sweep", {"scenarios": [_CELL, _cell(seed=1)]},
+                 id="sweep-cell-name-reused"),
+    pytest.param("/v1/eval", {**_EVAL, "layout": "HWC_C32", "workload": {
+        "type": "conv", "name": "c", "m": 4, "c": 4, "h": 4, "w": 4,
+        "r": 5, "s": 5, "padding": 0}}, id="eval-conv-kernel-overflows"),
+    pytest.param("/v1/search", {**SEARCH, "model": 5}, id="search-model-int"),
+    pytest.param("/v1/sweep", {"scenarios": [{**_CELL, "name": 5}]},
+                 id="sweep-cell-name-int"),
+    pytest.param("/v1/sweep", {"scenarios": [{**_CELL, "tags": [1]}]},
+                 id="sweep-cell-tags-int"),
+    pytest.param("/v1/sweep", {"scenarios": [{**_CELL, "tags": "smoke"}]},
+                 id="sweep-cell-tags-str"),
+    pytest.param("/v1/eval", {**_EVAL, "workload": {
+        "type": "gemm", "name": 7, "m": 8, "k": 8, "n": 8}},
+                 id="eval-workload-name-int"),
 ])
 def test_bad_field_values_are_invalid_request(service, path, body):
-    """Wrong-typed integers, booleans and inline payload fields, and
-    layouts over foreign dimensions, are a structured 400, never a 500 or
-    a silently coerced run."""
+    """Wrong-typed integers, booleans, strings and inline payload fields,
+    layouts over foreign dimensions, reused inline cell names and kernels
+    that overflow their input are a structured 400, never a 500 or a
+    silently coerced run."""
     base, _ = service
     status, payload = _post(base, path, body)
     assert status == 400, (body, payload)
