@@ -26,7 +26,7 @@ import pytest
 from repro.api import SearchRequest, Session
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import LayerChoice, ModelCost
-from repro.layoutloop.mapper import Mapper
+from repro.layoutloop.mapper import Incumbent, Mapper
 from repro.search.config import SearchConfig
 from repro.workloads.resnet50 import resnet50_layers
 
@@ -49,12 +49,15 @@ def _engine_cosearch(workers: int = 1) -> ModelCost:
 
 def _naive_cosearch(layers) -> ModelCost:
     """Per-layer search as the seed repo ran it: no dedup, no pruning, no
-    cache reuse across layers."""
+    cache reuse across layers — every candidate of every layer is scored
+    (through ``Mapper.score``) on a fresh mapper."""
     cost = ModelCost(arch="FEATHER", model="resnet50")
     for layer in layers:
-        mapper = Mapper(feather_arch(),
-                        SearchConfig(max_mappings=MAX_MAPPINGS, prune=False))
-        cost.layer_choices.append(LayerChoice(result=mapper.search(layer),
+        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=MAX_MAPPINGS))
+        incumbent = Incumbent(mapper, layer, mapper.candidate_layouts(layer))
+        for index, mapping in enumerate(mapper.candidate_mappings(layer)):
+            incumbent.score(index, mapping)
+        cost.layer_choices.append(LayerChoice(result=incumbent.result(0),
                                               count=1))
     return cost
 

@@ -62,7 +62,7 @@ from repro.api import (
     default_session,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "api",

@@ -42,7 +42,7 @@ from repro.search.config import (
 )
 
 #: Version of the request/response wire format (bumped on breaking change).
-API_SCHEMA_VERSION = 5
+API_SCHEMA_VERSION = 6
 
 
 def _check_schema_version(version: int, what: str) -> None:
@@ -133,8 +133,8 @@ class SearchRequest(_RequestBase):
     """Whole-model (dataflow, layout) co-search on one architecture.
 
     The result-shaping fields — ``metric``, ``max_mappings``, ``seed``,
-    ``prune``, ``policy``, ``budget``, ``frontier``, ``fused`` and
-    ``constraints`` — are the flat wire spelling of one
+    ``policy``, ``budget``, ``frontier``, ``fused`` and ``constraints`` —
+    are the flat wire spelling of one
     :class:`~repro.search.config.SearchConfig` (documented there), which
     the request builds, validates and exposes as :attr:`config`.
 
@@ -156,7 +156,6 @@ class SearchRequest(_RequestBase):
     metric: str = "edp"
     max_mappings: Union[int, str] = 50
     seed: int = 0
-    prune: bool = True
     policy: str = "exhaustive"
     budget: Optional[int] = None
     backend: str = "analytical"

@@ -48,7 +48,6 @@ _CONFIG_PROPS = {
     "max_mappings": {"anyOf": [{"type": "integer", "minimum": 1},
                                {"const": "auto"}]},
     "seed": {"type": "integer"},
-    "prune": {"type": "boolean"},
     "policy": {"type": "string", "enum": list(POLICIES)},
     "budget": {"type": ["integer", "null"], "minimum": 1},
 }

@@ -197,13 +197,13 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
 def content_key(request: Request) -> str:
     """sha256 content address of a resolved request.
 
-    Reuses the scenario-record hashing discipline
-    (:func:`repro.scenarios.runner.cell_key`): keys cover resolved
-    *structure* — workload shape signatures, the full architecture
-    signature, :meth:`SearchConfig.key`, the package version — plus the
-    labels that appear in the response; the guaranteed result-neutral
-    execution knobs (``workers``, ``fresh_cache``) stay out.  Raises
-    :class:`InvalidRequestError` when the request does not resolve.
+    Keys cover resolved *structure* — workload shape signatures, the full
+    architecture signature, :meth:`SearchConfig.key`, the package version
+    — plus the labels that appear in the response; the guaranteed
+    result-neutral execution knobs (``workers``, ``fresh_cache``) stay
+    out.  A scenario cell's key (:func:`repro.scenarios.runner.cell_key`)
+    is this key of its request.  Raises :class:`InvalidRequestError` when
+    the request does not resolve.
     """
     return _resolve_request(request)[0]
 
@@ -406,9 +406,11 @@ class Session:
         Its whole-result memo is what makes repeat search requests near
         instant: determinism guarantees the memoized
         :class:`~repro.layoutloop.mapper.SearchResult` objects equal a
-        fresh search's, so only the engine *counters* differ (a full memo
-        hit reports zero evaluations) — ``fresh_cache`` requests bypass
-        this layer for exactly that reason.
+        fresh search's — counters included, so a full memo hit reports
+        the original search's evaluations and prunes — and only the
+        evaluation-cache counters differ (a full hit makes no cache
+        lookups, so it reports no hits or misses).  ``fresh_cache`` requests bypass this layer so their
+        cache counters stay per-call deterministic.
         """
         from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
         from repro.layoutloop.mapper import Mapper

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.backends.analytical import AnalyticalBackend
 from repro.backends.base import BackendReport
 from repro.backends.simulator import SimulatorBackend
+from repro.errors import InvalidRequestError
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.energy import EnergyTable
@@ -110,7 +111,7 @@ def multifidelity_search_layer(
     be passed in to share them (and the simulator's memo) across shapes.
     """
     if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+        raise InvalidRequestError(f"top_k must be >= 1, got {top_k}")
     analytical = analytical or AnalyticalBackend(arch, energy=energy)
     simulator = simulator or SimulatorBackend(arch, energy=energy, seed=seed)
     mapper = Mapper(arch, SearchConfig(metric=metric,
@@ -165,7 +166,7 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
     """
     workloads = list(workloads)
     if not workloads:
-        raise ValueError(
+        raise InvalidRequestError(
             f"multifidelity_search({model_name!r}) requires at least one "
             f"workload")
     analytical = AnalyticalBackend(arch, energy=energy)

@@ -21,10 +21,11 @@ Every search policy runs one path: the candidate universe is a
 :class:`~repro.search.bulk.BulkUniverse`
 (:func:`repro.search.bulk.candidate_universe`), its admissible bounds come
 from one numpy pass (``BulkUniverse.bounds``) and each surviving mapping is
-scored under all of its layouts at once (:meth:`Mapper.score`).  The scalar
-loop this replaces — materialized sample, per-mapping bound, per-layout
-evaluation — is kept only as the tests-side reference oracle the identity
-suites compare against.
+scored under all of its layouts at once through one :class:`Incumbent`,
+which counts the scored pairs and keeps the lexicographic winner.  The
+scalar loop this replaces — materialized sample, per-mapping bound,
+per-layout evaluation — is kept only as the tests-side reference oracle
+the identity suites compare against.
 
 Scoring itself goes through an :mod:`repro.backends` evaluation backend.
 The default ``"analytical"`` backend runs the cached, batched cost model;
@@ -36,7 +37,7 @@ the bounds are statements about the analytical model only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dataflow.mapping import (
@@ -105,6 +106,69 @@ def _metric_value(report: CostReport, metric: str) -> float:
     return getattr(report, METRIC_FIELDS[metric])
 
 
+class Incumbent:
+    """The one scoring step of every search policy.
+
+    :meth:`score` prices one mapping of the universe under every candidate
+    layout through :meth:`Mapper.score`, counts the scored pairs
+    (``evaluated``, ``cache_hits``) and keeps the winner: the
+    lexicographic minimum of ``(value, mapping index, layout index)``.  An
+    index-order scan that replaces only on strict improvement selects
+    exactly that minimum, so the exhaustive scan and the policies that
+    visit candidates out of index order (halving, evolutionary) agree on
+    every tie.  ``min_values`` holds each scored mapping's best value over
+    its layouts (the evolutionary policy's elite ranking), and
+    :meth:`result` packages the winner as a :class:`SearchResult`.
+    """
+
+    def __init__(self, mapper: "Mapper", workload, layouts: Sequence[Layout]):
+        self.mapper = mapper
+        self.workload = workload
+        self.layouts = layouts
+        self._field = METRIC_FIELDS[mapper.config.metric]
+        self.key: Optional[Tuple[float, int, int]] = None
+        self.report = None
+        self.mapping: Optional[Mapping] = None
+        self.layout: Optional[Layout] = None
+        self.min_values: Dict[int, float] = {}
+        self.evaluated = 0
+        self.cache_hits = 0
+
+    def score(self, index: int, mapping: Mapping) -> List[Tuple[object, bool]]:
+        """Score universe entry ``index`` under every layout and fold it
+        into the winner; returns the ``[(report, was_cache_hit), ...]``
+        pairs in layout order."""
+        scored = self.mapper.score(self.workload, mapping, self.layouts)
+        field_name = self._field
+        best = self.key
+        vmin = math.inf
+        for layout_index, (report, hit) in enumerate(scored):
+            self.cache_hits += hit
+            value = getattr(report, field_name)
+            if value < vmin:
+                vmin = value
+            if best is None or (value <= best[0]
+                                and (value, index, layout_index) < best):
+                best = (value, index, layout_index)
+                self.report = report
+                self.mapping = mapping
+                self.layout = self.layouts[layout_index]
+        self.key = best
+        self.evaluated += len(scored)
+        self.min_values[index] = vmin
+        return scored
+
+    def result(self, pruned: int) -> SearchResult:
+        """The winner as a :class:`SearchResult` under the mapper's arch and
+        metric, with this scan's counters and ``pruned`` skipped pairs."""
+        return SearchResult(
+            workload=getattr(self.workload, "name", str(self.workload)),
+            arch=self.mapper.arch.name, best_report=self.report,
+            best_mapping=self.mapping, best_layout=self.layout,
+            evaluated=self.evaluated, metric=self.mapper.config.metric,
+            pruned=pruned, cache_hits=self.cache_hits)
+
+
 class _ResultKey(NamedTuple):
     """Memo key of one search: the workload, its shape signature, the
     layout restriction and the mapper's :meth:`SearchConfig.key`."""
@@ -120,8 +184,8 @@ class Mapper:
 
     ``config`` is the :class:`~repro.search.config.SearchConfig` every
     search of this mapper runs under (default: ``SearchConfig()``): the
-    metric, the ``max_mappings`` sample, the seed, pruning, the search
-    policy and its budget, and the constraint layer.  ``frontier`` and
+    metric, the ``max_mappings`` sample, the seed, the search policy and
+    its budget, and the constraint layer.  ``frontier`` and
     ``fused`` are honoured by the whole-model engine, which calls
     :meth:`search_frontier` and :func:`~repro.layoutloop.cosearch.
     fused_model_search`; a mapper only checks that its backend can run
@@ -178,9 +242,9 @@ class Mapper:
                                      if self.backend.cache is not None
                                      else cache)
         else:
-            # Kept for API compatibility (bound statics, shared-cache
-            # callers, the budgeted policies' analytical cheap rung); the
-            # exhaustive loop does not consult them.
+            # The budgeted policies' cheap rung: halving and evolutionary
+            # rank this backend's candidates by their analytical value
+            # (repro.search.budget._cheap_rung).  Scoring never reads it.
             self.cost_model = CostModel(arch, energy)
             self.evaluation_cache = cache
         self._cache: Dict[_ResultKey, SearchResult] = {}
@@ -350,77 +414,49 @@ class Mapper:
         if key in self._cache:
             return self._cache[key]
         config = self.config
-        if config.policy != "exhaustive":
+        if config.policy == "exhaustive" and config.max_mappings != "auto":
+            result = self._exhaustive_search(workload, layouts)
+        else:
             # Budgeted policies live in repro.search.budget (imported lazily:
-            # it builds on this module).
+            # it builds on this module).  "auto" is the uncapped bound-
+            # ordered scan of the whole structured space.
             from repro.search.budget import evolutionary_search, halving_search
 
-            search_fn = (halving_search if config.policy == "halving"
-                         else evolutionary_search)
+            search_fn = (evolutionary_search
+                         if config.policy == "evolutionary"
+                         else halving_search)
             result = search_fn(self, workload, layouts=layouts,
                                budget=config.budget)
-        elif config.max_mappings == "auto":
-            # Adaptive universe: seeded base sample grown where the bound
-            # landscape is tight; returns exactly the uncapped exhaustive
-            # winner of the full structured space.
-            result = bulk.adaptive_search(self, workload, layouts=layouts)
-        else:
-            result = self._exhaustive_search(workload, layouts)
         self._finalize_repair(result, workload, layouts)
         self._cache[key] = result
         return result
 
     def _exhaustive_search(self, workload, layouts: Optional[Sequence[Layout]]
                            ) -> SearchResult:
-        """Scan the candidate universe in order, keeping the first strict
-        improvement.  A mapping whose admissible bound cannot beat the
-        incumbent skips all of its layouts without evaluation (and is never
-        materialized) — the outcome is identical to the unpruned scan
-        because the bound never exceeds the true value and ties never
-        replace the incumbent."""
+        """Scan the candidate universe in order through one
+        :class:`Incumbent`.  On the analytical backend a mapping whose
+        admissible bound cannot beat the incumbent skips all of its layouts
+        without evaluation (and is never materialized) — the outcome is
+        identical to the unpruned scan because the bound never exceeds the
+        true value and ties never replace the incumbent.  The bounds are
+        statements about the analytical cost model; any other backend
+        scans exhaustively."""
         layouts = list(layouts) if layouts else self.candidate_layouts(workload)
         universe = bulk.candidate_universe(self, workload)
-        # The admissible bounds are statements about the analytical cost
-        # model; any other backend scans exhaustively.
-        metric = self.config.metric
         bounds = None
-        if self.config.prune and self._analytical:
+        if self._analytical:
             statics = cached_bound_statics(self.cost_model, workload)
-            bounds = universe.bounds(metric, statics).tolist()
+            bounds = universe.bounds(self.config.metric, statics).tolist()
 
-        best: Optional[CostReport] = None
-        best_value = math.inf
-        best_mapping: Optional[Mapping] = None
-        best_layout: Optional[Layout] = None
-        evaluated = 0
+        incumbent = Incumbent(self, workload, layouts)
         pruned = 0
-        cache_hits = 0
         for index in range(len(universe)):
-            if (bounds is not None and best is not None
-                    and bounds[index] >= best_value):
+            if (bounds is not None and incumbent.key is not None
+                    and bounds[index] >= incumbent.key[0]):
                 pruned += len(layouts)
                 continue
-            mapping = universe[index]
-            scored = self.score(workload, mapping, layouts)
-            for layout, (report, hit) in zip(layouts, scored):
-                evaluated += 1
-                cache_hits += hit
-                value = _metric_value(report, metric)
-                if best is None or value < best_value:
-                    best, best_mapping, best_layout = report, mapping, layout
-                    best_value = value
-
-        return self._result(workload, best, best_mapping, best_layout,
-                            evaluated, pruned, cache_hits)
-
-    def _result(self, workload, report, mapping: Mapping, layout: Layout,
-                evaluated: int, pruned: int, cache_hits: int) -> SearchResult:
-        """A search winner packaged under this mapper's arch and metric."""
-        return SearchResult(
-            workload=getattr(workload, "name", str(workload)),
-            arch=self.arch.name, best_report=report, best_mapping=mapping,
-            best_layout=layout, evaluated=evaluated,
-            metric=self.config.metric, pruned=pruned, cache_hits=cache_hits)
+            incumbent.score(index, universe[index])
+        return incumbent.result(pruned)
 
     def search_frontier(self, workload,
                         layouts: Optional[Sequence[Layout]] = None) -> Tuple:

@@ -7,14 +7,16 @@ run it on a :class:`~repro.api.Session` (the module-default one unless a
 session is passed), and wrap the outcome in a
 :class:`~repro.scenarios.record.ScenarioRecord`.
 
-Artifacts are **content-addressed**: every record embeds a sha256 ``key``
-over the *resolved* cell definition — the workload shape signatures, the
-full architecture + energy signature, ``SearchConfig.key()`` and the
-``repro`` version.  When a runs directory is given, a cell whose artifact
-already exists with a matching key is skipped and the stored record is
-returned (``cached=True``); editing a workload table, an architecture or
-the package version changes the key and forces a re-run, so a stale
-artifact can never masquerade as a fresh result.
+Artifacts are **content-addressed**: every record embeds the sha256
+content key of the cell's request (:func:`cell_request`,
+:func:`repro.api.session.content_key`) — the workload shape signatures and
+labels, the full architecture + energy signature, ``SearchConfig.key()``,
+the backend, the wire schema and the ``repro`` version.  When a runs
+directory is given, a cell whose artifact already exists with a matching
+key and record schema is skipped and the stored record is returned
+(``cached=True``); editing a workload table, an architecture or the
+package version changes the key and forces a re-run, so a stale artifact
+can never masquerade as a fresh result.
 
 ``workers`` deliberately stays *out* of the key: the engine guarantees
 bit-identical results for any worker count, so it is an execution detail,
@@ -30,44 +32,42 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 import repro
-from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
 from repro.scenarios.record import (
     SCHEMA_VERSION,
     ScenarioRecord,
     record_from_model_cost,
 )
-from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.scenarios.spec import Scenario, ScenarioMatrix, slugify
 from repro.search.config import SearchConfig
-from repro.search.signatures import arch_signature, workload_signature
 
 #: Default artifact directory of the CLI (relative to the invocation cwd).
 DEFAULT_RUNS_DIR = Path("runs") / "scenarios"
 
 
+def cell_request(scenario: Scenario, workers: Optional[int] = None):
+    """The :class:`~repro.api.SearchRequest` that runs one cell: its
+    config, workload set, architecture and backend, labelled with the cell
+    name, on a private evaluation cache (``fresh_cache``) so the engine
+    counters embedded in the record stay deterministic."""
+    from repro.api import SearchRequest
+
+    return SearchRequest.from_config(
+        scenario.config, workloads=scenario.workload_set, arch=scenario.arch,
+        model=scenario.name, backend=scenario.backend, workers=workers,
+        fresh_cache=True)
+
+
 def cell_key(scenario: Scenario) -> str:
-    """Content address of one cell's resolved definition.
+    """Content address of one cell: the content key of its
+    :func:`cell_request`.
 
-    Keys on structure (shape/arch signatures), never on free-text workload
-    names, and embeds the package version so results cached by an older
-    cost model are re-run rather than trusted.
+    Keys on structure (shape/arch signatures, ``SearchConfig.key()``) plus
+    the labels the record carries, and embeds the package version so
+    results cached by an older cost model are re-run rather than trusted.
     """
-    return _resolved_cell_key(scenario,
-                              resolve_workload_set(scenario.workload_set),
-                              resolve_arch(scenario.arch))
+    from repro.api.session import content_key
 
-
-def _resolved_cell_key(scenario: Scenario, workloads: List, arch) -> str:
-    """:func:`cell_key` over already-resolved workloads/architecture."""
-    payload = (
-        SCHEMA_VERSION,
-        repro.__version__,
-        tuple(workload_signature(w) for w in workloads),
-        arch_signature(arch, DEFAULT_ENERGY_TABLE),
-        scenario.config.key(),
-        scenario.backend,
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return content_key(cell_request(scenario))
 
 
 def artifact_path(runs_dir: Path, scenario: Scenario) -> Path:
@@ -112,34 +112,32 @@ def run_cell(scenario: Scenario, workers: Optional[int] = None,
     :func:`~repro.api.default_session` when not given).  ``workers=None``
     therefore follows the session's documented precedence — explicit
     argument > session default > ``REPRO_SEARCH_WORKERS`` > serial — the
-    same resolution every other entry point gets.  The request runs with a
-    private evaluation cache (``fresh_cache``) so the engine counters
-    embedded in the record stay deterministic; results are bit-identical
-    either way.
+    same resolution every other entry point gets.  The request
+    (:func:`cell_request`) runs with a private evaluation cache
+    (``fresh_cache``) so the engine counters embedded in the record stay
+    deterministic; results are bit-identical either way.
 
     ``backend`` overrides the scenario's declared backend for this run
     (the CLI's ``--backend`` flag); the override participates in the
     content key and the artifact name, so the same cell run under two
     backends produces two independent artifacts.
 
-    With ``runs_dir`` set, a previously written artifact whose embedded key
-    matches the cell's current content address is returned directly;
+    With ``runs_dir`` set, a previously written artifact of the current
+    record schema whose embedded key matches the request's content key
+    is returned directly;
     ``force=True`` always re-runs.  Without ``runs_dir`` the cell is always
     computed and nothing is written.
     """
     import dataclasses
 
-    from repro.api import SearchRequest
-    from repro.api.session import default_session
+    from repro.api.session import content_key, default_session
 
     if backend is not None and backend != scenario.backend:
         scenario = dataclasses.replace(scenario, backend=backend)
     if session is None:
         session = default_session()
 
-    workloads = resolve_workload_set(scenario.workload_set)
-    arch = resolve_arch(scenario.arch)
-    key = _resolved_cell_key(scenario, workloads, arch)
+    request = cell_request(scenario, workers)
     path: Optional[Path] = None
     if runs_dir is not None:
         path = artifact_path(runs_dir, scenario)
@@ -148,16 +146,14 @@ def run_cell(scenario: Scenario, workers: Optional[int] = None,
                 existing = ScenarioRecord.read(path)
             except (ValueError, KeyError, TypeError):
                 existing = None  # corrupt/foreign artifact: recompute
-            if existing is not None and existing.key == key:
+            if (existing is not None and existing.schema == SCHEMA_VERSION
+                    and existing.key == content_key(request)):
                 return CellResult(record=existing, cached=True, path=path)
 
     start = time.perf_counter()
-    response = session.run(SearchRequest.from_config(
-        scenario.config, workloads=scenario.workload_set, arch=scenario.arch,
-        model=scenario.name, backend=scenario.backend, workers=workers,
-        fresh_cache=True))
+    response = session.run(request)
     elapsed = time.perf_counter() - start
-    record = record_from_model_cost(scenario, response.cost, key=key,
+    record = record_from_model_cost(scenario, response.cost, key=response.key,
                                     repro_version=repro.__version__,
                                     workers=response.cost.search_stats.workers,
                                     elapsed_s=elapsed,

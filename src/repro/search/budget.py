@@ -3,8 +3,9 @@
 The exhaustive :meth:`repro.layoutloop.mapper.Mapper.search` scores every
 sampled mapping under every candidate layout (minus admissibly-pruned
 mappings).  The policies here keep the same candidate universe — the
-mapper's seeded sample plus the canonical weight-stationary mapping — but
-order and cap the full-fidelity evaluations:
+mapper's seeded sample plus the canonical weight-stationary mapping, or the
+whole structured space under ``max_mappings="auto"`` — but order and cap
+the full-fidelity evaluations:
 
 * :func:`halving_search` — successive halving collapsed to its exact limit:
   rank every mapping by its cheap-rung score (the admissible bound of
@@ -25,6 +26,8 @@ order and cap the full-fidelity evaluations:
 
 ``budget=None`` is uncapped for *both* policies (use
 :func:`default_budget` for the legacy quarter-universe refinement cap).
+``max_mappings="auto"`` is :func:`halving_search` with no budget over the
+whole structured space.
 
 Budget accounting matches :class:`~repro.layoutloop.mapper.SearchResult`:
 ``evaluated`` counts scored (mapping, layout) pairs *including* evaluation-
@@ -32,20 +35,24 @@ cache hits, and a policy never starts a mapping it cannot finish — so
 ``evaluated <= budget`` whenever ``budget >= len(layouts)`` (one mapping is
 always scored, even under a smaller budget, so the result is well-defined).
 
-Winner selection is the lexicographic minimum of ``(value, mapping_index,
-layout_index)``.  The exhaustive loop scans mappings and layouts in index
-order and replaces only on strict improvement, so its winner *is* that
-lexicographic minimum — tracking it explicitly makes the policies
-tie-stable even though they visit candidates out of index order.
+Both policies score through one
+:class:`~repro.layoutloop.mapper.Incumbent`, whose winner is the
+lexicographic minimum of ``(value, mapping_index, layout_index)`` — the
+pair the exhaustive index-order scan selects — so they are tie-stable even
+though they visit candidates out of index order.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
+from repro.layoutloop.mapper import (
+    Incumbent,
+    Mapper,
+    SearchResult,
+    _metric_value,
+)
 from repro.search import bulk
 from repro.search.bounds import cached_bound_statics
 from repro.search.signatures import mapping_signature, workload_signature
@@ -63,9 +70,8 @@ def default_budget(n_mappings: int, n_layouts: int) -> int:
     return max(pair_cost, (int(n_mappings) * pair_cost) // 4)
 
 
-def _cheap_rung(mapper: Mapper, workload, universe, layouts
-                ) -> Tuple[List[float], bool]:
-    """Per-mapping cheap-rung scores and whether they are admissible bounds.
+def _cheap_rung(mapper: Mapper, workload, universe, layouts) -> List[float]:
+    """Per-mapping cheap-rung scores.
 
     Analytical backend: the admissible metric lower bound of every entry in
     one vectorized pass (orders of magnitude cheaper than an evaluation) —
@@ -73,59 +79,19 @@ def _cheap_rung(mapper: Mapper, workload, universe, layouts
     value (minimum over the candidate layouts), i.e. the multi-fidelity
     ladder's cheap rung — a fast-model ranking with no admissibility claim
     about the expensive model, so the caller may order by it but never
-    prune on it.
+    prune on it (admissible exactly when ``mapper._analytical``).
     """
     metric = mapper.config.metric
     if mapper._analytical:
         statics = cached_bound_statics(mapper.cost_model, workload)
-        return (universe.bounds(metric, statics).tolist(),
-                mapper.config.prune)
+        return universe.bounds(metric, statics).tolist()
     scores = []
     for mapping in universe:
         reports = mapper.cost_model.evaluate_mapping_batch(workload, mapping,
                                                            layouts)
         scores.append(min(_metric_value(report, metric)
                           for report in reports))
-    return scores, False
-
-
-class _Incumbent:
-    """Lexicographic-minimum tracker over scored (mapping, layout) pairs."""
-
-    def __init__(self, mapper: Mapper, workload, layouts):
-        self.mapper = mapper
-        self.metric = mapper.config.metric
-        self.workload = workload
-        self.layouts = layouts
-        self.key: Optional[Tuple[float, int, int]] = None
-        self.report = None
-        self.mapping = None
-        self.layout = None
-        self.min_values = {}  # mapping index -> min metric value over layouts
-        self.evaluated = 0
-        self.cache_hits = 0
-
-    def score(self, index: int, mapping) -> None:
-        """Fully evaluate one mapping and fold it into the incumbent."""
-        scored = self.mapper.score(self.workload, mapping, self.layouts)
-        vmin = math.inf
-        for layout_idx, (report, hit) in enumerate(scored):
-            self.evaluated += 1
-            self.cache_hits += int(hit)
-            value = _metric_value(report, self.metric)
-            if value < vmin:
-                vmin = value
-            key = (value, index, layout_idx)
-            if self.key is None or key < self.key:
-                self.key = key
-                self.report = report
-                self.mapping = mapping
-                self.layout = self.layouts[layout_idx]
-        self.min_values[index] = vmin
-
-    @property
-    def best_value(self) -> float:
-        return math.inf if self.key is None else self.key[0]
+    return scores
 
 
 def halving_search(mapper: Mapper, workload,
@@ -151,14 +117,14 @@ def halving_search(mapper: Mapper, workload,
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     mappings = bulk.candidate_universe(mapper, workload)
     pair_cost = len(layouts)
-    rung, admissible = _cheap_rung(mapper, workload, mappings, layouts)
+    rung = _cheap_rung(mapper, workload, mappings, layouts)
     order = sorted(range(len(mappings)), key=lambda i: (rung[i], i))
 
-    incumbent = _Incumbent(mapper, workload, layouts)
+    incumbent = Incumbent(mapper, workload, layouts)
     pruned = 0
     for rank, index in enumerate(order):
-        if (admissible and incumbent.key is not None
-                and rung[index] > incumbent.best_value):
+        if (mapper._analytical and incumbent.key is not None
+                and rung[index] > incumbent.key[0]):
             # Bound order: every remaining mapping's bound is >= this one's,
             # so none of them can contain a pair below (or tying) the
             # incumbent — admissibly prune them all.
@@ -168,10 +134,7 @@ def halving_search(mapper: Mapper, workload,
                 and incumbent.evaluated + pair_cost > budget):
             break
         incumbent.score(index, mappings[index])
-
-    return mapper._result(workload, incumbent.report, incumbent.mapping,
-                          incumbent.layout, incumbent.evaluated, pruned,
-                          incumbent.cache_hits)
+    return incumbent.result(pruned)
 
 
 def evolutionary_search(mapper: Mapper, workload,
@@ -200,7 +163,7 @@ def evolutionary_search(mapper: Mapper, workload,
     n = len(mappings)
     pair_cost = len(layouts)
     rng = random.Random(mapper.config.seed)
-    rung, _ = _cheap_rung(mapper, workload, mappings, layouts)
+    rung = _cheap_rung(mapper, workload, mappings, layouts)
     order = sorted(range(n), key=lambda i: (rung[i], i))
     rank_of = {index: rank for rank, index in enumerate(order)}
 
@@ -225,7 +188,7 @@ def evolutionary_search(mapper: Mapper, workload,
     while len(population) < population_size and unseen_pool:
         population.append(unseen_pool.pop(rng.randrange(len(unseen_pool))))
 
-    incumbent = _Incumbent(mapper, workload, layouts)
+    incumbent = Incumbent(mapper, workload, layouts)
     seen = set()
     exhausted = False
     frontier = population
@@ -258,7 +221,4 @@ def evolutionary_search(mapper: Mapper, workload,
         if not children:
             break
         frontier = children
-
-    return mapper._result(workload, incumbent.report, incumbent.mapping,
-                          incumbent.layout, incumbent.evaluated, 0,
-                          incumbent.cache_hits)
+    return incumbent.result(0)

@@ -34,39 +34,19 @@ int64 ``(extent + degree - 1) // degree``.  The two agree whenever the float
 quotient rounds within the same unit interval, which holds for all extents
 below 2**52 — astronomically beyond any layer shape — and is pinned by the
 hypothesis equivalence tests.
-
-:func:`adaptive_search` builds the adaptive universe behind
-``max_mappings="auto"``: score a small seeded base sample (plus the
-canonical tail), then grow evaluation *only* where the bound landscape is
-tight — flat indices whose admissible bound is within ``slack`` of the
-incumbent.  Because the bound is admissible and the growth filter keeps
-every index whose bound does not strictly exceed the incumbent, every
-skipped index satisfies ``value >= bound > best`` — it can neither beat nor
-tie the winner — so the uncapped adaptive run returns exactly the
-exhaustive lexicographic winner of the *full* space (the guarantee the
-golden-cell property tests pin).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.search.bounds import BoundStatics, cached_bound_statics
+from repro.search.bounds import BoundStatics
 from repro.search.frontier import buffer_footprint_bytes
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
-
-#: Seeded base-sample size of the adaptive (``max_mappings="auto"``) universe.
-AUTO_BASE: int = 32
-
-#: Default relative slack of the adaptive growth threshold: flat indices with
-#: ``bound <= best * (1 + slack)`` are grown.  0.0 grows exactly the indices
-#: that could still win (or tie) — the minimum that preserves exactness.
-AUTO_SLACK: float = 0.0
 
 
 class BulkUniverse:
@@ -237,18 +217,6 @@ class BulkUniverse:
             raise TypeError(f"unsupported workload type {type(workload)!r}")
         return (iact * bits) // 8 + (weight * bits) // 8 + (oact * bits) // 8
 
-    # -------------------------------------------------------- adaptive seeds
-    def seed_positions(self, count: int, seed: int) -> List[int]:
-        """Positions of the adaptive base sample: a seeded draw of ``count``
-        sampled positions (every one when the sample is small) plus the
-        whole tail — the canonical baselines are always scored."""
-        n_sampled = len(self._indices)
-        if count >= n_sampled:
-            picks = list(range(n_sampled))
-        else:
-            picks = random.Random(seed).sample(range(n_sampled), count)
-        return picks + list(range(n_sampled, len(self)))
-
 
 # ------------------------------------------------------------- constructors
 def structured_universe(mapper, workload, count) -> BulkUniverse:
@@ -267,93 +235,14 @@ def structured_universe(mapper, workload, count) -> BulkUniverse:
 
 def candidate_universe(mapper, workload) -> BulkUniverse:
     """The universe every search policy of ``mapper`` scans: the
-    ``max_mappings`` sample plus canonical tail, without materializing any
-    of it — or, with a bound ConstraintSet, that sample repaired to
-    legality and deduplicated (the mapper memoizes the repair per shape)."""
+    ``max_mappings`` sample plus canonical tail — the whole structured
+    space plus the tail under ``max_mappings="auto"`` — without
+    materializing any of it; or, with a bound ConstraintSet, that sample
+    repaired to legality and deduplicated (the mapper memoizes the repair
+    per shape)."""
     if mapper.constraints is not None:
         return BulkUniverse.from_mappings(
             mapper._repaired_universe(workload)[0], workload)
-    return structured_universe(mapper, workload, mapper.config.max_mappings)
-
-
-def full_universe(mapper, workload) -> BulkUniverse:
-    """The *entire* structured space (every flat index, in flat order) plus
-    the canonical tail — the reference universe of the adaptive search."""
-    return structured_universe(mapper, workload, math.inf)
-
-
-# ---------------------------------------------------------- adaptive search
-def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
-                    base: int = AUTO_BASE, slack: float = AUTO_SLACK):
-    """The ``max_mappings="auto"`` search: seeded base, bound-driven growth.
-
-    Phase 1 scores a seeded base sample of ``base`` flat positions plus the
-    canonical tail (skipping positions whose bound already strictly exceeds
-    the incumbent).  Phase 2 grows into the rest of the *full* space, but
-    only where the bound landscape is tight: positions whose admissible
-    bound is within ``slack`` of the incumbent, visited in (bound, position)
-    order with a dynamic strict re-check as the incumbent improves.
-
-    Exactness (``slack >= 0``): the incumbent value is monotone
-    non-increasing and the bound admissible, so every position never scored
-    satisfies ``value >= bound > best_final`` — it can neither beat nor tie
-    the winner.  The returned winner is therefore the lexicographic minimum
-    of ``(value, flat position, layout index)`` over the **whole** space,
-    i.e. exactly what an uncapped exhaustive scan returns.  ``pruned``
-    counts the pairs the growth policy never scored.
-
-    Requires the analytical backend (admissible bounds are statements about
-    the analytical model); the mapper constructor enforces this.
-    """
-    from repro.layoutloop.mapper import _metric_value
-
-    layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
-    metric = mapper.config.metric
-    universe = full_universe(mapper, workload)
-    total = len(universe)
-    statics = cached_bound_statics(mapper.cost_model, workload)
-    bounds = universe.bounds(metric, statics).tolist()
-
-    best_key = None          # (value, flat position, layout index)
-    best_report = None
-    best_mapping = None
-    best_layout = None
-    evaluated = 0
-    cache_hits = 0
-
-    def score(pos: int) -> None:
-        nonlocal best_key, best_report, best_mapping, best_layout
-        nonlocal evaluated, cache_hits
-        mapping = universe[pos]
-        scored = mapper.score(workload, mapping, layouts)
-        for layout_idx, (report, hit) in enumerate(scored):
-            evaluated += 1
-            cache_hits += int(hit)
-            value = _metric_value(report, metric)
-            key = (value, pos, layout_idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_report = report
-                best_mapping = mapping
-                best_layout = layouts[layout_idx]
-
-    seeds = universe.seed_positions(base, mapper.config.seed)
-    for pos in seeds:
-        if best_key is not None and bounds[pos] > best_key[0]:
-            continue
-        score(pos)
-
-    visited = set(seeds)
-    best_value = best_key[0] if best_key is not None else math.inf
-    threshold = best_value * (1.0 + slack)
-    growth = [pos for pos in range(total)
-              if pos not in visited and bounds[pos] <= threshold]
-    growth.sort(key=lambda pos: (bounds[pos], pos))
-    for pos in growth:
-        if bounds[pos] > best_key[0]:
-            continue
-        score(pos)
-
-    return mapper._result(workload, best_report, best_mapping, best_layout,
-                          evaluated, total * len(layouts) - evaluated,
-                          cache_hits)
+    count = mapper.config.max_mappings
+    return structured_universe(mapper, workload,
+                               math.inf if count == "auto" else count)

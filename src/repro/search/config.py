@@ -73,16 +73,14 @@ class SearchConfig:
     """Objective the search minimises: one of :data:`METRICS`."""
     max_mappings: Union[int, str] = 50
     """Sampled mappings per layer shape (the pruned-random budget), or
-    ``"auto"`` for the adaptive universe (:func:`repro.search.bulk.
-    adaptive_search`): a small seeded sample grown only where the bound
-    landscape is tight, returning exactly the uncapped exhaustive winner.
-    ``"auto"`` needs the analytical backend, the exhaustive policy and no
-    bound constraints, and excludes ``frontier``/``fused``."""
+    ``"auto"``: the whole structured space scanned in admissible-bound
+    order (:func:`repro.search.budget.halving_search` with no budget),
+    stopping once no remaining bound can beat the incumbent — exactly the
+    uncapped exhaustive winner.  ``"auto"`` needs the analytical backend,
+    the exhaustive policy and no bound constraints, and excludes
+    ``frontier``/``fused``."""
     seed: int = 0
     """RNG seed of the mapping sampler (and of stochastic backends)."""
-    prune: bool = True
-    """Admissible lower-bound pruning.  Exact: it only moves work from the
-    ``evaluated`` counter to ``pruned``."""
     policy: str = "exhaustive"
     """Search policy: one of :data:`POLICIES`."""
     budget: Optional[int] = None
@@ -122,7 +120,7 @@ class SearchConfig:
         self._set("seed", strict_int("seed", self.seed))
         self._set("budget", strict_int("budget", self.budget, minimum=1,
                                        nullable=True))
-        for name in ("prune", "frontier", "fused"):
+        for name in ("frontier", "fused"):
             strict_bool(name, getattr(self, name))
         if (self.constraints is not None
                 and self.constraints not in CONSTRAINT_MODES):
@@ -137,7 +135,7 @@ class SearchConfig:
                 "budget requires policy='halving' or 'evolutionary'")
         if self.frontier or self.fused:
             # Budgeted policies skip candidates the frontier must see, and
-            # the adaptive universe defines the scalar winner only.
+            # the bound-ordered "auto" scan defines the scalar winner only.
             if self.policy != "exhaustive":
                 raise InvalidRequestError(
                     "frontier/fused search requires policy='exhaustive', "
@@ -152,7 +150,7 @@ class SearchConfig:
                     f"got {self.policy!r}")
             if self.constraints not in (None, "none"):
                 raise InvalidRequestError(
-                    "max_mappings='auto' grows the raw structured universe "
+                    "max_mappings='auto' scans the raw structured universe "
                     "and cannot be combined with bound constraints")
 
     def _set(self, name: str, value) -> None:
@@ -161,9 +159,9 @@ class SearchConfig:
     def check_backend(self, backend: str) -> None:
         """Reject this config on the evaluation backend named ``backend``.
 
-        The adaptive universe, the frontier's dominance prune and the
-        fused-pair cost discounts are statements about the analytical
-        model, so ``max_mappings="auto"``, ``frontier`` and ``fused`` need
+        The bound-ordered ``"auto"`` scan, the frontier's dominance prune
+        and the fused-pair cost discounts are statements about the
+        analytical model, so ``max_mappings="auto"``, ``frontier`` and ``fused`` need
         ``backend="analytical"``.
         """
         if backend == "analytical":
@@ -179,10 +177,10 @@ class SearchConfig:
 
     def key(self) -> Tuple:
         """The hashable identity of the result-shaping fields (``name``
-        excluded).  ``constraints`` is appended only when set, so the key
-        of an unconstrained config is the same tuple it has always been."""
-        key = (self.metric, self.max_mappings, self.seed, self.prune,
-               self.policy, self.budget, self.frontier, self.fused)
+        excluded), in field order; ``constraints`` is appended only when
+        set."""
+        key = (self.metric, self.max_mappings, self.seed, self.policy,
+               self.budget, self.frontier, self.fused)
         if self.constraints is None:
             return key
         if isinstance(self.constraints, str):

@@ -130,10 +130,10 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     :class:`Mapper` built on the same arch, config and backend —
     the :class:`repro.api.Session` passes one per configuration so repeat
     requests hit its whole-result memo instead of re-sampling; determinism
-    makes the memoized results identical to fresh ones, but the engine
-    counters then report the memo (zero evaluations on a full hit), which
-    is why per-call-deterministic callers (records, golden files) do not
-    pass one.
+    makes the memoized results identical to fresh ones, evaluation and
+    prune counters included, but the evaluation-cache counters then report
+    the memo (no lookups on a full hit), which is why per-call-deterministic
+    callers (records, golden files) do not pass one.
 
     The config's own rules and its pairing with the backend are checked by
     :class:`~repro.search.config.SearchConfig` and :class:`Mapper`; this

@@ -12,10 +12,10 @@ non-dominated set over four objectives per (mapping, layout) candidate:
 * ``buffer_footprint_bytes`` — the on-chip tile footprint of the mapping
   (:func:`buffer_footprint_bytes`; layout-independent by construction).
 
-The scan visits exactly the candidates the exhaustive scalar loop visits and
-tracks the scalar incumbent with the identical strict-improvement rule, so
-the returned :class:`~repro.layoutloop.mapper.SearchResult` is bit-identical
-to :meth:`Mapper.search` — and the winner is a frontier member by
+The scan visits the exhaustive scalar loop's universe in index order and
+scores through the same :class:`~repro.layoutloop.mapper.Incumbent`, so
+the returned :class:`~repro.layoutloop.mapper.SearchResult` carries the
+winner :meth:`Mapper.search` returns — and the winner is a frontier member by
 construction (a metric tie can strictly dominate the lexicographic winner;
 it is inserted regardless, so ``frontier=`` strictly generalizes the scalar
 result).
@@ -33,7 +33,6 @@ prune, this is a statement about the analytical model only.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -228,42 +227,33 @@ def frontier_search(mapper, workload,
     backend (:meth:`~repro.search.config.SearchConfig.check_backend`):
     analytical backend, exhaustive policy, integer ``max_mappings``.
     """
-    from repro.layoutloop.mapper import _metric_value
+    from repro.layoutloop.mapper import Incumbent
     from repro.search.bulk import candidate_universe
 
     # Rebuilding the config with frontier=True runs its frontier rules
     # whatever the mapper's own flag (direct callers leave it False).
     config = dataclasses.replace(mapper.config, frontier=True)
     config.check_backend(mapper._backend_name)
-    metric = config.metric
 
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
-    statics = (cached_bound_statics(mapper.cost_model, workload)
-               if config.prune else None)
+    statics = cached_bound_statics(mapper.cost_model, workload)
     arch = mapper.arch
     # Footprints and cycle floors for the whole universe in one numpy pass;
     # mappings materialize lazily, so dominance-pruned entries are never
     # built.
     mappings = candidate_universe(mapper, workload)
     footprints = mappings.footprints(arch).tolist()
-    cycle_floors = (mappings.cycles_floor(statics).tolist()
-                    if statics is not None else None)
+    cycle_floors = mappings.cycles_floor(statics).tolist()
 
-    best = None
-    best_value = math.inf
-    best_mapping = None
-    best_layout = None
-    winner_key: Optional[Tuple[int, int]] = None
-    evaluated = 0
+    incumbent = Incumbent(mapper, workload, layouts)
     pruned = 0
-    cache_hits = 0
     # Running front: [(objective vector, (m_idx, l_idx, mapping, layout))].
     front: List[Tuple[Tuple[float, ...], Tuple]] = []
     front_arr: Optional[np.ndarray] = None  # numpy mirror, rebuilt after folds
 
     for m_idx in range(len(mappings)):
         footprint = footprints[m_idx]
-        if statics is not None and front:
+        if front:
             cycles_floor = cycle_floors[m_idx]
             lower = (statics.energy_floor_pj * cycles_floor, cycles_floor,
                      statics.energy_floor_pj, footprint)
@@ -279,15 +269,8 @@ def frontier_search(mapper, workload,
                 pruned += len(layouts)
                 continue
         mapping = mappings[m_idx]
-        scored = mapper.score(workload, mapping, layouts)
-        for l_idx, (layout, (report, hit)) in enumerate(zip(layouts, scored)):
-            evaluated += 1
-            cache_hits += hit
-            value = _metric_value(report, metric)
-            if best is None or value < best_value:
-                best, best_mapping, best_layout = report, mapping, layout
-                best_value = value
-                winner_key = (m_idx, l_idx)
+        scored = incumbent.score(m_idx, mapping)
+        for l_idx, (layout, (report, _)) in enumerate(zip(layouts, scored)):
             vector = (report.edp, report.total_cycles,
                       report.total_energy_pj, footprint)
             pareto_fold(front, vector, (m_idx, l_idx, mapping, layout))
@@ -296,12 +279,13 @@ def frontier_search(mapper, workload,
     # The lexicographic winner can be strictly dominated through a metric
     # tie; insert it by construction so frontier mode strictly generalizes
     # the scalar result.
-    if winner_key is not None and not any(
-            payload[:2] == winner_key for _, payload in front):
+    result = incumbent.result(pruned)
+    winner_key = incumbent.key[1:]
+    if not any(payload[:2] == winner_key for _, payload in front):
+        best = result.best_report
         front.append(((best.edp, best.total_cycles, best.total_energy_pj,
-                       buffer_footprint_bytes(workload, best_mapping, arch)),
-                      (winner_key[0], winner_key[1], best_mapping,
-                       best_layout)))
+                       footprints[winner_key[0]]),
+                      (*winner_key, result.best_mapping, result.best_layout)))
 
     front.sort(key=lambda entry: (entry[0], entry[1][0], entry[1][1]))
     points = [FrontierPoint(
@@ -313,10 +297,8 @@ def frontier_search(mapper, workload,
     winner_index = next(index for index, (_, payload) in enumerate(front)
                         if payload[:2] == winner_key)
 
-    result = mapper._result(workload, best, best_mapping, best_layout,
-                            evaluated, pruned, cache_hits)
     frontier = ShapeFrontier(
-        workload=result.workload, arch=arch.name, metric=metric,
-        points=points, winner_index=winner_index, evaluated=evaluated,
-        pruned=pruned)
+        workload=result.workload, arch=arch.name, metric=config.metric,
+        points=points, winner_index=winner_index,
+        evaluated=result.evaluated, pruned=pruned)
     return result, frontier

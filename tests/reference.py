@@ -24,7 +24,8 @@ object at a time:
 * :func:`reference_search` is the exhaustive search loop over all of them
   (the candidate universe is materialized up front, then repaired when a
   ConstraintSet binds; non-analytical backends score through their own
-  ``evaluate_mapping``).
+  ``evaluate_mapping``); with ``prune=False`` it is also the unpruned scan
+  the pruning-identity tests compare against.
 
 The search covers the exhaustive policy over an integer ``max_mappings``:
 the configuration every golden cell uses.  Given a fresh mapper of the
@@ -212,15 +213,21 @@ def reference_candidates(mapper: Mapper, workload) -> Tuple[List, object]:
 
 
 def reference_search(mapper: Mapper, workload,
-                     layouts: Optional[Sequence] = None) -> SearchResult:
+                     layouts: Optional[Sequence] = None,
+                     prune: bool = True) -> SearchResult:
     """Exhaustive search of ``mapper``'s configuration, one mapping and one
-    layout at a time (see the module docstring)."""
+    layout at a time (see the module docstring).
+
+    ``prune=False`` skips the admissible bound and scores every candidate:
+    the unpruned scan the pruning-identity tests compare against (the
+    production search always prunes where the bounds hold, i.e. on the
+    analytical backend)."""
     config = mapper.config
     assert config.policy == "exhaustive" and config.max_mappings != "auto"
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     mappings, log = reference_candidates(mapper, workload)
     statics = (cached_bound_statics(mapper.cost_model, workload)
-               if config.prune and mapper._analytical else None)
+               if prune and mapper._analytical else None)
 
     best = None
     best_value = math.inf

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    API_SCHEMA_VERSION,
     EvalRequest,
     EvalResponse,
     InvalidRequestError,
@@ -77,7 +78,6 @@ _search_requests = st.builds(
     metric=st.sampled_from(["edp", "latency", "energy"]),
     max_mappings=st.integers(1, 200),
     seed=st.integers(0, 2**31),
-    prune=st.booleans(),
     backend=st.sampled_from(["analytical", "simulator", "crossval"]),
     layouts=st.one_of(st.none(),
                       st.just(("HWC_C32",)), st.just(("MK_K32", "MK_M32"))),
@@ -159,12 +159,13 @@ class TestRequestRoundTrips:
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           schema_version=99)
 
-    @pytest.mark.parametrize("field", ["vectorize", "bulk", "compile"])
-    def test_v5_rejects_removed_execution_switches(self, field):
+    @pytest.mark.parametrize("field", ["vectorize", "bulk", "compile",
+                                       "prune"])
+    def test_v6_rejects_removed_switches(self, field):
         with pytest.raises(InvalidRequestError, match=field) as excinfo:
             request_from_dict("search", {"workloads": "resnet50[:2]",
                                          "arch": "FEATHER", field: True,
-                                         "schema_version": 5})
+                                         "schema_version": API_SCHEMA_VERSION})
         assert excinfo.value.payload()["code"] == "invalid_request"
 
     def test_response_round_trips(self):

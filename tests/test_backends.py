@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from reference import reference_evaluate
-from repro.api import SearchRequest, Session
+from repro.api import InvalidRequestError, SearchRequest, Session
 from repro.api.codec import arch_payload, workload_payload
 from repro.backends import (
     AnalyticalBackend,
@@ -336,11 +336,16 @@ class TestMultiFidelity:
         assert result.analytical_evaluated >= len(result.candidates)
 
     def test_top_k_validation(self):
-        from repro.backends import multifidelity_search_layer
+        from repro.backends import (
+            multifidelity_search,
+            multifidelity_search_layer,
+        )
 
-        with pytest.raises(ValueError, match="top_k"):
+        with pytest.raises(InvalidRequestError, match="top_k"):
             multifidelity_search_layer(ARCH44, micro_conv_layers()[0],
                                        top_k=0)
+        with pytest.raises(InvalidRequestError, match="at least one"):
+            multifidelity_search(ARCH44, [])
 
 
 # ------------------------------------------------------- cross-validation

@@ -24,6 +24,7 @@ import dataclasses
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import reference_search
 from repro.backends import create_backend
 from repro.constraints import (
     NO_REPAIR,
@@ -149,8 +150,7 @@ def test_pruning_bounds_admissible_on_repaired_universes(cset):
         config = SearchConfig(metric="edp", max_mappings=8, seed=0,
                               constraints=cset)
         pruned = Mapper(ARCH, config).search(WORKLOAD)
-        full = Mapper(ARCH, dataclasses.replace(config, prune=False)).search(
-            WORKLOAD)
+        full = reference_search(Mapper(ARCH, config), WORKLOAD, prune=False)
     except UnsatisfiableConstraintError:
         assume(False)
     assert pruned.best_report == full.best_report

@@ -57,8 +57,7 @@ configs = st.builds(
     SearchConfig, name=names,
     metric=st.sampled_from(("edp", "latency", "energy")),
     max_mappings=st.integers(min_value=1, max_value=500),
-    seed=st.integers(min_value=0, max_value=2**31),
-    prune=st.booleans())
+    seed=st.integers(min_value=0, max_value=2**31))
 finite = st.floats(allow_nan=False, allow_infinity=True)
 
 
@@ -168,7 +167,7 @@ class TestRecordRoundTrip:
         config=st.fixed_dictionaries({
             "name": names, "metric": st.sampled_from(("edp", "latency")),
             "max_mappings": st.integers(1, 500),
-            "seed": st.integers(0, 2**31), "prune": st.booleans()}),
+            "seed": st.integers(0, 2**31)}),
         seed=st.integers(0, 2**31), key=names,
         totals=st.dictionaries(names, finite, max_size=4),
         layers=st.lists(layer_records, max_size=3),

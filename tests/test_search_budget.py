@@ -16,11 +16,15 @@ The contract under test (:mod:`repro.search.budget`):
   refinement finds the exhaustive winner with a budget of two mappings.
 * **cached bound statics** — :func:`repro.search.bounds.cached_bound_statics`
   is the same object contentwise as a fresh :func:`bound_statics`.
+* **one incumbent** — the :class:`~repro.layoutloop.mapper.Incumbent`
+  every policy scores through returns the index-order winner whatever
+  order the pairs are visited in.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.backends.simulator import SimulatorBackend
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.mapper import Mapper
+from repro.layoutloop.mapper import Incumbent, Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.search.bounds import bound_statics, cached_bound_statics
@@ -211,3 +215,49 @@ def test_halving_reports_admissible_prunes():
     assert result.evaluated + result.pruned == universe
     assert result.evaluated <= reference.evaluated
     assert math.isfinite(result.best_report.total_cycles)
+
+
+class _TableMapper:
+    """Stand-in mapper whose ``score`` reads latencies from a table (mapping
+    ``i`` is the int ``i``), so ties can be forced at will."""
+
+    config = SearchConfig(metric="latency")
+    arch = feather_arch()
+
+    def __init__(self, table):
+        self.table = table
+
+    def score(self, workload, mapping, layouts):
+        return [(SimpleNamespace(total_cycles=value), False)
+                for value in self.table[mapping]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n_layouts: st.lists(
+    st.lists(st.integers(0, 3), min_size=n_layouts, max_size=n_layouts),
+    min_size=1, max_size=8)), st.randoms(use_true_random=False))
+def test_incumbent_winner_is_independent_of_visit_order(table, rng):
+    """Scoring the same pairs in any order yields the index-order scan's
+    winner: the minimum value, ties broken by mapping index, then layout
+    index."""
+    layouts = [object() for _ in table[0]]
+    order = list(range(len(table)))
+    rng.shuffle(order)
+    incumbent = Incumbent(_TableMapper(table), "w", layouts)
+    for index in order:
+        scored = incumbent.score(index, index)
+        assert [r.total_cycles for r, _ in scored] == table[index]
+    # The index-order scan keeps the first strict improvement.
+    first = None
+    for m, row in enumerate(table):
+        for l, value in enumerate(row):
+            if first is None or value < first[0]:
+                first = (value, m, l)
+    assert incumbent.key == first
+    assert incumbent.mapping == first[1]
+    assert incumbent.layout is layouts[first[2]]
+    assert incumbent.evaluated == len(table) * len(layouts)
+    assert incumbent.min_values == {m: min(row)
+                                    for m, row in enumerate(table)}
+    result = incumbent.result(pruned=0)
+    assert result.best_value == first[0] and result.best_mapping == first[1]

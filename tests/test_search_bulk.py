@@ -38,7 +38,7 @@ from repro.layoutloop.mapper import Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
 from repro.search.bounds import cached_bound_statics
-from repro.search.bulk import candidate_universe, full_universe
+from repro.search.bulk import candidate_universe
 from repro.search.config import SearchConfig
 from repro.search.frontier import buffer_footprint_bytes
 from repro.search.signatures import workload_signature
@@ -135,9 +135,9 @@ def test_universe_enumerates_candidate_mappings_in_order():
 
 def test_full_universe_covers_the_whole_space_plus_tail():
     layer = ConvLayerSpec("layer", m=16, c=16, h=8, w=8, r=3, s=3, padding=1)
-    mapper = Mapper(feather_arch(), SearchConfig(max_mappings=4, seed=0))
+    mapper = Mapper(feather_arch(), SearchConfig(max_mappings="auto", seed=0))
     space = mapper._mapping_space(layer)
-    universe = full_universe(mapper, layer)
+    universe = candidate_universe(mapper, layer)
     assert len(universe) == space.size() + len(mapper._canonical_tail(layer))
 
 

@@ -12,13 +12,13 @@ Covers the acceptance properties of the engine:
 * the zero-MAC / empty-model edge cases fail loudly or degrade sanely.
 """
 
-import dataclasses
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_search
 from repro.api import InvalidRequestError, SearchRequest, Session
 from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.registry import eyeriss_like, nvdla_like
@@ -161,8 +161,8 @@ class TestPruning:
         for workload in (LAYER, SMALL, GEMM):
             config = SearchConfig(metric=metric, max_mappings=25)
             pruned = Mapper(feather_arch(), config).search(workload)
-            full = Mapper(feather_arch(), dataclasses.replace(
-                config, prune=False)).search(workload)
+            full = reference_search(Mapper(feather_arch(), config), workload,
+                                    prune=False)
             assert pruned.best_value == full.best_value
             assert pruned.best_mapping == full.best_mapping
             assert pruned.best_layout.name == full.best_layout.name
@@ -186,8 +186,9 @@ class TestPruning:
                               stride=stride, padding=padding)
         pruned = Mapper(feather_arch(8, 8),
                         SearchConfig(max_mappings=10)).search(layer)
-        full = Mapper(feather_arch(8, 8),
-                      SearchConfig(max_mappings=10, prune=False)).search(layer)
+        full = reference_search(
+            Mapper(feather_arch(8, 8), SearchConfig(max_mappings=10)), layer,
+            prune=False)
         assert pruned.best_value == full.best_value
         assert pruned.best_mapping == full.best_mapping
         assert pruned.best_layout.name == full.best_layout.name

@@ -158,7 +158,7 @@ _MAPPING = mapping_payload(resolve_mapping(
 _CELL = {"name": "inline", "workload_set": "fig10_gemms[:1]",
          "arch": "FEATHER-4x4",
          "config": {"name": "c", "metric": "latency", "max_mappings": 2,
-                    "seed": 0, "prune": True}}
+                    "seed": 0}}
 
 
 def _cell(**config) -> dict:
@@ -190,8 +190,8 @@ def _cell(**config) -> dict:
                  id="sweep-workers-str"),
     pytest.param("/v1/search", {**SEARCH, "fused": "false"},
                  id="search-fused-str"),
-    pytest.param("/v1/search", {**SEARCH, "prune": "false"},
-                 id="search-prune-str"),
+    pytest.param("/v1/search", {**SEARCH, "prune": True},
+                 id="search-prune-removed"),
     pytest.param("/v1/search", {**SEARCH, "fresh_cache": "false"},
                  id="search-fresh-cache-str"),
     pytest.param("/v1/sweep", {"filter": "golden-fig10",

@@ -56,7 +56,6 @@ def _golden_cells():
             "metric": golden["config"]["metric"],
             "max_mappings": golden["config"]["max_mappings"],
             "seed": golden["config"]["seed"],
-            "prune": golden["config"]["prune"],
             "backend": golden["backend"],
             "frontier": golden["config"].get("frontier", False),
             "fused": golden["config"].get("fused", False),
@@ -251,8 +250,7 @@ def test_second_replica_serves_golden_resnet50_from_shared_store(tmp_path):
             "model": golden["scenario"],
             "metric": golden["config"]["metric"],
             "max_mappings": golden["config"]["max_mappings"],
-            "seed": golden["config"]["seed"],
-            "prune": golden["config"]["prune"]}
+            "seed": golden["config"]["seed"]}
     store = tmp_path / "fleet.sqlite"
 
     replica_a, base_a = _spawn_replica(tmp_path, store)

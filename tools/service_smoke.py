@@ -50,7 +50,6 @@ def main() -> int:
         "metric": golden["config"]["metric"],
         "max_mappings": golden["config"]["max_mappings"],
         "seed": golden["config"]["seed"],
-        "prune": golden["config"]["prune"],
         # The golden record embeds per-call engine counters; ask for the
         # same isolated-cache semantics so `search` compares exactly too.
         "fresh_cache": True,
