@@ -4,8 +4,9 @@ A ``Session`` is the amortization layer the per-call entry points never
 had.  It owns, for its whole lifetime:
 
 * the **evaluation cache** (:class:`~repro.search.cache.EvaluationCache`)
-  shared by every analytical evaluation it runs — a second request touching
-  the same (shape, arch, mapping, layout) cells is served from memory;
+  shared by every analytical search it runs — a second search touching
+  the same (shape, arch, mapping, layout) cells is served from memory
+  (eval requests price their one cell afresh and are not memoized);
 * the **backend instances** (one per (backend, architecture, seed)), so a
   simulator backend keeps its simulation memos warm across requests;
 * a **persistent** ``ProcessPoolExecutor`` reused by every parallel search
@@ -377,8 +378,9 @@ class Session:
     def backend_for(self, name: str, arch, seed: int = 0):
         """The session's memoized backend instance for (name, arch, seed).
 
-        Analytical backends share the session evaluation cache; stateful
-        backends (the simulator) keep their memos warm across requests.
+        Stateful backends (the simulator) keep their memos warm across
+        requests; the analytical backend is stateless (the session's
+        evaluation cache is the searches' memo, held by their mappers).
         Unknown names raise :class:`~repro.errors.UnknownBackendError`.
         """
         from repro.backends import create_backend
@@ -389,10 +391,8 @@ class Session:
             instance = self._backends.get(key)
         if instance is not None:
             return instance
-        if name == "analytical":
-            instance = create_backend(name, arch, cache=self.cache)
-        else:
-            instance = create_backend(name, arch, seed=seed)
+        instance = create_backend(name, arch, seed=seed)
+        if name != "analytical":
             # Stateful backends mutate internal state (simulation buffers,
             # memos) while evaluating; concurrent searches on the shared
             # instance serialize on this lock (see _execute_search).

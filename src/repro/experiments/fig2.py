@@ -76,10 +76,10 @@ def _policies_for_layer(layer: ConvLayerSpec, session: Session,
     policies 2 and 4 are per-layer co-searches
     (:class:`~repro.api.SearchRequest` on FEATHER, policy 2 with the
     candidate library pinned to a single layout — the layout-blind
-    "theory" search).  The shared session cache plays the old engine
-    cache's role: revisited shapes skip the concordance analysis for
-    every policy (keys embed the (arch, energy) signature, so the two
-    architectures never collide).
+    "theory" search).  The shared session plays the old engine cache's
+    role for the searches: a revisited shape is served from its mapper
+    memo and evaluation cache.  The cell evaluations of policies 1 and 3
+    are priced afresh (eval requests are not memoized).
     """
     layouts = conv_layout_library()
     workload = workload_payload(layer)
@@ -163,9 +163,10 @@ def run(rows: int = 16, cols: int = 16, max_mappings: int = 60,
     selects which of the two charts to produce; ``seed`` feeds the mapping
     sampler of the per-run session.
 
-    All per-layer requests share one :class:`~repro.api.Session`, so
-    repeated shapes (and the full-model bars, which revisit the motivation
-    layers) hit the session's evaluation cache instead of re-pricing.
+    All per-layer requests share one :class:`~repro.api.Session`, so the
+    searches of repeated shapes (and of the full-model bars, which revisit
+    the motivation layers) are served from the session's memos instead of
+    re-searching.
     """
     results: Dict[str, List[Fig2Row]] = {}
     feather_payload = arch_payload(feather_arch(rows, cols))

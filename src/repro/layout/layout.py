@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -66,8 +67,10 @@ class Layout:
     def intra_dims(self) -> Tuple[str, ...]:
         return tuple(e.dim for e in self.intra)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        # Cached like ``Mapping.parallel_dims``: the name is the layout's
+        # memo key (``layout_signature``), read once per scored pair.
         inter = "".join(self.inter_order)
         intra = "".join(f"{e.dim}{e.size}" for e in self.intra)
         return f"{inter}_{intra}" if intra else inter

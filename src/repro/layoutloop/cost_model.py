@@ -20,7 +20,12 @@ results normalized to FEATHER, which is how the paper presents Fig. 13.
 One code path prices a cell: :meth:`CostModel.evaluate_mapping_batch`
 scores one mapping under a list of layouts, with the slowdowns taken from
 the batched concordance kernel (:mod:`repro.kernel`).  The single-cell
-:meth:`CostModel.evaluate` is a one-layout batch.  The scalar model the
+:meth:`CostModel.evaluate` is a one-layout batch.  The search prices its
+candidates as plain values instead: :meth:`CostModel.evaluate_values`
+shares the batch's mapping-level terms and its one kernel call but
+returns ``(total_cycles, total_energy_pj, slowdown)`` per layout, with
+exactly the report's float operations, and :meth:`CostModel.report`
+rebuilds a winner's full report from its slowdown.  The scalar model the
 kernel replaced (coordinate dicts through
 :func:`repro.layout.concordance.analyze_concordance`) is kept only as the
 tests' reference oracle.
@@ -47,10 +52,10 @@ from repro.workloads.gemm import GemmSpec
 class CostReport:
     """Latency/energy estimate for one (workload, mapping, layout) on one arch.
 
-    Reports are immutable: instances are memoized by the search engine's
-    :class:`~repro.search.cache.EvaluationCache`, so treat
-    ``energy_breakdown_pj`` as read-only too (build a modified copy with
-    ``dataclasses.replace`` and a fresh dict for what-if studies).
+    Reports are immutable and may be shared (a search's winner report is
+    memoized with its whole result), so treat ``energy_breakdown_pj`` as
+    read-only too (build a modified copy with ``dataclasses.replace`` and
+    a fresh dict for what-if studies).
     """
 
     workload: str
@@ -134,7 +139,8 @@ class CostModel:
     """Analytical latency/energy model with layout awareness.
 
     :meth:`evaluate_mapping_batch` is the one code path that prices a cell;
-    :meth:`evaluate` is its single-cell entry point.
+    :meth:`evaluate` is its single-cell entry point, and
+    :meth:`evaluate_values` its report-free twin for the search.
     """
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
@@ -158,15 +164,76 @@ class CostModel:
         (``tests/reference.py``) reproduces every report bit for bit.
         """
         layouts = list(layouts)
-        compute_cycles = mapping.compute_cycles(workload)
-        reorder = self.reorder_costs(workload)
-        parts = self._energy_breakdown_parts(workload, mapping)
-        slowdowns = self.estimate_slowdown_batch(workload, mapping, layouts)
+        compute_cycles, reorder, parts, slowdowns = self._mapping_terms(
+            workload, mapping, layouts)
         workload_name = _workload_name(workload)
         return [self._assemble_report(workload, mapping, layout, slowdown,
                                       compute_cycles, reorder, parts,
                                       workload_name=workload_name)
                 for layout, slowdown in zip(layouts, slowdowns)]
+
+    def evaluate_values(self, workload, mapping: Mapping,
+                        layouts: Sequence[Layout],
+                        compute_cycles: Optional[int] = None
+                        ) -> List[Tuple[float, float, float]]:
+        """``(total_cycles, total_energy_pj, slowdown)`` of one mapping under
+        every layout, without building a report.
+
+        The same mapping-level terms and kernel call as
+        :meth:`evaluate_mapping_batch`, and the same float operations as
+        :meth:`_assemble_report` and :class:`CostReport`: the stall and
+        total cycles in the report's order, and the energy as ``sum`` over
+        the breakdown's values in insertion order (slowdown-scaled buffer
+        reads, the reorder energy last and only when nonzero), so every
+        value equals the report's bit for bit.  ``compute_cycles`` may
+        pass the mapping's already known exact compute cycles (the search
+        has them from its bounds).  Layouts with equal slowdowns share
+        one entry.
+        """
+        compute_cycles, (reorder_exposed, reorder_energy), parts, slowdowns = \
+            self._mapping_terms(workload, mapping, layouts, compute_cycles)
+        terms = list(parts.values())
+        if reorder_energy:
+            terms.append(reorder_energy)
+        read_at = list(parts).index("buffer_read")
+        buffer_read = parts["buffer_read"]
+        by_slowdown: Dict[float, Tuple[float, float, float]] = {}
+        out = []
+        for slowdown in slowdowns:
+            entry = by_slowdown.get(slowdown)
+            if entry is None:
+                stall_cycles = compute_cycles * (slowdown - 1.0)
+                terms[read_at] = buffer_read * slowdown
+                entry = by_slowdown[slowdown] = (
+                    compute_cycles + stall_cycles + reorder_exposed,
+                    sum(terms), slowdown)
+            out.append(entry)
+        return out
+
+    def report(self, workload, mapping: Mapping, layout: Layout,
+               slowdown: float, compute_cycles: Optional[int] = None
+               ) -> CostReport:
+        """The full report of one cell whose slowdown is already known (a
+        search winner's, from its :meth:`evaluate_values` entry): no
+        kernel call, bit-identical to :meth:`evaluate`."""
+        if compute_cycles is None:
+            compute_cycles = mapping.compute_cycles(workload)
+        return self._assemble_report(
+            workload, mapping, layout, slowdown, compute_cycles,
+            self.reorder_costs(workload),
+            self._energy_breakdown_parts(workload, mapping))
+
+    def _mapping_terms(self, workload, mapping: Mapping,
+                       layouts: Sequence[Layout],
+                       compute_cycles: Optional[int] = None) -> Tuple:
+        """``(compute_cycles, reorder costs, energy breakdown parts,
+        per-layout slowdowns)``: everything a batch shares, and its one
+        kernel call."""
+        if compute_cycles is None:
+            compute_cycles = mapping.compute_cycles(workload)
+        return (compute_cycles, self.reorder_costs(workload),
+                self._energy_breakdown_parts(workload, mapping),
+                self.estimate_slowdown_batch(workload, mapping, layouts))
 
     def _assemble_report(self, workload, mapping: Mapping, layout: Layout,
                          slowdown: float, compute_cycles: float,

@@ -9,8 +9,8 @@ fully flexible designs enumerate parallelism assignments and loop orders),
 optionally samples it, and scores every candidate with the cost model under
 each candidate layout.
 
-Candidate scoring runs through :mod:`repro.search`: full cost-model
-evaluations are memoized in an :class:`~repro.search.cache.EvaluationCache`
+Candidate scoring runs through :mod:`repro.search`: cost-model values
+are memoized in an :class:`~repro.search.cache.EvaluationCache`
 (shareable across mappers) and mappings whose admissible lower bound
 (:mod:`repro.search.bounds`) already exceeds the incumbent best are skipped
 without evaluating any layout.  Both optimisations are exact — the search
@@ -22,16 +22,22 @@ Every search policy runs one path: the candidate universe is a
 (:func:`repro.search.bulk.candidate_universe`), its admissible bounds come
 from one numpy pass (``BulkUniverse.bounds``) and each surviving mapping is
 scored under all of its layouts at once through one :class:`Incumbent`,
-which counts the scored pairs and keeps the lexicographic winner.  The
-scalar loop this replaces — materialized sample, per-mapping bound,
-per-layout evaluation — is kept only as the tests-side reference oracle
-the identity suites compare against.
+which counts the scored pairs and keeps the lexicographic winner.  On the
+analytical backend a scored pair is a plain value entry
+(``(total_cycles, total_energy_pj, slowdown)``,
+:meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values`), and the
+search builds one :class:`~repro.layoutloop.cost_model.CostReport`: its
+winner's, from the winner's slowdown.  The scalar loop this replaces —
+materialized sample, per-mapping bound, per-layout evaluation — is kept
+only as the tests-side reference oracle the identity suites compare
+against.
 
 Scoring itself goes through an :mod:`repro.backends` evaluation backend.
-The default ``"analytical"`` backend runs the cached, batched cost model;
+The default ``"analytical"`` backend runs the memoized cost-model values;
 any other registered backend (e.g. ``"simulator"``) scores candidates
 through its ``evaluate_mapping`` — with admissible pruning disabled, since
-the bounds are statements about the analytical model only.
+the bounds are statements about the analytical model only — and its
+winner keeps the backend's own report.
 """
 
 from __future__ import annotations
@@ -116,41 +122,58 @@ class Incumbent:
     index-order scan that replaces only on strict improvement selects
     exactly that minimum, so the exhaustive scan and the policies that
     visit candidates out of index order (halving, evolutionary) agree on
-    every tie.  ``min_values`` holds each scored mapping's best value over
-    its layouts (the evolutionary policy's elite ranking), and
-    :meth:`result` packages the winner as a :class:`SearchResult`.
+    every tie.  Values fold from the scored entries: latency is the
+    cycles, energy the energy and EDP ``energy * cycles`` (the order
+    :attr:`CostReport.edp` multiplies in).  ``min_values`` holds each
+    scored mapping's best value over its layouts (the evolutionary
+    policy's elite ranking), and :meth:`result` packages the winner as a
+    :class:`SearchResult`.
+
+    ``cycles``, when given, holds the exact compute cycles of every
+    universe entry (``BulkUniverse.compute_cycles()``, which the bounds
+    already computed); scoring passes each survivor's value on instead of
+    recomputing it.
     """
 
-    def __init__(self, mapper: "Mapper", workload, layouts: Sequence[Layout]):
+    def __init__(self, mapper: "Mapper", workload, layouts: Sequence[Layout],
+                 cycles: Optional[Sequence[int]] = None):
         self.mapper = mapper
         self.workload = workload
         self.layouts = layouts
-        self._field = METRIC_FIELDS[mapper.config.metric]
+        self.cycles = cycles
+        self._metric = mapper.config.metric
         self.key: Optional[Tuple[float, int, int]] = None
-        self.report = None
+        self.entry: Optional[Tuple] = None
         self.mapping: Optional[Mapping] = None
         self.layout: Optional[Layout] = None
         self.min_values: Dict[int, float] = {}
         self.evaluated = 0
         self.cache_hits = 0
 
-    def score(self, index: int, mapping: Mapping) -> List[Tuple[object, bool]]:
+    def score(self, index: int, mapping: Mapping) -> List[Tuple[Tuple, bool]]:
         """Score universe entry ``index`` under every layout and fold it
-        into the winner; returns the ``[(report, was_cache_hit), ...]``
-        pairs in layout order."""
-        scored = self.mapper.score(self.workload, mapping, self.layouts)
-        field_name = self._field
+        into the winner; returns :meth:`Mapper.score`'s ``[(entry,
+        was_cache_hit), ...]`` pairs in layout order."""
+        cycles = None if self.cycles is None else self.cycles[index]
+        scored = self.mapper.score(self.workload, mapping, self.layouts,
+                                   cycles)
+        metric = self._metric
         best = self.key
         vmin = math.inf
-        for layout_index, (report, hit) in enumerate(scored):
+        for layout_index, (entry, hit) in enumerate(scored):
             self.cache_hits += hit
-            value = getattr(report, field_name)
+            if metric == "edp":
+                value = entry[1] * entry[0]
+            elif metric == "latency":
+                value = entry[0]
+            else:
+                value = entry[1]
             if value < vmin:
                 vmin = value
             if best is None or (value <= best[0]
                                 and (value, index, layout_index) < best):
                 best = (value, index, layout_index)
-                self.report = report
+                self.entry = entry
                 self.mapping = mapping
                 self.layout = self.layouts[layout_index]
         self.key = best
@@ -160,12 +183,26 @@ class Incumbent:
 
     def result(self, pruned: int) -> SearchResult:
         """The winner as a :class:`SearchResult` under the mapper's arch and
-        metric, with this scan's counters and ``pruned`` skipped pairs."""
+        metric, with this scan's counters and ``pruned`` skipped pairs.
+
+        The winner's report is the one report a search builds: on the
+        analytical backend :meth:`CostModel.report` assembles it from the
+        winner's memoized slowdown (no kernel call); any other backend's
+        winner keeps the backend's own report."""
+        mapper = self.mapper
+        detail = self.entry[2]
+        if mapper._analytical:
+            cycles = (None if self.cycles is None
+                      else self.cycles[self.key[1]])
+            report = mapper.cost_model.report(self.workload, self.mapping,
+                                              self.layout, detail, cycles)
+        else:
+            report = detail
         return SearchResult(
             workload=getattr(self.workload, "name", str(self.workload)),
-            arch=self.mapper.arch.name, best_report=self.report,
+            arch=mapper.arch.name, best_report=report,
             best_mapping=self.mapping, best_layout=self.layout,
-            evaluated=self.evaluated, metric=self.mapper.config.metric,
+            evaluated=self.evaluated, metric=mapper.config.metric,
             pruned=pruned, cache_hits=self.cache_hits)
 
 
@@ -191,14 +228,14 @@ class Mapper:
     fused_model_search`; a mapper only checks that its backend can run
     them.
 
-    ``evaluation_cache`` may be shared between mappers — keys embed the
-    architecture and energy-table signature, so cross-architecture sharing
-    is safe.  ``backend`` selects the evaluation backend scoring
-    candidates: a :mod:`repro.backends` registry name, an
-    already-constructed :class:`~repro.backends.base.EvaluationBackend`,
-    or ``None`` for the default analytical backend (built on
-    ``evaluation_cache``).  Non-analytical backends disable pruning — the
-    admissible bounds only hold for the analytical model.
+    ``evaluation_cache`` memoizes the analytical search's value entries
+    and may be shared between mappers — keys embed the architecture and
+    energy-table signature, so cross-architecture sharing is safe.
+    ``backend`` selects the evaluation backend scoring candidates: a
+    :mod:`repro.backends` registry name, an already-constructed
+    :class:`~repro.backends.base.EvaluationBackend`, or ``None`` for the
+    default analytical backend.  Non-analytical backends disable pruning —
+    the admissible bounds only hold for the analytical model.
 
     A bound :class:`~repro.constraints.ConstraintSet` repairs every
     candidate universe to legality and deduplicates it before any policy
@@ -223,10 +260,11 @@ class Mapper:
 
         self.arch = arch
         self.config = config if config is not None else SearchConfig()
-        cache = (evaluation_cache if evaluation_cache is not None
-                 else EvaluationCache())
+        self.evaluation_cache = (evaluation_cache
+                                 if evaluation_cache is not None
+                                 else EvaluationCache())
         if backend is None or backend == "analytical":
-            self.backend = AnalyticalBackend(arch, energy=energy, cache=cache)
+            self.backend = AnalyticalBackend(arch, energy=energy)
         elif isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
@@ -238,15 +276,11 @@ class Mapper:
                                                backend=self.backend)
         if self._analytical:
             self.cost_model = self.backend.cost_model
-            self.evaluation_cache = (self.backend.cache
-                                     if self.backend.cache is not None
-                                     else cache)
         else:
             # The budgeted policies' cheap rung: halving and evolutionary
             # rank this backend's candidates by their analytical value
             # (repro.search.budget._cheap_rung).  Scoring never reads it.
             self.cost_model = CostModel(arch, energy)
-            self.evaluation_cache = cache
         self._cache: Dict[_ResultKey, SearchResult] = {}
         # Frontier results memoize separately: frontier pairs are
         # (SearchResult, ShapeFrontier) tuples, and the evolutionary
@@ -267,16 +301,23 @@ class Mapper:
         (:func:`repro.search.bulk.candidate_universe`), materialized."""
         return list(bulk.candidate_universe(self, workload))
 
-    def score(self, workload, mapping: Mapping, layouts: Sequence[Layout]
-              ) -> List[Tuple[object, bool]]:
-        """Score one mapping under every layout: ``[(report, was_cache_hit),
-        ...]`` in layout order.  The analytical backend evaluates all
-        layouts in one batched, memoized pass; any other backend scores
-        through its ``evaluate_mapping`` (never a cache hit)."""
+    def score(self, workload, mapping: Mapping, layouts: Sequence[Layout],
+              compute_cycles: Optional[int] = None
+              ) -> List[Tuple[Tuple, bool]]:
+        """Score one mapping under every layout: ``[((total_cycles,
+        total_energy_pj, detail), was_cache_hit), ...]`` in layout order.
+
+        The analytical backend prices all layouts in one memoized
+        :meth:`EvaluationCache.evaluate_batch` pass, and ``detail`` is the
+        pair's slowdown (``compute_cycles``, the mapping's exact compute
+        cycles when the caller knows them, is passed through).  Any other
+        backend scores through its ``evaluate_mapping`` (never a cache
+        hit), and ``detail`` is the backend's report."""
         if self._analytical:
             return self.evaluation_cache.evaluate_batch(
-                self.cost_model, workload, mapping, layouts)
-        return [(report, False) for report in
+                self.cost_model, workload, mapping, layouts, compute_cycles)
+        return [((report.total_cycles, report.total_energy_pj, report), False)
+                for report in
                 self.backend.evaluate_mapping(workload, mapping, layouts)]
 
     def _repaired_universe(self, workload) -> Tuple:
@@ -407,8 +448,8 @@ class Mapper:
         """Find the best (mapping, layout) pair under the configured metric.
 
         Whole results are memoized per (workload, layouts) under the
-        mapper's config; individual cost-model evaluations are additionally
-        memoized in the (possibly shared) evaluation cache.
+        mapper's config; the analytical search's per-pair values are
+        additionally memoized in the (possibly shared) evaluation cache.
         """
         key = self._result_key(workload, layouts)
         if key in self._cache:
@@ -448,7 +489,8 @@ class Mapper:
             statics = cached_bound_statics(self.cost_model, workload)
             bounds = universe.bounds(self.config.metric, statics).tolist()
 
-        incumbent = Incumbent(self, workload, layouts)
+        incumbent = Incumbent(self, workload, layouts,
+                              universe.compute_cycles().tolist())
         pruned = 0
         for index in range(len(universe)):
             if (bounds is not None and incumbent.key is not None

@@ -120,7 +120,8 @@ def halving_search(mapper: Mapper, workload,
     rung = _cheap_rung(mapper, workload, mappings, layouts)
     order = sorted(range(len(mappings)), key=lambda i: (rung[i], i))
 
-    incumbent = Incumbent(mapper, workload, layouts)
+    incumbent = Incumbent(mapper, workload, layouts,
+                          mappings.compute_cycles().tolist())
     pruned = 0
     for rank, index in enumerate(order):
         if (mapper._analytical and incumbent.key is not None
@@ -188,7 +189,8 @@ def evolutionary_search(mapper: Mapper, workload,
     while len(population) < population_size and unseen_pool:
         population.append(unseen_pool.pop(rng.randrange(len(unseen_pool))))
 
-    incumbent = Incumbent(mapper, workload, layouts)
+    incumbent = Incumbent(mapper, workload, layouts,
+                          mappings.compute_cycles().tolist())
     seen = set()
     exhausted = False
     frontier = population

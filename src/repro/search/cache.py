@@ -1,32 +1,37 @@
-"""Memoization of cost-model evaluations.
+"""Memoization of cost-model values.
 
-The co-search evaluates the same (workload-shape, arch, mapping, layout)
+The co-search prices the same (workload-shape, arch, mapping, layout)
 tuple many times: repeated layer shapes inside one model, the same shapes
-across experiments (Fig. 9-14 all sweep ResNet-50), and the canonical
+across requests of one :class:`repro.api.Session`, and the canonical
 weight-stationary mapping that the mapper appends to every sampled space.
-:class:`EvaluationCache` memoizes the resulting
-:class:`~repro.layoutloop.cost_model.CostReport` objects and keeps hit/miss
-accounting so callers can report cache effectiveness.  Its one scoring
-entry point, :meth:`EvaluationCache.evaluate_batch`, prices every miss
-through the batched cost model; the per-pair scalar memo the golden
-oracle replays lives in ``tests/reference.py``.
+:class:`EvaluationCache` memoizes each pair's value entry — the
+``(total_cycles, total_energy_pj, slowdown)`` triple of
+:meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values`, never a
+report: a search builds one report, its winner's, from the winner's
+memoized slowdown.  It keeps hit/miss accounting so callers can report
+cache effectiveness.  Its one scoring entry point,
+:meth:`EvaluationCache.evaluate_batch`, prices every miss through one
+``evaluate_values`` call; the per-pair scalar memo the golden oracle
+replays lives in ``tests/reference.py``.
 
-Caches are plain dictionaries: a cache is owned by one process (workers in
-the parallel engine each build their own) and reports are immutable
-dataclasses, so sharing the cached instance is safe.  A cache may also be
-shared by the *threads* of one process (a :class:`repro.api.Session`
-serving concurrent requests): entry storage and hit/miss accounting are
-guarded by a lock, so concurrent lookups never corrupt the dict or lose
-counter increments.  The lock is per-operation — two threads missing the
-same key both evaluate and both ``put`` (idempotent: evaluations are
-deterministic), which keeps the hot hit path cheap.
+Entries are stored per (arch + energy, workload shape, mapping) prefix, so
+a batch hashes that prefix once and each layout by its name.  Caches are
+plain dictionaries: a cache is owned by one process (workers in the
+parallel engine each build their own) and entries are immutable tuples,
+so sharing them is safe.  A cache may also be shared by the *threads* of
+one process (a :class:`repro.api.Session` serving concurrent requests):
+entry storage and hit/miss accounting are guarded by a lock, so concurrent
+lookups never corrupt the dict or lose counter increments.  The lock is
+per-operation — two threads missing the same key both evaluate and both
+store (idempotent: evaluations are deterministic), which keeps the hot hit
+path cheap.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.search.signatures import (
     arch_signature,
@@ -34,6 +39,9 @@ from repro.search.signatures import (
     mapping_signature,
     workload_signature,
 )
+
+#: A memoized value: ``(total_cycles, total_energy_pj, slowdown)``.
+Entry = Tuple[float, float, float]
 
 
 @dataclass
@@ -64,96 +72,90 @@ class CacheStats:
 
 
 class EvaluationCache:
-    """Memoizes cost-model reports per (workload-shape, arch, mapping, layout).
+    """Memoizes value entries per (workload-shape, arch, mapping, layout).
 
     Keys are built from :mod:`repro.search.signatures` — never from layer or
     mapping names — so one instance may be shared by mappers for different
     architectures or energy calibrations.  :meth:`evaluate_batch` is the
     memoized scoring entry point; :meth:`get`/:meth:`put` are the raw
-    counted lookup and store it is built from.
+    counted lookup and store under the flat 4-part key
+    ``(arch, workload, mapping, layout)`` signature tuple, and ``len()``
+    counts (mapping, layout) pairs.
     """
 
     def __init__(self) -> None:
-        self._reports: Dict[Tuple, object] = {}
+        self._entries: Dict[Tuple, Dict[str, Entry]] = {}
         self.stats = CacheStats()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._reports)
+            return sum(len(row) for row in self._entries.values())
 
-    def get(self, key: Tuple):
-        """Look up a report; counts a hit or miss. Returns None on miss."""
+    def get(self, key: Tuple) -> Optional[Entry]:
+        """Look up an entry; counts a hit or miss. Returns None on miss."""
         with self._lock:
-            report = self._reports.get(key)
-            if report is None:
+            entry = self._entries.get(key[:3], {}).get(key[3])
+            if entry is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-        return report
+        return entry
 
-    def put(self, key: Tuple, report) -> None:
-        """Store the report computed for ``key``."""
+    def put(self, key: Tuple, entry: Entry) -> None:
+        """Store the entry computed for ``key``."""
         with self._lock:
-            self._reports[key] = report
+            self._entries.setdefault(key[:3], {})[key[3]] = entry
 
-    def evaluate_batch(self, cost_model, workload, mapping, layouts
-                       ) -> List[Tuple[object, bool]]:
-        """Memoized evaluation of one mapping under many layouts.
+    def evaluate_batch(self, cost_model, workload, mapping, layouts,
+                       compute_cycles: Optional[int] = None
+                       ) -> List[Tuple[Entry, bool]]:
+        """Memoized values of one mapping under many layouts.
 
-        Returns ``[(report, was_hit), ...]`` in layout order.  Every layout
+        Returns ``[(entry, was_hit), ...]`` in layout order.  Every layout
         is one counted lookup (a layout repeated within the batch is a miss
         on first sight and a hit on every repeat), and all misses are
         priced together by one
-        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`
-        call.  Cache keys exclude free-text names, so a hit may come from a
-        different layer/mapping label than the current call's; hits are
-        returned as copies relabelled with the caller's names and carrying
-        their own breakdown dict, so no returned report aliases mutable
-        state with the cached entry (a private copy is stored for the same
-        reason).
+        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values`
+        call (``compute_cycles`` is passed through).  Cache keys exclude
+        free-text names, so a hit may come from a different layer/mapping
+        label than the current call's; entries carry no names.
         """
         prefix = (arch_signature(cost_model.arch, cost_model.energy),
                   workload_signature(workload), mapping_signature(mapping))
-        keys = [prefix + (layout_signature(layout),) for layout in layouts]
-        out: List = [None] * len(keys)
-        missing = {}   # first occurrence of each missing key -> position
-        deferred = []  # repeats of a missing key: hits once the batch lands
-        for i, (key, layout) in enumerate(zip(keys, layouts)):
-            if key in missing:
-                deferred.append(i)
-                continue
-            report = self.get(key)
-            if report is not None:
-                out[i] = (self._relabel(report, workload, mapping, layout), True)
-            else:
-                missing[key] = i
+        names = [layout_signature(layout) for layout in layouts]
+        out: List = [None] * len(names)
+        missing: Dict[str, int] = {}  # first position of each missing name
+        repeats = 0  # repeats of a missing name: hits once the batch lands
+        with self._lock:
+            # The prefix is hashed once: misses land in the same row.
+            row = self._entries.setdefault(prefix, {})
+            for i, name in enumerate(names):
+                entry = row.get(name)
+                if entry is not None:
+                    out[i] = (entry, True)
+                elif name in missing:
+                    repeats += 1
+                else:
+                    missing[name] = i
+            self.stats.misses += len(missing)
+            self.stats.hits += len(names) - len(missing)
         if missing:
-            indices = list(missing.values())
-            fresh = cost_model.evaluate_mapping_batch(
-                workload, mapping, [layouts[i] for i in indices])
-            for i, report in zip(indices, fresh):
-                self.put(keys[i], replace(
-                    report, energy_breakdown_pj=dict(report.energy_breakdown_pj)))
-                out[i] = (report, False)
-        for i in deferred:
-            # A duplicate layout is a miss on first sight and a (counted)
-            # hit on every repeat.
-            report = self.get(keys[i])
-            out[i] = (self._relabel(report, workload, mapping, layouts[i]), True)
+            fresh = cost_model.evaluate_values(
+                workload, mapping, [layouts[i] for i in missing.values()],
+                compute_cycles)
+            with self._lock:
+                for (name, i), entry in zip(missing.items(), fresh):
+                    row[name] = entry
+                    out[i] = (entry, False)
+            if repeats:
+                for i, name in enumerate(names):
+                    if out[i] is None:
+                        out[i] = (out[missing[name]][0], True)
         return out
-
-    @staticmethod
-    def _relabel(report, workload, mapping, layout):
-        """Copy of a cached report with the current call's identity labels
-        and a fresh breakdown dict (never the cached entry's)."""
-        return replace(report,
-                       workload=getattr(workload, "name", str(workload)),
-                       mapping=mapping.name, layout=layout.name,
-                       energy_breakdown_pj=dict(report.energy_breakdown_pj))
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         with self._lock:
-            self._reports.clear()
+            self._entries.clear()
             self.stats = CacheStats()

@@ -245,7 +245,8 @@ def frontier_search(mapper, workload,
     footprints = mappings.footprints(arch).tolist()
     cycle_floors = mappings.cycles_floor(statics).tolist()
 
-    incumbent = Incumbent(mapper, workload, layouts)
+    incumbent = Incumbent(mapper, workload, layouts,
+                          mappings.compute_cycles().tolist())
     pruned = 0
     # Running front: [(objective vector, (m_idx, l_idx, mapping, layout))].
     front: List[Tuple[Tuple[float, ...], Tuple]] = []
@@ -270,9 +271,9 @@ def frontier_search(mapper, workload,
                 continue
         mapping = mappings[m_idx]
         scored = incumbent.score(m_idx, mapping)
-        for l_idx, (layout, (report, _)) in enumerate(zip(layouts, scored)):
-            vector = (report.edp, report.total_cycles,
-                      report.total_energy_pj, footprint)
+        for l_idx, (layout, ((cycles, energy, _), _)) in enumerate(
+                zip(layouts, scored)):
+            vector = (energy * cycles, cycles, energy, footprint)
             pareto_fold(front, vector, (m_idx, l_idx, mapping, layout))
         front_arr = None  # folds may have grown or thinned the front
 
@@ -282,8 +283,8 @@ def frontier_search(mapper, workload,
     result = incumbent.result(pruned)
     winner_key = incumbent.key[1:]
     if not any(payload[:2] == winner_key for _, payload in front):
-        best = result.best_report
-        front.append(((best.edp, best.total_cycles, best.total_energy_pj,
+        cycles, energy, _ = incumbent.entry
+        front.append(((energy * cycles, cycles, energy,
                        footprints[winner_key[0]]),
                       (*winner_key, result.best_mapping, result.best_layout)))
 

@@ -94,17 +94,28 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                                   f"no such endpoint {self.path!r}; "
                                   f"POST one of {sorted(_ROUTES)}")
             return
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # The body framing is unknown: never guess a length to read
+            # (``-1`` would block until the client hangs up), drop the
+            # connection instead.
+            self.close_connection = True
+            self._send_error_body(400, "invalid_request",
+                                  "InvalidRequestError",
+                                  "Content-Length must be a non-negative "
+                                  f"decimal integer, got {declared!r}")
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # The unread body would desynchronize a keep-alive
+            # connection; drop it instead of draining it.
+            self.close_connection = True
+            self._send_error_body(413, "invalid_request",
+                                  "InvalidRequestError",
+                                  f"request body over {MAX_BODY_BYTES} "
+                                  "bytes")
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                # The unread body would desynchronize a keep-alive
-                # connection; drop it instead of draining it.
-                self.close_connection = True
-                self._send_error_body(413, "invalid_request",
-                                      "InvalidRequestError",
-                                      f"request body over {MAX_BODY_BYTES} "
-                                      "bytes")
-                return
             body = self.rfile.read(length)
             data = json.loads(body.decode("utf-8") or "{}")
             request = request_from_dict(kind, data)

@@ -16,8 +16,8 @@ object at a time:
   ``_energy_breakdown_parts``, ``reorder_costs``) are shared with the cost
   model;
 * :func:`reference_evaluate_cached` memoizes it in an
-  :class:`~repro.search.cache.EvaluationCache` with exactly the keys and
-  hit/miss counts of ``EvaluationCache.evaluate_batch``;
+  :class:`~repro.search.cache.EvaluationCache` with exactly the keys,
+  value entries and hit/miss counts of ``EvaluationCache.evaluate_batch``;
 * :func:`metric_lower_bound` is the per-mapping admissible bound;
 * :func:`materialized_sample` builds the whole mapping space and samples
   the list;
@@ -35,7 +35,6 @@ winner report, mapping, layout and every counter.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -153,22 +152,24 @@ def reference_evaluate_cached(cache, cost_model, workload, mapping, layout
     was_hit)``.
 
     One counted lookup per call under the key ``evaluate_batch`` uses
-    (arch + energy, workload shape, mapping and layout signatures).  A hit
-    is returned relabelled with the caller's names and with its own
-    breakdown dict; a miss stores a private copy.
+    (arch + energy, workload shape, mapping and layout signatures), and
+    a miss stores what production stores: the report's
+    ``(total_cycles, total_energy_pj, slowdown)``.  A hit rebuilds the
+    report from the stored slowdown, labelled with the caller's names.
     """
     key = (arch_signature(cost_model.arch, cost_model.energy),
            workload_signature(workload), mapping_signature(mapping),
            layout_signature(layout))
-    report = cache.get(key)
-    if report is not None:
-        return dataclasses.replace(
-            report, workload=getattr(workload, "name", str(workload)),
-            mapping=mapping.name, layout=layout.name,
-            energy_breakdown_pj=dict(report.energy_breakdown_pj)), True
+    entry = cache.get(key)
+    if entry is not None:
+        return cost_model._assemble_report(
+            workload, mapping, layout, entry[2],
+            mapping.compute_cycles(workload),
+            cost_model.reorder_costs(workload),
+            cost_model._energy_breakdown_parts(workload, mapping)), True
     report = reference_evaluate(cost_model, workload, mapping, layout)
-    cache.put(key, dataclasses.replace(
-        report, energy_breakdown_pj=dict(report.energy_breakdown_pj)))
+    cache.put(key, (report.total_cycles, report.total_energy_pj,
+                    report.slowdown))
     return report, False
 
 

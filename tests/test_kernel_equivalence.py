@@ -9,12 +9,16 @@ inputs:
 * streaming ``MappingSpace.sample`` == the materializing sampler for the
   same seed, and ``CostModel.evaluate_mapping_batch`` / ``Mapper.search``
   == the scalar evaluation and the scalar reference search — all three
-  scalar sides from the tests oracle (``tests/reference.py``).
+  scalar sides from the tests oracle (``tests/reference.py``);
+* the search's value scorer (``CostModel.evaluate_values``) and its
+  winner report (``CostModel.report``) == the scalar evaluation, on every
+  Fig. 13 design.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +31,13 @@ from reference import (
     reference_evaluate_cached,
     reference_search,
 )
-from repro.baselines.registry import medusa_like, mtia_like, sigma_like, tpu_like
+from repro.baselines.registry import (
+    fig13_arch_suite,
+    medusa_like,
+    mtia_like,
+    sigma_like,
+    tpu_like,
+)
 from repro.dataflow.space import MappingSpace
 from repro.kernel import analyze_concordance_batch, compile_layout
 from repro.layout.concordance import analyze_concordance
@@ -37,6 +47,7 @@ from repro.layout.patterns import ReorderPattern
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
+from repro.search.bulk import candidate_universe
 from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -204,7 +215,8 @@ class TestBatchedEvaluation:
                [False, True]
         assert (batch_cache.stats.hits, batch_cache.stats.misses) == \
                (scalar_cache.stats.hits, scalar_cache.stats.misses)
-        assert [r for r, _ in batched] == [r for r, _ in scalar]
+        assert [entry for entry, _ in batched] == [
+            (r.total_cycles, r.total_energy_pj, r.slowdown) for r, _ in scalar]
 
     def test_vectorized_search_identical_to_scalar_search(self):
         workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)
@@ -217,3 +229,65 @@ class TestBatchedEvaluation:
             assert fast.best_layout == slow.best_layout
             assert (fast.evaluated, fast.pruned, fast.cache_hits) == \
                    (slow.evaluated, slow.pruned, slow.cache_hits)
+
+
+@st.composite
+def _scored_cell(draw):
+    """A Fig. 13 design (conv suite on conv shapes, GEMM suite on GEMMs), a
+    mapping of its seeded candidate universe with the universe's exact
+    compute cycles, and its layout library."""
+    if draw(st.booleans()):
+        arch = draw(st.sampled_from(fig13_arch_suite()))
+        rs = draw(st.sampled_from([1, 3]))
+        workload = ConvLayerSpec(
+            name="c", m=draw(st.integers(1, 96)), c=draw(st.integers(1, 96)),
+            h=draw(st.integers(3, 20)), w=draw(st.integers(3, 20)), r=rs,
+            s=rs, stride=draw(st.sampled_from([1, 2])), padding=rs // 2)
+        layouts = conv_layout_library()
+    else:
+        arch = draw(st.sampled_from(fig13_arch_suite(gemm=True)))
+        workload = GemmSpec(name="g", m=draw(st.integers(1, 128)),
+                            k=draw(st.integers(1, 128)),
+                            n=draw(st.integers(1, 128)))
+        layouts = gemm_layout_library()
+    config = SearchConfig(max_mappings=8, seed=draw(st.integers(0, 99)))
+    universe = candidate_universe(Mapper(arch, config), workload)
+    index = draw(st.integers(0, len(universe) - 1))
+    cycles = universe.compute_cycles().tolist()[index]
+    return arch, workload, universe[index], cycles, layouts
+
+
+class TestValueScorer:
+    @settings(max_examples=40, deadline=None)
+    @given(_scored_cell())
+    def test_values_and_winner_report_match_scalar(self, cell):
+        """Every ``(total_cycles, total_energy_pj, slowdown)`` entry equals
+        the scalar report's fields bit for bit (EDP included), and the
+        report rebuilt from the entry's slowdown equals the scalar report
+        — across no reorder, off-chip, RAR and RIR designs."""
+        arch, workload, mapping, cycles, layouts = cell
+        model = CostModel(arch)
+        values = model.evaluate_values(workload, mapping, layouts, cycles)
+        assert len(values) == len(layouts)
+        for layout, entry in zip(layouts, values):
+            expected = reference_evaluate(model, workload, mapping, layout)
+            assert entry == (expected.total_cycles, expected.total_energy_pj,
+                             expected.slowdown)
+            assert entry[1] * entry[0] == expected.edp
+            assert model.report(workload, mapping, layout, entry[2],
+                                cycles) == expected
+
+    @pytest.mark.parametrize("arch_fn", [
+        feather_arch, lambda: sigma_like(reorder="offchip")],
+        ids=["feather", "sigma-offchip"])
+    def test_search_assembles_one_report(self, arch_fn):
+        """An analytical search scores values and builds exactly one
+        report: its winner's."""
+        workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)
+        mapper = Mapper(arch_fn(), SearchConfig(max_mappings=20))
+        assemble = CostModel._assemble_report
+        with mock.patch.object(CostModel, "_assemble_report", autospec=True,
+                               side_effect=assemble) as counted:
+            result = mapper.search(workload)
+        assert result.evaluated > len(mapper.candidate_layouts(workload))
+        assert counted.call_count == 1

@@ -9,6 +9,12 @@ counter must agree exactly.  Analytical cells are additionally searched
 with a ConstraintSet bound — the architecture's own rules and the systolic
 preset, which repairs most candidates — the only route on which repaired
 universes are pruned by the bulk bounds.
+
+The same identity is then checked on the real workload grid: every unique
+ResNet-50 and MobileNet-V3 conv shape on FEATHER over the whole mapping
+space (``max_mappings=10**9``), the exhaustive-feather benchmark's three
+requests.  Golden universes hold at most a few hundred pairs; this grid
+has 661k, with within-search duplicate hits and deep pruning.
 """
 
 import dataclasses
@@ -18,9 +24,11 @@ import pytest
 from reference import reference_search
 from repro.backends import create_backend
 from repro.constraints import systolic_constraints
+from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
 from repro.scenarios import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
+from repro.search.config import SearchConfig
 from repro.search.signatures import workload_signature
 
 
@@ -64,3 +72,30 @@ def test_search_matches_scalar_reference(cell, workload, constraints):
             == (expected.evaluated, expected.pruned, expected.cache_hits,
                 expected.repaired))
     assert result.repair == expected.repair
+
+
+@pytest.mark.parametrize("workload_set,metric,totals", [
+    ("resnet50", "edp", (9618, 160755, 154)),
+    ("resnet50", "latency", (1463, 168910, 0)),
+    ("mobilenet_v3", "edp", (28763, 291739, 119)),
+], ids=["resnet50-edp", "resnet50-latency", "mobilenet_v3-edp"])
+def test_real_grid_matches_scalar_reference(workload_set, metric, totals):
+    """Every unique shape of the grid, uncapped on FEATHER: the winner and
+    every counter equal the oracle's; the grid's summed (evaluated,
+    pruned, cache hits) are pinned."""
+    config = SearchConfig(metric=metric, max_mappings=10**9)
+    shapes = {}
+    for workload in resolve_workload_set(workload_set):
+        shapes.setdefault(workload_signature(workload), workload)
+    summed = [0, 0, 0]
+    for workload in shapes.values():
+        result = Mapper(feather_arch(), config).search(workload)
+        expected = reference_search(Mapper(feather_arch(), config), workload)
+        assert result.best_report == expected.best_report, workload.name
+        assert result.best_mapping == expected.best_mapping, workload.name
+        assert result.best_layout == expected.best_layout, workload.name
+        counters = (result.evaluated, result.pruned, result.cache_hits)
+        assert counters == (expected.evaluated, expected.pruned,
+                            expected.cache_hits), workload.name
+        summed = [a + b for a, b in zip(summed, counters)]
+    assert tuple(summed) == totals

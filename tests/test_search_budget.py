@@ -219,16 +219,18 @@ def test_halving_reports_admissible_prunes():
 
 class _TableMapper:
     """Stand-in mapper whose ``score`` reads latencies from a table (mapping
-    ``i`` is the int ``i``), so ties can be forced at will."""
+    ``i`` is the int ``i``), so ties can be forced at will.  Like a
+    non-analytical backend, each entry carries its own report."""
 
     config = SearchConfig(metric="latency")
     arch = feather_arch()
+    _analytical = False
 
     def __init__(self, table):
         self.table = table
 
-    def score(self, workload, mapping, layouts):
-        return [(SimpleNamespace(total_cycles=value), False)
+    def score(self, workload, mapping, layouts, compute_cycles=None):
+        return [((value, 0.0, SimpleNamespace(total_cycles=value)), False)
                 for value in self.table[mapping]]
 
 
@@ -246,7 +248,7 @@ def test_incumbent_winner_is_independent_of_visit_order(table, rng):
     incumbent = Incumbent(_TableMapper(table), "w", layouts)
     for index in order:
         scored = incumbent.score(index, index)
-        assert [r.total_cycles for r, _ in scored] == table[index]
+        assert [cycles for (cycles, _, _), _ in scored] == table[index]
     # The index-order scan keeps the first strict improvement.
     first = None
     for m, row in enumerate(table):

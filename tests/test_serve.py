@@ -14,9 +14,12 @@ payloads".  Dedicated concurrency behavior (coalescing under parallel
 load, the shared store) lives in ``test_serve_concurrent.py``.
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -256,6 +259,29 @@ def test_malformed_json_is_a_structured_400(service):
     assert excinfo.value.code == 400
     assert json.loads(excinfo.value.read())["error"]["code"] == \
         "invalid_request"
+
+
+@pytest.mark.parametrize("declared", ["-1", "abc"],
+                         ids=["negative", "non-numeric"])
+def test_malformed_content_length_is_a_structured_400(service, declared):
+    """A body length that is not a non-negative decimal integer is a 400
+    that closes the connection: the framing is unknown, so the server
+    never reads (or blocks on) a guessed length.  The client timeout turns
+    a blocked read into a failure instead of a hang."""
+    base, _ = service
+    url = urllib.parse.urlsplit(base)
+    with socket.create_connection((url.hostname, url.port),
+                                  timeout=10) as sock:
+        sock.sendall(f"POST /v1/search HTTP/1.1\r\nHost: {url.netloc}\r\n"
+                     "Content-Type: application/json\r\n"
+                     f"Content-Length: {declared}\r\n\r\n{{}}".encode())
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        assert response.status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert response.getheader("Connection") == "close"
+        assert sock.recv(1) == b""  # the server hung up
 
 
 def test_repeat_traffic_is_served_warm(service):

@@ -8,7 +8,9 @@ proves the *wire* path — HTTP request parsing, the shared
 :class:`~repro.api.Session`, JSON response encoding — reproduces exactly
 the numbers the in-process engine is pinned to: totals and per-layer
 winners must match the golden payload, and a second identical POST must
-be served from the warm session (same totals, positive cache hits).
+be served from the warm session (same totals, positive cache hits).  A
+POST declaring ``Content-Length: -1`` must get a 400 within the socket
+timeout instead of holding the handler on an unbounded read.
 
 Usage::
 
@@ -19,8 +21,10 @@ Exit status 0 on parity, 1 on any mismatch.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -39,6 +43,17 @@ def post(base: str, path: str, payload: dict) -> dict:
         headers={"Content-Type": "application/json"}, method="POST")
     with urllib.request.urlopen(req, timeout=120) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def negative_length_status(host: str, port: int) -> int:
+    """Status of a search POST declaring ``Content-Length: -1`` (raises
+    ``TimeoutError`` when the server blocks on the body instead)."""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(f"POST /v1/search HTTP/1.1\r\nHost: {host}\r\n"
+                     "Content-Length: -1\r\n\r\n{}".encode())
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status
 
 
 def main() -> int:
@@ -73,6 +88,15 @@ def main() -> int:
         if health.get("status") != "ok":
             print(f"FAIL: healthz {health}")
             return 1
+
+        try:
+            status = negative_length_status(match.group(1), match.group(2))
+        except TimeoutError:
+            status = "no answer within 10 s"
+        if status != 400:
+            print(f"FAIL: Content-Length -1 got {status}, expected 400")
+            return 1
+        print("malformed length OK: Content-Length -1 is a 400")
 
         first = post(base, "/v1/search", request)
         failures = 0
