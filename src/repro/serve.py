@@ -36,6 +36,24 @@ Concurrency and fleet sharing:
   replicas pointed at one store file serve each other's warm results
   (such responses report ``"served_from": "store"``).
 
+Transport:
+
+* ``TCP_NODELAY`` on every accepted connection
+  (``ReproRequestHandler.disable_nagle_algorithm``): the handler writes
+  the headers and the body as separate segments, and Nagle's algorithm
+  would hold the body until the client's delayed ACK — about 44 ms on
+  every back-to-back keep-alive request, whatever it asks for.
+* A full listen backlog (``ReproServer.request_queue_size`` is
+  ``socket.SOMAXCONN``, capped by the kernel's ``net.core.somaxconn``):
+  socketserver's default of 5 drops the SYNs of a connect burst, and a
+  dropped SYN waits for the client's 1 s retransmit.
+* Bodies are framed by ``Content-Length`` only.  A request carrying any
+  ``Transfer-Encoding`` is a 411 ``invalid_request``; a malformed
+  ``Content-Length`` and a body that ends before its declared length are
+  a 400 ``invalid_request``.  All three close the connection without
+  reading further, so a misframed body is never run and never parsed as
+  the next request.
+
 No third-party dependencies: ``http.server`` + ``json`` + ``sqlite3``
 only.
 
@@ -55,6 +73,7 @@ import argparse
 import json
 import os
 import signal
+import socket
 import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -76,6 +95,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY (set by StreamRequestHandler.setup): see the module
+    # docstring's transport note.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ verbs
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -93,6 +115,16 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             self._send_error_body(404, "not_found", "NotFound",
                                   f"no such endpoint {self.path!r}; "
                                   f"POST one of {sorted(_ROUTES)}")
+            return
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is read: a chunked body taken
+            # as empty would run the wrong request, and its chunks would
+            # then parse as the next one.
+            self.close_connection = True
+            self._send_error_body(411, "invalid_request",
+                                  "InvalidRequestError",
+                                  "Transfer-Encoding is not supported; "
+                                  "send the body with a Content-Length")
             return
         declared = self.headers.get("Content-Length", "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -115,8 +147,16 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                                   f"request body over {MAX_BODY_BYTES} "
                                   "bytes")
             return
+        body = self.rfile.read(length)
+        if len(body) != length:
+            # The client hung up mid-body: never run a truncated request.
+            self.close_connection = True
+            self._send_error_body(400, "invalid_request",
+                                  "InvalidRequestError",
+                                  f"request body ended after {len(body)} "
+                                  f"of {length} bytes")
+            return
         try:
-            body = self.rfile.read(length)
             data = json.loads(body.decode("utf-8") or "{}")
             request = request_from_dict(kind, data)
             # Dispatch through the session's thread pool rather than
@@ -167,6 +207,8 @@ class ReproServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one shared :class:`Session`."""
 
     daemon_threads = True
+    # The listen() backlog: see the module docstring's transport note.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, session: Session):
         super().__init__(address, ReproRequestHandler)

@@ -17,7 +17,9 @@ load, the shared store) lives in ``test_serve_concurrent.py``.
 import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -282,6 +284,127 @@ def test_malformed_content_length_is_a_structured_400(service, declared):
         assert payload["error"]["code"] == "invalid_request"
         assert response.getheader("Connection") == "close"
         assert sock.recv(1) == b""  # the server hung up
+
+
+def _exchange(base: str, raw: bytes, half_close: bool = False):
+    """Send ``raw`` on a fresh connection and read until the server hangs
+    up; return ``(status, headers, payload)`` of the one response it wrote.
+
+    Reading to EOF makes "exactly one response" checkable: any byte after
+    the first response's body (a second response, a bare HTML error page)
+    fails, and the client timeout turns a server that keeps the connection
+    open into a failure instead of a hang."""
+    url = urllib.parse.urlsplit(base)
+    with socket.create_connection((url.hostname, url.port),
+                                  timeout=10) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        data = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value for name, _, value in
+               (line.partition(": ") for line in lines)}
+    length = int(headers["content-length"])
+    assert rest[length:] == b"", f"more followed the response: {data!r}"
+    return int(status_line.split()[1]), headers, json.loads(rest[:length])
+
+
+def test_chunked_body_is_one_structured_411(service):
+    """Only ``Content-Length`` frames a body.  A ``Transfer-Encoding``
+    request, with or without a length, gets one 411 and a closed
+    connection: the body is neither run as an empty request nor parsed as
+    the next one, so the pipelined healthz after it goes unanswered."""
+    base, _ = service
+    host = urllib.parse.urlsplit(base).netloc
+    body = json.dumps(SEARCH).encode()
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    for length in ("", f"Content-Length: {len(chunked)}\r\n"):
+        raw = (f"POST /v1/search HTTP/1.1\r\nHost: {host}\r\n"
+               "Content-Type: application/json\r\n"
+               f"Transfer-Encoding: chunked\r\n{length}\r\n").encode()
+        raw += chunked + (f"GET /v1/healthz HTTP/1.1\r\nHost: {host}"
+                          "\r\n\r\n").encode()
+        status, headers, payload = _exchange(base, raw)
+        assert status == 411, payload
+        assert payload["error"]["code"] == "invalid_request"
+        assert headers["connection"] == "close"
+
+
+def test_short_body_is_a_structured_400(service):
+    """A body that ends (the client half-closes) before its declared
+    ``Content-Length`` is a 400 that closes the connection; the truncated
+    request is never run, even when what arrived is valid JSON."""
+    base, _ = service
+    host = urllib.parse.urlsplit(base).netloc
+    body = json.dumps(SEARCH).encode()
+    raw = (f"POST /v1/search HTTP/1.1\r\nHost: {host}\r\n"
+           "Content-Type: application/json\r\n"
+           f"Content-Length: {len(body) + 50}\r\n\r\n").encode() + body
+    status, headers, payload = _exchange(base, raw, half_close=True)
+    assert status == 400, payload
+    assert payload["error"]["code"] == "invalid_request"
+    assert f"after {len(body)} of {len(body) + 50} bytes" in \
+        payload["error"]["message"]
+    assert headers["connection"] == "close"
+
+
+def _healthz(conn: http.client.HTTPConnection) -> None:
+    conn.request("GET", "/v1/healthz")
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 200
+
+
+def test_keep_alive_requests_are_not_held_by_nagle(service):
+    """Back-to-back requests on one keep-alive connection answer in well
+    under the 40 ms delayed-ACK timer.  The handler writes headers and
+    body separately; without ``TCP_NODELAY`` Nagle holds the body until
+    the client ACKs the headers, about 44 ms per request."""
+    base, _ = service
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    latencies = []
+    try:
+        for _ in range(20):
+            start = time.perf_counter()
+            _healthz(conn)
+            latencies.append(time.perf_counter() - start)
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.010, latencies
+
+
+def test_connect_burst_is_answered_without_syn_retransmits(service):
+    """16 clients connecting at once are all answered within 0.5 s.  A
+    listen backlog of 5 drops the burst's extra SYNs, and each dropped one
+    waits for the client's 1 s retransmit."""
+    base, _ = service
+    url = urllib.parse.urlsplit(base)
+    clients = 16
+    barrier = threading.Barrier(clients)
+    elapsed = [None] * clients
+
+    def client(index: int) -> None:
+        barrier.wait(timeout=10)
+        start = time.perf_counter()
+        conn = http.client.HTTPConnection(url.hostname, url.port,
+                                          timeout=10)
+        try:
+            _healthz(conn)
+        finally:
+            conn.close()
+        elapsed[index] = time.perf_counter() - start
+
+    threads = [threading.Thread(target=client, args=(index,))
+               for index in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert None not in elapsed, elapsed  # a client raised
+    assert max(elapsed) < 0.5, sorted(elapsed)
 
 
 def test_repeat_traffic_is_served_warm(service):
