@@ -10,10 +10,14 @@ candidate layout — both ways over the deduplicated ResNet-50 conv shapes:
   (compiled layouts + ``(cycles, lanes, ndims)`` footprints +
   ``analyze_concordance_batch``), the only production pricing path.
 
-Two architectures are measured: SIGMA with off-chip reordering (the
-concordance analysis dominates) and FEATHER/RIR (concordance is skipped, so
-the win is amortizing the mapping-level quantities).  Both must produce
-identical reports; the batched path must be measurably faster on each.
+Three architectures are measured: MTIA-like (transpose reordering: the
+batched concordance kernel runs on every layout, so this case is the
+kernel's speed gate), SIGMA with off-chip reordering (arbitrary reorder
+serves every bank conflict, so the batched path skips the footprint and
+the kernel while the scalar oracle still walks every cycle) and
+FEATHER/RIR (concordance is skipped, so the win is amortizing the
+mapping-level quantities).  Each must produce identical reports; the
+batched path must be measurably faster on each.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import pytest
 
 from reference import reference_evaluate
-from repro.baselines.registry import sigma_like
+from repro.baselines.registry import mtia_like, sigma_like
 from repro.dataflow.space import MappingSpace
 from repro.layout.library import conv_layout_library
 from repro.layoutloop.arch import feather_arch
@@ -57,6 +61,7 @@ def _run_batched(model: CostModel, cases, layouts):
 
 @pytest.mark.benchmark(group="cost-model")
 @pytest.mark.parametrize("arch_fn,min_speedup", [
+    pytest.param(mtia_like, 3.0, id="mtia"),
     pytest.param(lambda: sigma_like(reorder="offchip"), 3.0, id="offchip"),
     pytest.param(feather_arch, 1.2, id="feather-rir"),
 ])

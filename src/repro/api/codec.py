@@ -40,10 +40,12 @@ def _require(payload: Payload, keys: Sequence[str], what: str) -> None:
             f"{sorted(payload)}")
 
 
-def _int(payload: Payload, key: str, default: Optional[int] = None) -> int:
+def _int(payload: Payload, key: str, default: Optional[int] = None,
+         minimum: Optional[int] = None) -> int:
     """An integer field (JSON integers only: no bools, fractions or
-    strings); ``default`` applies when the key is absent."""
-    return strict_int(key, payload.get(key, default))
+    strings), at least ``minimum`` when given; ``default`` applies when
+    the key is absent."""
+    return strict_int(key, payload.get(key, default), minimum)
 
 
 def _bool(payload: Payload, key: str, default: bool) -> bool:
@@ -219,8 +221,8 @@ def arch_from_payload(payload: Payload) -> ArchSpec:
             buffer=BufferGeometry(
                 num_lines=_int(buf, "num_lines", 2048),
                 line_size=_int(buf, "line_size", 32),
-                banks=_int(buf, "banks", 32),
-                ports_per_bank=_int(buf, "ports_per_bank", 2),
+                banks=_int(buf, "banks", 32, minimum=1),
+                ports_per_bank=_int(buf, "ports_per_bank", 2, minimum=1),
                 word_bits=_int(buf, "word_bits", 8)),
             offchip_bandwidth_gbps=_float(payload, "offchip_bandwidth_gbps",
                                           25.6),

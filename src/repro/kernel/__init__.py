@@ -12,7 +12,8 @@ test but far too slow for co-search traffic, so the kernel works on arrays:
   ``(cycles, lanes, ndims)`` integer arrays instead of lists of dicts.
 * :func:`~repro.kernel.concordance.analyze_concordance_batch` — bank-conflict
   analysis over all sample cycles and all candidate layouts of one mapping at
-  once, via ``np.unique``/``np.bincount``.
+  once: distinct lines by a sort along lanes, lines per bank by one
+  ``np.bincount``.
 
 Everything here is **result-identical** to the scalar algebra: the integer
 address math is the same, and every float (slowdowns, averages) is produced

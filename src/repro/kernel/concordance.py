@@ -7,10 +7,14 @@ coordinate dict at a time it:
 1. addresses the whole ``(cycles, lanes, ndims)`` footprint through every
    candidate layout's :class:`~repro.kernel.compiled.CompiledLayout` in one
    numpy expression (a ``(layouts, cycles, lanes)`` line tensor),
-2. deduplicates lines per (layout, cycle) and counts lines per bank with
-   ``np.unique``/``np.bincount``,
-3. applies the per-bank slowdown rule vectorized over every bank of every
-   cycle of every layout.
+2. finds each (layout, cycle)'s distinct lines by sorting the tensor along
+   lanes and marking the first of every run of equal lines,
+3. counts lines per bank with one ``np.bincount`` over the ``(group,
+   bank)`` keys of those distinct lines (a group is one (layout, cycle);
+   banks that would not fit in ``lanes`` columns are numbered by rank
+   within their group, so the count matrix is at most ``lanes`` wide),
+4. applies the per-bank slowdown rule to the whole ``(groups, banks)``
+   count matrix and takes the worst used bank of every group.
 
 The returned :class:`~repro.layout.concordance.ConcordanceReport` objects are
 **bit-identical** to the scalar ones (same integer dedup, same IEEE-754
@@ -21,7 +25,7 @@ run the scalar oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,42 +98,61 @@ def analyze_concordance_batch(
                for layout in layouts]
     line_div = np.stack([v[0] for v in vectors])
     line_stride = np.stack([v[1] for v in vectors])
-    # (layouts, cycles, lanes) line indices in one integer expression.
-    lines = ((coords[None, :, :, :] // line_div[:, None, None, :])
-             * line_stride[:, None, None, :]).sum(axis=-1)
+    # (layouts, cycles, lanes) line indices: every column's tile indices
+    # times their strides, as (ndims, layouts, cycles, lanes) terms summed
+    # over the leading axis.
+    columns = np.ascontiguousarray(coords.transpose(2, 0, 1))[:, None]
+    terms = columns // line_div.T[:, :, None, None]
+    terms *= line_stride.T[:, :, None, None]
+    lines = terms.sum(axis=0)
 
+    # Distinct lines per (layout, cycle): sort each cycle's lanes and keep
+    # the first of every run of equal lines.
+    lines.sort(axis=-1)
+    first = np.empty(lines.shape, dtype=bool)
+    first[..., 0] = True
+    np.not_equal(lines[..., 1:], lines[..., :-1], out=first[..., 1:])
+
+    line_totals = first.reshape(num_layouts, -1).sum(axis=1).tolist()
+
+    # Lines per bank: one bincount over the (group, bank) keys of the
+    # distinct lines, a (groups, span) count matrix.  Only the partition
+    # of lines into banks matters, not the bank numbers, and a cycle
+    # touches at most ``lanes`` banks, so the matrix is never more than
+    # ``lanes`` columns wide.
+    bank = lines // max(1, lines_per_bank)
+    span = abs(num_banks) if num_banks else 0
+    if span:
+        # ``x % n`` and ``x % -n`` partition the lines alike.
+        bank %= span
+    if not span or span > lanes:
+        if span:
+            # Wrapping unsorted the banks: sort the distinct lines' banks,
+            # the other lanes (marked ``span``) after them.
+            bank = np.where(first, bank, span)
+            bank.sort(axis=-1)
+            first = bank < span
+        # The banks are sorted along lanes but may lie far apart: number
+        # each cycle's banks 0, 1, ... by rank.
+        new_bank = np.empty(bank.shape, dtype=bool)
+        new_bank[..., 0] = False
+        np.not_equal(bank[..., 1:], bank[..., :-1], out=new_bank[..., 1:])
+        bank = new_bank.cumsum(axis=-1)
+        span = lanes
     groups = num_layouts * cycles
-    # Distinct lines per (layout, cycle): fold the (layout, cycle) pair and
-    # the line index into one key and unique it.  Negative coordinates are
-    # legal scalar-path inputs and floor-divide to negative lines; the
-    # keying shifts them non-negative (a bijection per group) and shifts
-    # back before the bank computation, which needs the true line value.
-    line_min = min(0, int(lines.min()))
-    line_span = int(lines.max()) - line_min + 1
-    group_idx = np.arange(groups, dtype=np.int64).reshape(
-        num_layouts, cycles, 1)
-    uniq = np.unique(group_idx * line_span + (lines - line_min))
-    uniq_group = uniq // line_span
-    uniq_line = uniq % line_span + line_min
+    bank += np.arange(0, groups * span, span).reshape(num_layouts, cycles, 1)
+    counts = np.bincount(bank[first], minlength=groups * span).reshape(
+        groups, span)
 
-    # Lines per bank per (layout, cycle), then the slowdown rule per bank.
-    bank = uniq_line // max(1, lines_per_bank)
-    if num_banks:
-        bank %= num_banks
-    bank -= min(0, int(bank.min()))
-    bank_span = int(bank.max()) + 1
-    bank_keys, bank_counts = np.unique(uniq_group * bank_span + bank,
-                                       return_counts=True)
-    bank_slow = cycle_slowdowns(bank_counts, ports_per_bank, pattern)
-
-    # Per-(layout, cycle) slowdown = max over the cycle's banks, floor 1.
-    group_slow = np.ones(groups, dtype=np.float64)
-    np.maximum.at(group_slow, bank_keys // bank_span, bank_slow)
-    group_lines = np.bincount(uniq_group, minlength=groups)
+    # The slowdown rule on the whole count matrix, then the worst used
+    # bank per (layout, cycle) with the scalar rule's floor of 1.0.
+    slow = cycle_slowdowns(counts, ports_per_bank, pattern)
+    group_slow = np.where(counts > 0, slow, 1.0).max(axis=1, initial=1.0)
+    slow_rows = group_slow.reshape(num_layouts, cycles).tolist()
 
     reports: List[ConcordanceReport] = []
-    for idx, layout in enumerate(layouts):
-        slowdowns = group_slow[idx * cycles:(idx + 1) * cycles].tolist()
+    for layout, slowdowns, total_lines in zip(layouts, slow_rows,
+                                              line_totals):
         # Accumulate in cycle order with plain float adds so the averages are
         # bit-identical to the scalar loop's sequential accumulation.
         total_slowdown = 0.0
@@ -141,7 +164,6 @@ def analyze_concordance_batch(
             total_slowdown += value
             if value > worst:
                 worst = value
-        total_lines = int(group_lines[idx * cycles:(idx + 1) * cycles].sum())
         reports.append(ConcordanceReport(
             layout_name=layout.name,
             cycles=cycles,

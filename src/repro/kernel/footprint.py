@@ -2,9 +2,12 @@
 
 The scalar reference model (``tests/reference.py``) expands a mapping's
 parallel dimensions into a list of coordinate dicts per sampled cycle.  The
-functions here produce the same coordinates — the same modular walk, in the same lane nesting order —
-but as one int64 array per workload covering every sample base at once, so a
-compiled layout can address the whole footprint in a single numpy shot.
+functions here produce the same coordinates — the same modular walk, in the
+same lane nesting order — but as one int64 array per workload covering every
+sample base at once, so a compiled layout can address the whole footprint in
+a single numpy shot.  Each coordinate column is broadcast straight into one
+preallocated ``(bases, *degrees, ndims)`` array, which is then viewed as
+``(bases, lanes, ndims)``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
     scalar expansion order C → P → Q → R → S (C slowest-varying), and every
     coordinate value matches the scalar path's chained modular updates:
     P/R both shift H, Q/S both shift W, each re-wrapped at its extent.
+    Since ``(a % n + b) % n == (a + b) % n``, one wrap per column after
+    the wrapped base gives the same integers.
     """
     c = max(1, layer.c)
     h = max(1, layer.h)
@@ -44,24 +49,20 @@ def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
     d_s = max(1, deg.get("S", 1))
 
     num_bases = len(bases)
-    c0 = np.array([b[0] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % c
-    h0 = np.array([b[1] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % h
-    w0 = np.array([b[2] for b in bases], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1) % w
-    i_c = np.arange(d_c, dtype=np.int64).reshape(1, -1, 1, 1, 1, 1)
-    i_p = np.arange(d_p, dtype=np.int64).reshape(1, 1, -1, 1, 1, 1)
-    i_q = np.arange(d_q, dtype=np.int64).reshape(1, 1, 1, -1, 1, 1)
-    i_r = np.arange(d_r, dtype=np.int64).reshape(1, 1, 1, 1, -1, 1)
-    i_s = np.arange(d_s, dtype=np.int64).reshape(1, 1, 1, 1, 1, -1)
+    start = np.array([b[:3] for b in bases], dtype=np.int64).reshape(
+        num_bases, 3) % (c, h, w)
+    c0, h0, w0 = start.T.reshape(3, num_bases, 1, 1, 1, 1, 1)
+    i_c = np.arange(d_c, dtype=np.int64).reshape(-1, 1, 1, 1, 1)
+    i_p = np.arange(d_p, dtype=np.int64).reshape(-1, 1, 1, 1)
+    i_q = np.arange(d_q, dtype=np.int64).reshape(-1, 1, 1)
+    i_r = np.arange(d_r, dtype=np.int64).reshape(-1, 1)
+    i_s = np.arange(d_s, dtype=np.int64)
 
-    coord_c = (c0 + i_c) % c
-    coord_h = ((h0 + i_p * layer.stride) % h + i_r) % h
-    coord_w = ((w0 + i_q * layer.stride) % w + i_s) % w
-
-    shape = (num_bases, d_c, d_p, d_q, d_r, d_s)
-    stacked = np.stack([np.broadcast_to(coord_c, shape),
-                        np.broadcast_to(coord_h, shape),
-                        np.broadcast_to(coord_w, shape)], axis=-1)
-    return stacked.reshape(num_bases, -1, 3)
+    out = np.empty((num_bases, d_c, d_p, d_q, d_r, d_s, 3), dtype=np.int64)
+    out[..., 0] = (c0 + i_c) % c
+    out[..., 1] = (h0 + i_p * layer.stride + i_r) % h
+    out[..., 2] = (w0 + i_q * layer.stride + i_s) % w
+    return out.reshape(num_bases, -1, 3)
 
 
 def gemm_input_coords_batch(gemm: GemmSpec, mapping,
@@ -80,18 +81,16 @@ def gemm_input_coords_batch(gemm: GemmSpec, mapping,
     d_k = max(1, deg.get("K", 1))
 
     num_bases = len(bases)
-    m0 = np.array([b[0] for b in bases], dtype=np.int64).reshape(-1, 1, 1) % m
-    k0 = np.array([b[1] for b in bases], dtype=np.int64).reshape(-1, 1, 1) % k
-    i_m = np.arange(d_m, dtype=np.int64).reshape(1, -1, 1)
-    i_k = np.arange(d_k, dtype=np.int64).reshape(1, 1, -1)
+    start = np.array([b[:2] for b in bases], dtype=np.int64).reshape(
+        num_bases, 2) % (m, k)
+    m0, k0 = start.T.reshape(2, num_bases, 1, 1)
+    i_m = np.arange(d_m, dtype=np.int64).reshape(-1, 1)
+    i_k = np.arange(d_k, dtype=np.int64)
 
-    coord_m = (m0 + i_m) % m
-    coord_k = (k0 + i_k) % k
-
-    shape = (num_bases, d_m, d_k)
-    stacked = np.stack([np.broadcast_to(coord_m, shape),
-                        np.broadcast_to(coord_k, shape)], axis=-1)
-    return stacked.reshape(num_bases, -1, 2)
+    out = np.empty((num_bases, d_m, d_k, 2), dtype=np.int64)
+    out[..., 0] = (m0 + i_m) % m
+    out[..., 1] = (k0 + i_k) % k
+    return out.reshape(num_bases, -1, 2)
 
 
 def streaming_access_coords(workload, mapping,

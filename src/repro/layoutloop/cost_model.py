@@ -41,7 +41,7 @@ from repro.dataflow.mapping import Mapping
 from repro.kernel.concordance import analyze_concordance_batch
 from repro.kernel.footprint import streaming_access_coords
 from repro.layout.layout import Layout
-from repro.layout.patterns import ReorderImplementation
+from repro.layout.patterns import ReorderImplementation, capability
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from repro.workloads.conv import ConvLayerSpec
@@ -278,9 +278,15 @@ class CostModel:
 
         The access footprint is generated once as a ``(cycles, lanes, ndims)``
         array (:mod:`repro.kernel.footprint`) and every layout is addressed
-        through its compiled stride vectors in one batched concordance pass.
+        through the layout set's stacked stride matrices in one batched
+        concordance pass.  Two kinds of architecture never stall on a bank
+        conflict and skip both: reorder-in-reduction (RIR) ones, and those
+        whose reorder pattern permutes across lines (arbitrary reorder),
+        for which the kernel's rule makes every bank's slowdown 1.0, so
+        every average is exactly 1.0.
         """
-        if self.arch.reorder_implementation is ReorderImplementation.RIR:
+        if (self.arch.reorder_implementation is ReorderImplementation.RIR
+                or capability(self.arch.reorder_pattern).cross_line_permute):
             return [1.0] * len(layouts)
         dims = streaming_tensor_dims(workload)
         coords, dim_names = streaming_access_coords(workload, mapping,

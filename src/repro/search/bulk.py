@@ -70,6 +70,7 @@ class BulkUniverse:
         self._candidates = space.parallelism_candidates() if space else []
         self._n_orders = len(space.orders) if space else 1
         self._memo = {}
+        self._rows: Optional[np.ndarray] = None
         self._cycles: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
         self._footprints = {}
@@ -102,15 +103,28 @@ class BulkUniverse:
         return (self[pos] for pos in range(len(self)))
 
     # ------------------------------------------------------------ bulk math
+    def _candidate_rows(self) -> np.ndarray:
+        """Each sampled entry's parallelism candidate, ``index // n_orders``
+        (the parallelism-major flat layout of ``MappingSpace``)."""
+        if self._rows is None:
+            self._rows = (np.asarray(self._indices, dtype=np.int64)
+                          // self._n_orders)
+        return self._rows
+
     def _degree_matrix(self) -> np.ndarray:
-        """(n_candidates, n_dims) spatial degrees, 1 where unparallelised."""
+        """(n_candidates, n_dims) spatial degrees, 1 where unparallelised.
+
+        Only the rows the sample gathers are filled: a capped sample names
+        a few dozen of a shape's hundreds of candidates, and the other
+        rows are never read."""
         if self._degrees is None:
-            dim_names = list(self._space.dims)
-            dim_pos = {d: j for j, d in enumerate(dim_names)}
-            degrees = np.ones((len(self._candidates), len(dim_names)),
+            dim_pos = {d: j for j, d in enumerate(self._space.dims)}
+            degrees = np.ones((len(self._candidates), len(dim_pos)),
                               dtype=np.int64)
-            for row, parallel in enumerate(self._candidates):
-                for p in parallel:
+            gathered = np.zeros(len(self._candidates), dtype=bool)
+            gathered[self._candidate_rows()] = True
+            for row in np.flatnonzero(gathered).tolist():
+                for p in self._candidates[row]:
                     degrees[row, dim_pos[p.dim]] *= p.degree
             self._degrees = degrees
         return self._degrees
@@ -131,8 +145,7 @@ class BulkUniverse:
                 degrees = self._degree_matrix()
                 trips = (extents + degrees - 1) // degrees
                 per_candidate = trips.prod(axis=1)
-                idx = np.asarray(self._indices, dtype=np.int64)
-                parts.append(per_candidate[idx // self._n_orders])
+                parts.append(per_candidate[self._candidate_rows()])
             if self._tail:
                 parts.append(np.asarray(
                     [m.compute_cycles(self.workload) for m in self._tail],
@@ -170,8 +183,7 @@ class BulkUniverse:
         parts = []
         if self._indices:
             per_candidate = self._candidate_footprints(bits)
-            idx = np.asarray(self._indices, dtype=np.int64)
-            parts.append(per_candidate[idx // self._n_orders])
+            parts.append(per_candidate[self._candidate_rows()])
         if self._tail:
             parts.append(np.asarray(
                 [buffer_footprint_bytes(self.workload, m, arch)

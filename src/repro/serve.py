@@ -52,7 +52,8 @@ Transport:
   ``Content-Length`` and a body that ends before its declared length are
   a 400 ``invalid_request``.  All three close the connection without
   reading further, so a misframed body is never run and never parsed as
-  the next request.
+  the next request.  So do the requests whose body is never read: a POST
+  to an unknown path (404) and any GET that declares a body.
 
 No third-party dependencies: ``http.server`` + ``json`` + ``sqlite3``
 only.
@@ -101,6 +102,11 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ verbs
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        if ("Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0").strip() != "0"):
+            # A GET body is never read: left on a keep-alive connection it
+            # would parse as the next request, so answer and hang up.
+            self.close_connection = True
         if self.path.split("?", 1)[0] != "/v1/healthz":
             self._send_error_body(404, "not_found", "NotFound",
                                   f"no such endpoint {self.path!r}")
@@ -112,6 +118,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         kind = _ROUTES.get(self.path.split("?", 1)[0])
         if kind is None:
+            # The body is never read: hang up rather than parse it as the
+            # next request.
+            self.close_connection = True
             self._send_error_body(404, "not_found", "NotFound",
                                   f"no such endpoint {self.path!r}; "
                                   f"POST one of {sorted(_ROUTES)}")

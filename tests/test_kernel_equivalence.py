@@ -18,6 +18,7 @@ inputs:
 from __future__ import annotations
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -149,6 +150,63 @@ class TestBatchConcordanceEquivalence:
         assert reports[0].cycles == 0
         assert reports[0].avg_slowdown == 1.0
         assert reports[0].concordant
+
+    @settings(max_examples=100, deadline=None)
+    @given(_layout_and_dims(),
+           st.sampled_from(list(ReorderPattern)),
+           st.integers(1, 4), st.integers(1, 4),
+           st.integers(7, 10 ** 12), st.booleans())
+    def test_banks_wider_than_lanes_match_scalar(self, case, pattern, ports,
+                                                 lines_per_bank, num_banks,
+                                                 negate):
+        """``num_banks`` above the strategy's six lanes: the kernel numbers
+        each cycle's banks by rank, and every field still equals the
+        scalar oracle's."""
+        layout, dims, dim_names, coords = case
+        num_banks = -num_banks if negate else num_banks
+        per_cycle = [[{d: int(coords[ci, li, j]) for j, d in enumerate(dim_names)}
+                      for li in range(coords.shape[1])]
+                     for ci in range(coords.shape[0])]
+        scalar = analyze_concordance(
+            per_cycle, layout, dims, ports_per_bank=ports,
+            lines_per_bank=lines_per_bank, num_banks=num_banks, pattern=pattern)
+        batch, = analyze_concordance_batch(
+            coords, dim_names, [layout], dims, ports_per_bank=ports,
+            lines_per_bank=lines_per_bank, num_banks=num_banks, pattern=pattern)
+        assert scalar == batch
+
+    def test_billion_banks_count_in_bounded_memory(self):
+        """A billion banks over 256 lanes: the count matrix is 256 columns
+        wide, not a billion, and the reports equal the scalar oracle's."""
+        layouts = conv_layout_library()
+        dims = {"C": 64, "H": 56, "W": 56}
+        coords = np.random.default_rng(0).integers(0, 56, size=(4, 256, 3))
+        tracemalloc.start()
+        try:
+            batch = analyze_concordance_batch(
+                coords, ("C", "H", "W"), layouts, dims, lines_per_bank=3,
+                num_banks=10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+        per_cycle = [[{d: int(v) for d, v in zip(("C", "H", "W"), row)}
+                      for row in cyc] for cyc in coords]
+        for layout, report in zip(layouts, batch):
+            assert analyze_concordance(per_cycle, layout, dims,
+                                       lines_per_bank=3,
+                                       num_banks=10 ** 9) == report
+
+    def test_zero_ports_slow_by_infinity_not_nan(self):
+        """With no port a used bank never drains (``count / 0`` is inf);
+        an unused bank slows nothing, so no cycle reads NaN."""
+        layout = conv_layout_library()[0]
+        coords = np.zeros((2, 3, 3), dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report, = analyze_concordance_batch(
+                coords, ("C", "H", "W"), [layout], {"C": 4, "H": 4, "W": 4},
+                ports_per_bank=0, num_banks=2)
+        assert report.worst_slowdown == report.avg_slowdown == float("inf")
 
 
 class TestStreamingSampler:

@@ -1,7 +1,10 @@
 """Tests for the Layoutloop cost model."""
 
+from unittest import mock
+
 import pytest
 
+from reference import reference_evaluate
 from repro.dataflow.mapping import (
     output_stationary_mapping,
     weight_stationary_mapping,
@@ -9,6 +12,7 @@ from repro.dataflow.mapping import (
 from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel, streaming_tensor_dims
+from repro.layoutloop.mapper import Mapper
 from repro.baselines.registry import nvdla_like, sigma_like
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -136,3 +140,31 @@ class TestReorderCosts:
         report = model.evaluate(LAYER, mapping, parse_layout("HWC_C32"))
         assert report.reorder_cycles_exposed == 0
         assert "reorder" not in report.energy_breakdown_pj
+
+
+class TestCrossLinePermute:
+    def test_offchip_prices_every_layout_without_the_kernel(self):
+        """Arbitrary reorder serves every bank conflict, so the off-chip
+        SIGMA prices a conv and a GEMM mapping under every candidate layout
+        with neither a footprint nor a kernel call, and its values and
+        reports still equal the scalar oracle's."""
+        arch = sigma_like(reorder="offchip")
+        model = CostModel(arch)
+        for workload in (LAYER, GEMM):
+            mapping = weight_stationary_mapping(workload, 16, 16)
+            layouts = Mapper(arch).candidate_layouts(workload)
+            expected = [reference_evaluate(model, workload, mapping, layout)
+                        for layout in layouts]
+            with mock.patch(
+                    "repro.layoutloop.cost_model.analyze_concordance_batch",
+                    side_effect=AssertionError("kernel called")), \
+                mock.patch(
+                    "repro.layoutloop.cost_model.streaming_access_coords",
+                    side_effect=AssertionError("footprint built")):
+                values = model.evaluate_values(workload, mapping, layouts)
+                reports = model.evaluate_mapping_batch(workload, mapping,
+                                                       layouts)
+            assert values == [(r.total_cycles, r.total_energy_pj, r.slowdown)
+                              for r in expected]
+            assert reports == expected
+            assert {r.slowdown for r in expected} == {1.0}

@@ -14,7 +14,10 @@ The same identity is then checked on the real workload grid: every unique
 ResNet-50 and MobileNet-V3 conv shape on FEATHER over the whole mapping
 space (``max_mappings=10**9``), the exhaustive-feather benchmark's three
 requests.  Golden universes hold at most a few hundred pairs; this grid
-has 661k, with within-search duplicate hits and deep pruning.
+has 661k, with within-search duplicate hits and deep pruning.  FEATHER is
+RIR and never runs the concordance kernel, so the Fig. 13 grid checks the
+kernel's designs too: every other design of the ResNet-50 and BERT charts
+over the unique shapes at the benchmark's ``max_mappings=50``.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ import pytest
 
 from reference import reference_search
 from repro.backends import create_backend
+from repro.baselines.registry import fig13_arch_suite
 from repro.constraints import systolic_constraints
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
@@ -74,6 +78,27 @@ def test_search_matches_scalar_reference(cell, workload, constraints):
     assert result.repair == expected.repair
 
 
+def _grid_totals(arch, workload_set, config):
+    """Search every unique shape of ``workload_set`` on fresh mappers, both
+    ways; assert the winner and every counter equal the oracle's, and
+    return the summed (evaluated, pruned, cache hits)."""
+    shapes = {}
+    for workload in resolve_workload_set(workload_set):
+        shapes.setdefault(workload_signature(workload), workload)
+    summed = [0, 0, 0]
+    for workload in shapes.values():
+        result = Mapper(arch, config).search(workload)
+        expected = reference_search(Mapper(arch, config), workload)
+        assert result.best_report == expected.best_report, workload.name
+        assert result.best_mapping == expected.best_mapping, workload.name
+        assert result.best_layout == expected.best_layout, workload.name
+        counters = (result.evaluated, result.pruned, result.cache_hits)
+        assert counters == (expected.evaluated, expected.pruned,
+                            expected.cache_hits), workload.name
+        summed = [a + b for a, b in zip(summed, counters)]
+    return tuple(summed)
+
+
 @pytest.mark.parametrize("workload_set,metric,totals", [
     ("resnet50", "edp", (9618, 160755, 154)),
     ("resnet50", "latency", (1463, 168910, 0)),
@@ -84,18 +109,31 @@ def test_real_grid_matches_scalar_reference(workload_set, metric, totals):
     every counter equal the oracle's; the grid's summed (evaluated,
     pruned, cache hits) are pinned."""
     config = SearchConfig(metric=metric, max_mappings=10**9)
-    shapes = {}
-    for workload in resolve_workload_set(workload_set):
-        shapes.setdefault(workload_signature(workload), workload)
-    summed = [0, 0, 0]
-    for workload in shapes.values():
-        result = Mapper(feather_arch(), config).search(workload)
-        expected = reference_search(Mapper(feather_arch(), config), workload)
-        assert result.best_report == expected.best_report, workload.name
-        assert result.best_mapping == expected.best_mapping, workload.name
-        assert result.best_layout == expected.best_layout, workload.name
-        counters = (result.evaluated, result.pruned, result.cache_hits)
-        assert counters == (expected.evaluated, expected.pruned,
-                            expected.cache_hits), workload.name
-        summed = [a + b for a, b in zip(summed, counters)]
-    assert tuple(summed) == totals
+    assert _grid_totals(feather_arch(), workload_set, config) == totals
+
+
+@pytest.mark.parametrize("workload_set,arch_name,totals", [
+    ("resnet50", "NVDLA-like", (23, 0, 0)),
+    ("resnet50", "Eyeriss-like", (232, 918, 0)),
+    ("resnet50", "SIGMA-like (HWC_C32)", (301, 872, 4)),
+    ("resnet50", "SIGMA-like (HWC_C4W8)", (277, 896, 4)),
+    ("resnet50", "SIGMA-like (off-chip reorder)", (1358, 6853, 28)),
+    ("resnet50", "Medusa-like", (1428, 6783, 28)),
+    ("resnet50", "MTIA-like", (1428, 6783, 28)),
+    ("resnet50", "TPU-like", (1428, 6783, 28)),
+    ("bert", "NVDLA-like", (6, 0, 0)),
+    ("bert", "Eyeriss-like", (88, 212, 0)),
+    ("bert", "SIGMA-like (MK_K32)", (59, 247, 0)),
+], ids=["resnet50-nvdla", "resnet50-eyeriss", "resnet50-sigma-c32",
+        "resnet50-sigma-c4w8", "resnet50-sigma-offchip", "resnet50-medusa",
+        "resnet50-mtia", "resnet50-tpu", "bert-nvdla", "bert-eyeriss",
+        "bert-sigma-mk-k32"])
+def test_fig13_grid_matches_scalar_reference(workload_set, arch_name,
+                                             totals):
+    """Every non-FEATHER design of the Fig. 13 chart, over the chart's
+    unique shapes at the benchmark's sample size: the winner and every
+    counter equal the oracle's; the summed counters are pinned."""
+    suite = fig13_arch_suite(gemm=workload_set == "bert")
+    arch = next(arch for arch in suite if arch.name == arch_name)
+    config = SearchConfig(metric="edp", max_mappings=50, seed=0)
+    assert _grid_totals(arch, workload_set, config) == totals

@@ -26,6 +26,7 @@ import urllib.request
 
 import pytest
 
+from reference import reference_evaluate
 from repro.api import EvalRequest, SearchRequest, Session, SweepRequest
 from repro.api.codec import (
     arch_payload,
@@ -34,6 +35,9 @@ from repro.api.codec import (
     resolve_mapping,
     resolve_workload,
 )
+from repro.baselines.registry import eyeriss_like
+from repro.layout.library import conv_layout_library
+from repro.layoutloop.cost_model import CostModel
 from repro.serve import create_server
 
 SEARCH = {"workloads": "fig10_gemms", "arch": "FEATHER-4x4",
@@ -215,6 +219,12 @@ def _cell(**config) -> dict:
                  id="eval-arch-bool-str"),
     pytest.param("/v1/eval", {**_EVAL, "arch": {**_ARCH, "pe_rows": 4.9}},
                  id="eval-arch-pe-rows-fraction"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {
+        **_ARCH, "buffer": {**_ARCH["buffer"], "banks": 0}}},
+                 id="eval-arch-banks-zero"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {
+        **_ARCH, "buffer": {**_ARCH["buffer"], "ports_per_bank": 0}}},
+                 id="eval-arch-ports-zero"),
     pytest.param("/v1/eval", {**_EVAL, "workload": {
         "type": "gemm", "name": "g", "m": "8", "k": 2.5, "n": True}},
                  id="eval-gemm-dims-coerced"),
@@ -249,6 +259,29 @@ def test_bad_field_values_are_invalid_request(service, path, body):
     status, payload = _post(base, path, body)
     assert status == 400, (body, payload)
     assert payload["error"]["code"] == "invalid_request"
+
+
+def test_huge_bank_count_is_priced_like_the_scalar_oracle(service):
+    """An inline arch may declare far more banks than a cycle has lanes.
+    The concordance kernel's count matrix stays ``lanes`` wide, so a
+    billion banks price in bounded memory and equal the scalar oracle
+    (here with a conflict depth of ~1,100 lines, so banks do conflict)."""
+    base, _ = service
+    arch = arch_payload(eyeriss_like())
+    arch["buffer"] = {**arch["buffer"], "banks": 10**9, "num_lines": 2**40}
+    body = {"workload": "resnet50#1", "arch": arch, "layout": "HWC_C32"}
+    status, served = _post(base, "/v1/eval", body)
+    assert status == 200, served
+    spec = resolve_arch(arch)
+    workload = resolve_workload(body["workload"])
+    layout, = [l for l in conv_layout_library() if l.name == "HWC_C32"]
+    expected = reference_evaluate(
+        CostModel(spec), workload,
+        resolve_mapping("output_stationary", workload, spec), layout)
+    assert expected.slowdown > 1.0
+    assert served["report"]["slowdown"] == expected.slowdown
+    assert served["report"]["total_cycles"] == expected.total_cycles
+    assert served["report"]["total_energy_pj"] == expected.total_energy_pj
 
 
 def test_malformed_json_is_a_structured_400(service):
@@ -346,6 +379,36 @@ def test_short_body_is_a_structured_400(service):
     assert payload["error"]["code"] == "invalid_request"
     assert f"after {len(body)} of {len(body) + 50} bytes" in \
         payload["error"]["message"]
+    assert headers["connection"] == "close"
+
+
+def test_unknown_post_path_with_a_body_is_one_404(service):
+    """A POST to an unknown path is a 404 answered before its body is
+    read, so the server hangs up: the unread body is never parsed as the
+    next request, and the pipelined healthz after it goes unanswered."""
+    base, _ = service
+    host = urllib.parse.urlsplit(base).netloc
+    raw = (f"POST /v1/nope HTTP/1.1\r\nHost: {host}\r\n"
+           "Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+           f"GET /v1/healthz HTTP/1.1\r\nHost: {host}\r\n\r\n").encode()
+    status, headers, payload = _exchange(base, raw)
+    assert status == 404, payload
+    assert payload["error"]["code"] == "not_found"
+    assert headers["connection"] == "close"
+
+
+def test_get_with_a_body_is_answered_once(service):
+    """A GET's body is never read: the server answers the GET and hangs
+    up instead of parsing the body (and what follows) as the next
+    request."""
+    base, _ = service
+    host = urllib.parse.urlsplit(base).netloc
+    raw = (f"GET /v1/healthz HTTP/1.1\r\nHost: {host}\r\n"
+           "Content-Length: 2\r\n\r\n{}"
+           f"GET /v1/healthz HTTP/1.1\r\nHost: {host}\r\n\r\n").encode()
+    status, headers, payload = _exchange(base, raw)
+    assert status == 200, payload
+    assert payload["status"] == "ok"
     assert headers["connection"] == "close"
 
 
