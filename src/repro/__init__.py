@@ -62,7 +62,7 @@ from repro.api import (
     default_session,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "api",

@@ -40,12 +40,23 @@ def _require(payload: Payload, keys: Sequence[str], what: str) -> None:
             f"{sorted(payload)}")
 
 
+def _int_value(name: str, value, minimum: Optional[int] = None) -> int:
+    """An integer (JSON integers only: no bools, fractions or strings), at
+    least ``minimum`` when given.  Every inline integer is decoded here, so
+    this is where one outside the signed 64-bit range becomes a 400: numpy
+    prices the fields as int64 and would raise an ``OverflowError``."""
+    value = strict_int(name, value, minimum)
+    if not -2**63 <= value < 2**63:
+        raise InvalidRequestError(
+            f"{name} must fit in a signed 64-bit integer, got {value}")
+    return value
+
+
 def _int(payload: Payload, key: str, default: Optional[int] = None,
          minimum: Optional[int] = None) -> int:
-    """An integer field (JSON integers only: no bools, fractions or
-    strings), at least ``minimum`` when given; ``default`` applies when
+    """An integer field (see :func:`_int_value`); ``default`` applies when
     the key is absent."""
-    return strict_int(key, payload.get(key, default), minimum)
+    return _int_value(key, payload.get(key, default), minimum)
 
 
 def _bool(payload: Payload, key: str, default: bool) -> bool:
@@ -207,7 +218,7 @@ def arch_from_payload(payload: Payload) -> ArchSpec:
                                    else tuple(str(d) for d in allowed)),
             max_parallel_dims=_int(payload, "max_parallel_dims", 2),
             fixed_parallelism=(None if fixed is None else tuple(
-                (str(d), strict_int("fixed_parallelism degree", n))
+                (str(d), _int_value("fixed_parallelism degree", n))
                 for d, n in fixed)),
             runtime_layout_flexible=_bool(payload, "runtime_layout_flexible",
                                           False),
@@ -268,10 +279,10 @@ def mapping_from_payload(payload: Payload) -> Mapping:
             name=_str(payload, "name"),
             array_rows=_int(payload, "array_rows"),
             array_cols=_int(payload, "array_cols"),
-            parallel=tuple(ParallelSpec(str(d), strict_int("parallel degree",
-                                                           n))
+            parallel=tuple(ParallelSpec(str(d),
+                                        _int_value("parallel degree", n))
                            for d, n in payload["parallel"]),
-            tile=TileLevel(tuple((str(d), strict_int("tile size", n))
+            tile=TileLevel(tuple((str(d), _int_value("tile size", n))
                                  for d, n in payload["tile"])),
             order=tuple(str(d) for d in payload["order"]),
             reduction_dims=frozenset(str(d)
@@ -312,16 +323,6 @@ def resolve_layout(name: str) -> Layout:
         return parse_layout(name)
     except (TypeError, ValueError) as exc:
         raise InvalidRequestError(f"bad layout {name!r}: {exc}") from exc
-
-
-def resolve_layouts(names: Optional[Sequence[str]]) -> Optional[List[Layout]]:
-    """A request's optional layout restriction -> layout objects (or None)."""
-    if names is None:
-        return None
-    layouts = [resolve_layout(n) for n in names]
-    if not layouts:
-        raise InvalidRequestError("layouts, when given, must not be empty")
-    return layouts
 
 
 # --------------------------------------------------------------- scenarios

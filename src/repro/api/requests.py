@@ -42,7 +42,7 @@ from repro.search.config import (
 )
 
 #: Version of the request/response wire format (bumped on breaking change).
-API_SCHEMA_VERSION = 6
+API_SCHEMA_VERSION = 7
 
 
 def _check_schema_version(version: int, what: str) -> None:
@@ -165,8 +165,6 @@ class SearchRequest(_RequestBase):
     fused: bool = False
     """Fused search also needs at least two layers (adjacency is what
     gets fused)."""
-    layouts: Optional[Tuple[str, ...]] = None
-    """Optional restriction of the candidate layout library (names)."""
     workers: Optional[int] = None
     """Worker processes; None resolves through the session (env/default)."""
     fresh_cache: bool = False
@@ -200,9 +198,6 @@ class SearchRequest(_RequestBase):
         strict_bool("fresh_cache", self.fresh_cache)
         if not isinstance(self.workloads, str):
             _normalize(self, "workloads", tuple(self.workloads))
-        if self.layouts is not None:
-            _normalize(self, "layouts",
-                       tuple(str(n) for n in self.layouts))
 
     @property
     def config(self) -> SearchConfig:

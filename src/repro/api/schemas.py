@@ -78,8 +78,6 @@ SEARCH_REQUEST_SCHEMA = _schema(
         "backend": {"type": "string", "minLength": 1},
         "frontier": {"type": "boolean"},
         "fused": {"type": "boolean"},
-        "layouts": {"type": ["array", "null"],
-                    "items": {"type": "string"}, "minItems": 1},
         "workers": _WORKERS_PROP,
         "fresh_cache": {"type": "boolean"},
         "constraints": {"type": ["string", "null"],

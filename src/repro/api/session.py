@@ -123,27 +123,23 @@ class _Resolved:
     arch: object = None
     mapping: object = None
     layout: object = None
-    layouts: Optional[list] = None
     cells: Optional[list] = None
 
 
-def _check_layout_dims(layouts, workloads) -> None:
-    """Reject layouts naming a dimension the workloads' streamed tensor
+def _check_layout_dims(layout, workload) -> None:
+    """Reject a layout naming a dimension the workload's streamed tensor
     lacks (C/H/W for convs, M/K for GEMMs); omitting a dimension is legal.
     """
     from repro.layoutloop.cost_model import streaming_tensor_dims
 
-    for workload in workloads:
-        dims = streaming_tensor_dims(workload)
-        for layout in layouts:
-            foreign = sorted((set(layout.inter_order)
-                              | set(layout.intra_dims)) - set(dims))
-            if foreign:
-                raise InvalidRequestError(
-                    f"layout {layout.name!r} names dimension(s) {foreign} "
-                    f"outside the streamed tensor of workload "
-                    f"{getattr(workload, 'name', '')!r} "
-                    f"(dims {''.join(dims)})")
+    dims = streaming_tensor_dims(workload)
+    foreign = sorted((set(layout.inter_order) | set(layout.intra_dims))
+                     - set(dims))
+    if foreign:
+        raise InvalidRequestError(
+            f"layout {layout.name!r} names dimension(s) {foreign} "
+            f"outside the streamed tensor of workload "
+            f"{getattr(workload, 'name', '')!r} (dims {''.join(dims)})")
 
 
 def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
@@ -161,7 +157,7 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
                                                  resolved.workload,
                                                  resolved.arch)
         resolved.layout = codec.resolve_layout(request.layout)
-        _check_layout_dims([resolved.layout], [resolved.workload])
+        _check_layout_dims(resolved.layout, resolved.workload)
         return _digest((
             "eval", API_SCHEMA_VERSION, repro.__version__,
             workload_signature(resolved.workload),
@@ -173,16 +169,13 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
     if isinstance(request, SearchRequest):
         resolved = _Resolved(
             workloads=codec.resolve_workloads(request.workloads),
-            arch=codec.resolve_arch(request.arch),
-            layouts=codec.resolve_layouts(request.layouts))
-        if resolved.layouts is not None:
-            _check_layout_dims(resolved.layouts, resolved.workloads)
+            arch=codec.resolve_arch(request.arch))
         return _digest((
             "search", API_SCHEMA_VERSION, repro.__version__, request.model,
             tuple(workload_signature(w) for w in resolved.workloads),
             tuple(getattr(w, "name", "") for w in resolved.workloads),
             arch_signature(resolved.arch, DEFAULT_ENERGY_TABLE),
-            request.config.key(), request.layouts, request.backend)), resolved
+            request.config.key(), request.backend)), resolved
     if isinstance(request, SweepRequest):
         from repro.scenarios.runner import cell_key
 
@@ -618,7 +611,7 @@ class Session:
                    else self.backend_for(request.backend, resolved.arch,
                                          request.config.seed))
         mapper = self._mapper_for(resolved.arch, request, backend)
-        return all(mapper.has_result(wl, resolved.layouts)
+        return all(mapper.has_result(wl)
                    for wl, _ in unique_workloads(resolved.workloads))
 
     # -------------------------------------------------------------- offload
@@ -633,8 +626,7 @@ class Session:
             return None
         payload = dict(
             arch=resolved.arch, workloads=list(resolved.workloads),
-            config=request.config, model_name=request.model, workers=1,
-            layouts=resolved.layouts)
+            config=request.config, model_name=request.model, workers=1)
         try:
             return pool.submit(_offloaded_search, payload).result()
         except (BrokenProcessPool, OSError):
@@ -664,12 +656,8 @@ class Session:
         from repro.layoutloop.cosearch import unique_workloads
 
         workloads, arch = resolved.workloads, resolved.arch
-        layouts = resolved.layouts
         workers = self.resolve_workers(request.workers)
         crossval = request.backend == "crossval"
-        if crossval and layouts is not None:
-            raise InvalidRequestError(
-                "crossval does not support a layout restriction")
         start = time.perf_counter()
         search_backend = request.backend
         if crossval or request.backend == "analytical":
@@ -716,13 +704,12 @@ class Session:
         from repro.layoutloop.cosearch import unique_workloads
 
         workloads, arch = resolved.workloads, resolved.arch
-        layouts = resolved.layouts
         crossval_payload = None
         cost = None
         if (self._offload_enabled and mapper is not None
                 and search_backend == "analytical"
                 and not request.frontier and not request.fused
-                and not all(mapper.has_result(wl, layouts)
+                and not all(mapper.has_result(wl)
                             for wl, _ in unique_workloads(workloads))):
             # Cold search on a threaded session: run it whole in a worker
             # process so this submitting thread blocks GIL-free and the
@@ -734,8 +721,7 @@ class Session:
             if cost is not None:
                 for (workload, _), choice in zip(unique_workloads(workloads),
                                                  cost.layer_choices):
-                    mapper.adopt_result(workload, choice.result,
-                                        layouts=layouts)
+                    mapper.adopt_result(workload, choice.result)
         if cost is None:
             pool = self._executor_for(workers)
             try:
@@ -743,8 +729,7 @@ class Session:
                     arch, workloads, request.config, model_name=request.model,
                     workers=workers,
                     cache=None if request.fresh_cache else self.cache,
-                    backend=search_backend, layouts=layouts, executor=pool,
-                    mapper=mapper)
+                    backend=search_backend, executor=pool, mapper=mapper)
             finally:
                 self._release_executor(pool)
         if crossval:

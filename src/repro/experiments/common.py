@@ -1,10 +1,10 @@
 """Shared helpers for the experiment modules: plain-text tables and
 geomeans.
 
-Every experiment co-search is a :class:`~repro.api.SearchRequest` on a
-:class:`~repro.api.Session`: Fig. 13 and Fig. 10 run their scenario cells
-(:mod:`repro.scenarios.ports`) through :mod:`repro.scenarios`, Fig. 2
-submits per-layer requests to a session of its own.
+Every experiment co-search is a scenario cell of :mod:`repro.scenarios.ports`
+run as a :class:`~repro.api.SearchRequest` on a :class:`~repro.api.Session`:
+Fig. 13 and Fig. 10 run theirs through :mod:`repro.scenarios`, Fig. 2 runs
+its cells' requests on a session of its own, beside its cell evaluations.
 ``workers=None`` honours the ``REPRO_SEARCH_WORKERS`` environment variable.
 """
 

@@ -16,22 +16,28 @@ compares four policies:
 The experiment returns, per workload entry, the latency of each policy
 normalised to the FEATHER policy, plus the min/max across layouts for the
 policies with layout error bars.
+
+The FEATHER and theory columns are one search, run only through the
+scenario port (:func:`repro.scenarios.ports.fig2_scenarios`): FEATHER
+prices every layout at slowdown 1.0 and breaks ties to the first layout,
+so the layout-blind search returns FEATHER's winner
+(``tests/test_experiments_small.py`` pins this on every Fig. 2 layer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import EvalRequest, SearchRequest, Session
+from repro.api import EvalRequest, Session
 from repro.api.codec import arch_payload, mapping_payload, workload_payload
-from repro.layout.library import conv_layout_library
-from repro.layoutloop.arch import feather_arch
 from repro.baselines.registry import sigma_like
-from repro.workloads.conv import ConvLayerSpec
-from repro.workloads.resnet50 import resnet50_layers, resnet50_motivation_layers
-from repro.workloads.mobilenet_v3 import mobilenet_v3_layers, mobilenet_v3_motivation_layers
 from repro.experiments.common import geomean
+from repro.layout.library import conv_layout_library
+from repro.layoutloop.cosearch import unique_workloads
+from repro.layoutloop.mapper import SearchResult
+from repro.search.signatures import workload_signature
+from repro.workloads.conv import ConvLayerSpec
 
 
 @dataclass
@@ -66,20 +72,14 @@ class Fig2Row:
         }
 
 
-def _policies_for_layer(layer: ConvLayerSpec, session: Session,
-                        feather_payload: Dict, no_reorder_payload: Dict,
-                        max_mappings: int, seed: int) -> Fig2Row:
-    """Price the four policies for one layer through the façade.
+def _policies_for_layer(layer: ConvLayerSpec, winner: SearchResult,
+                        session: Session, no_reorder_payload: Dict) -> Fig2Row:
+    """Price the four policies for one layer.
 
-    Policies 1 and 3 are plain cell evaluations
-    (:class:`~repro.api.EvalRequest` on the no-reorder baseline arch);
-    policies 2 and 4 are per-layer co-searches
-    (:class:`~repro.api.SearchRequest` on FEATHER, policy 2 with the
-    candidate library pinned to a single layout — the layout-blind
-    "theory" search).  The shared session plays the old engine cache's
-    role for the searches: a revisited shape is served from its mapper
-    memo and evaluation cache.  The cell evaluations of policies 1 and 3
-    are priced afresh (eval requests are not memoized).
+    ``winner`` is the layer's FEATHER co-search result: its latency is
+    policies 2 and 4, its dataflow is what policy 3 runs under real
+    layouts.  Policies 1 and 3 are cell evaluations
+    (:class:`~repro.api.EvalRequest` on the no-reorder baseline arch).
     """
     layouts = conv_layout_library()
     workload = workload_payload(layer)
@@ -90,35 +90,20 @@ def _policies_for_layer(layer: ConvLayerSpec, session: Session,
             layout=layout.name))
         return response.backend_report.total_cycles
 
-    def _search(layout_names=None):
-        response = session.run(SearchRequest(
-            workloads=(workload,), arch=feather_payload, model=layer.name,
-            metric="latency", max_mappings=max_mappings, seed=seed,
-            layouts=layout_names))
-        return response.cost.layer_choices[0].result
-
     # Policy 1: fixed output-stationary dataflow across layouts.
     fixed_lat = [_eval_cycles("output_stationary", lay) for lay in layouts]
-
-    # Policy 2: layout-blind best dataflow (slowdown ignored => FEATHER model).
-    theory = _search(layout_names=(layouts[0].name,))
-    theory_mapping = mapping_payload(theory.best_mapping)
-    theory_lat = theory.best_report.total_cycles
-
-    # Policy 3: that dataflow under real layouts with conflicts.
+    # Policy 3: the theory dataflow under real layouts with conflicts.
+    theory_mapping = mapping_payload(winner.best_mapping)
     practice_lat = [_eval_cycles(theory_mapping, lay) for lay in layouts]
-
-    # Policy 4: FEATHER co-switching (dataflow, layout).
-    feather_lat = _search().best_report.total_cycles
-
+    latency = winner.best_report.total_cycles
     return Fig2Row(
         workload=layer.name,
         fixed_latency=geomean(fixed_lat),
         fixed_latency_range=(min(fixed_lat), max(fixed_lat)),
-        theory_latency=theory_lat,
+        theory_latency=latency,
         practice_latency=geomean(practice_lat),
         practice_latency_range=(min(practice_lat), max(practice_lat)),
-        feather_latency=feather_lat,
+        feather_latency=latency,
     )
 
 
@@ -136,60 +121,49 @@ def _aggregate(rows: Sequence[Fig2Row], name: str) -> Fig2Row:
     )
 
 
-def motivation_workloads(model: str) -> List[ConvLayerSpec]:
-    """The Fig. 2 motivation layers of one model, in chart order.
-
-    The same lists back the ``fig2_*_motivation`` workload sets of the
-    scenario matrix, so the scenario-layer port searches exactly the
-    workloads this experiment does.
-    """
-    if model == "resnet50":
-        return [layer for key, layer
-                in sorted(resnet50_motivation_layers().items()) if key != 47]
-    if model == "mobilenet_v3":
-        return [layer for _, layer
-                in sorted(mobilenet_v3_motivation_layers().items())]
-    raise ValueError(f"unknown Fig. 2 model {model!r}")
-
-
-def run(rows: int = 16, cols: int = 16, max_mappings: int = 60,
-        full_model_layers: Optional[int] = 12, seed: int = 0,
-        models: Sequence[str] = ("resnet50", "mobilenet_v3"),
+def run(max_mappings: int = 60, full_model_layers: Optional[int] = 12,
+        seed: int = 0, models: Sequence[str] = ("resnet50", "mobilenet_v3"),
         ) -> Dict[str, List[Fig2Row]]:
-    """Reproduce Fig. 2.
+    """Reproduce Fig. 2 on the 16x16 FEATHER of Table IV.
 
-    ``full_model_layers`` bounds how many (unique) layers feed the "Full
-    Model" bar to keep the run fast; ``None`` uses every layer.  ``models``
+    ``full_model_layers`` bounds how many layers feed the "Full Model"
+    bar to keep the run fast; ``None`` uses every layer.  ``models``
     selects which of the two charts to produce; ``seed`` feeds the mapping
-    sampler of the per-run session.
+    sampler of the co-searches.
 
-    All per-layer requests share one :class:`~repro.api.Session`, so the
-    searches of repeated shapes (and of the full-model bars, which revisit
-    the motivation layers) are served from the session's memos instead of
-    re-searching.
+    Each chart's FEATHER co-searches are its two
+    :func:`~repro.scenarios.ports.fig2_scenarios` cells, run as their
+    :func:`~repro.scenarios.runner.cell_request` on one
+    :class:`~repro.api.Session`; every layer of a cell, in order, is
+    looked up among the cell's per-shape winners by its shape signature.
     """
-    results: Dict[str, List[Fig2Row]] = {}
-    feather_payload = arch_payload(feather_arch(rows, cols))
+    # Imported here: the scenario ports import this package (Fig13Series).
+    from repro.scenarios.ports import fig2_scenarios
+    from repro.scenarios.registry import resolve_workload_set
+    from repro.scenarios.runner import cell_request
+
     # A plain no-reorder architecture; the layout under evaluation is supplied
     # per request inside ``_policies_for_layer``, so the fixed-layout name
     # here is irrelevant.
-    no_reorder_payload = arch_payload(sigma_like(rows, cols, layout="HWC_C32",
+    no_reorder_payload = arch_payload(sigma_like(16, 16, layout="HWC_C32",
                                                  reorder="none"))
-    full_tables = {"resnet50": lambda: resnet50_layers(include_fc=False),
-                   "mobilenet_v3": lambda: mobilenet_v3_layers(include_fc=False)}
-
+    cells = list(fig2_scenarios(max_mappings, seed, models,
+                                full_model_layers))
+    results: Dict[str, List[Fig2Row]] = {}
     with Session(name="fig2") as session:
-        for model in models:
-            model_rows = [
-                _policies_for_layer(layer, session, feather_payload,
-                                    no_reorder_payload, max_mappings, seed)
-                for layer in motivation_workloads(model)]
-            all_layers = full_tables[model]()
-            if full_model_layers:
-                all_layers = all_layers[:full_model_layers]
-            full = [_policies_for_layer(l, session, feather_payload,
-                                        no_reorder_payload, max_mappings, seed)
-                    for l in all_layers]
-            model_rows.append(_aggregate(full, f"{model}_full_model"))
-            results[model] = model_rows
+
+        def cell_rows(scenario) -> List[Fig2Row]:
+            layers = resolve_workload_set(scenario.workload_set)
+            cost = session.run(cell_request(scenario)).cost
+            winners = {workload_signature(shape): choice.result
+                       for (shape, _), choice
+                       in zip(unique_workloads(layers), cost.layer_choices)}
+            return [_policies_for_layer(layer,
+                                        winners[workload_signature(layer)],
+                                        session, no_reorder_payload)
+                    for layer in layers]
+
+        for model, motivation, full in zip(models, cells[::2], cells[1::2]):
+            results[model] = cell_rows(motivation) + [
+                _aggregate(cell_rows(full), f"{model}_full_model")]
     return results

@@ -62,7 +62,7 @@ def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
     out[..., 0] = (c0 + i_c) % c
     out[..., 1] = (h0 + i_p * layer.stride + i_r) % h
     out[..., 2] = (w0 + i_q * layer.stride + i_s) % w
-    return out.reshape(num_bases, -1, 3)
+    return out.reshape(num_bases, d_c * d_p * d_q * d_r * d_s, 3)
 
 
 def gemm_input_coords_batch(gemm: GemmSpec, mapping,
@@ -90,7 +90,7 @@ def gemm_input_coords_batch(gemm: GemmSpec, mapping,
     out = np.empty((num_bases, d_m, d_k, 2), dtype=np.int64)
     out[..., 0] = (m0 + i_m) % m
     out[..., 1] = (k0 + i_k) % k
-    return out.reshape(num_bases, -1, 2)
+    return out.reshape(num_bases, d_m * d_k, 2)
 
 
 def streaming_access_coords(workload, mapping,

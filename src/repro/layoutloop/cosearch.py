@@ -246,8 +246,7 @@ def fusible(producer, consumer) -> bool:
             and producer.q == consumer.w)
 
 
-def fused_pair_search(mapper: Mapper, producer, consumer,
-                      layouts: Optional[Sequence] = None) -> FusedPairResult:
+def fused_pair_search(mapper: Mapper, producer, consumer) -> FusedPairResult:
     """Search a fused producer→consumer pair over shared intermediate layouts.
 
     For each candidate layout of the intermediate tensor, the producer is
@@ -276,7 +275,7 @@ def fused_pair_search(mapper: Mapper, producer, consumer,
             "producer's output tensor must be the consumer's input tensor")
     arch = mapper.arch
     table = mapper.cost_model.energy
-    shared = list(layouts) if layouts else mapper.candidate_layouts(consumer)
+    shared = mapper.candidate_layouts(consumer)
     producer_result = mapper.search(producer)
     producer_tiles = tile_footprints(producer, producer_result.best_mapping,
                                      arch)
@@ -333,8 +332,7 @@ def fused_pair_search(mapper: Mapper, producer, consumer,
         capacity_bytes=arch.buffer.capacity_bytes)
 
 
-def fused_model_search(mapper: Mapper, workloads: Sequence,
-                       layouts: Optional[Sequence] = None
+def fused_model_search(mapper: Mapper, workloads: Sequence
                        ) -> List[FusedPairResult]:
     """Fused search over every fusible adjacent pair of a layer sequence.
 
@@ -345,7 +343,6 @@ def fused_model_search(mapper: Mapper, workloads: Sequence,
     results = []
     for producer, consumer in zip(workloads, list(workloads)[1:]):
         if fusible(producer, consumer):
-            results.append(fused_pair_search(mapper, producer, consumer,
-                                             layouts=layouts))
+            results.append(fused_pair_search(mapper, producer, consumer))
     return results
 

@@ -500,8 +500,7 @@ class Mapper:
             incumbent.score(index, universe[index])
         return incumbent.result(pruned)
 
-    def search_frontier(self, workload,
-                        layouts: Optional[Sequence[Layout]] = None) -> Tuple:
+    def search_frontier(self, workload) -> Tuple:
         """Scan the candidate universe keeping the whole Pareto frontier.
 
         Returns ``(result, frontier)`` — see
@@ -514,11 +513,11 @@ class Mapper:
         """
         from repro.search.frontier import frontier_search
 
-        key = self._result_key(workload, layouts)
+        key = self._result_key(workload)
         cached = self._frontier_cache.get(key)
         if cached is None:
-            cached = frontier_search(self, workload, layouts=layouts)
-            self._finalize_repair(cached[0], workload, layouts)
+            cached = frontier_search(self, workload)
+            self._finalize_repair(cached[0], workload, None)
             self._frontier_cache[key] = cached
         return cached
 
@@ -537,18 +536,17 @@ class Mapper:
         restriction) would be served from the whole-result memo."""
         return self._result_key(workload, layouts) in self._cache
 
-    def adopt_result(self, workload, result: SearchResult,
-                     layouts: Optional[Sequence[Layout]] = None) -> None:
+    def adopt_result(self, workload, result: SearchResult) -> None:
         """Seed the result-level cache with an externally computed result.
 
         Used by the façade's request-level process offload
         (:class:`repro.api.Session`) to bring results produced in a worker
         process back into this mapper's cache, so later :meth:`search`
         calls for the same workload return instantly.  The result must have
-        been computed under this mapper's config and the same ``layouts``
-        restriction.
+        been computed under this mapper's config, over the candidate
+        layouts.
         """
-        self._cache.setdefault(self._result_key(workload, layouts), result)
+        self._cache.setdefault(self._result_key(workload), result)
 
     # ---------------------------------------------------------------- helpers
     @staticmethod

@@ -131,6 +131,8 @@ class BirrdNetwork:
 
     def __init__(self, aw: int):
         self.topology = BirrdTopology(aw)
+        #: ``wiring[stage][port]``: the next-stage port (built once).
+        self.wiring = self.topology.connectivity()
 
     @property
     def aw(self) -> int:
@@ -185,8 +187,8 @@ class BirrdNetwork:
             # Inter-stage permutation (also applies after the final stage,
             # mapping onto the output-buffer banks).
             permuted = [None] * topo.aw
-            for port in range(topo.aw):
-                permuted[topo.inter_stage_dest(stage, port)] = switched[port]
+            for port, dest in enumerate(self.wiring[stage]):
+                permuted[dest] = switched[port]
             wires = permuted
         return wires
 

@@ -162,6 +162,7 @@ class BirrdRouter:
             return self._reach
         topo = self.topology
         aw = topo.aw
+        wiring = self.network.wiring
         reach: List[List[FrozenSet[int]]] = [
             [frozenset()] * aw for _ in range(topo.num_stages + 1)
         ]
@@ -169,8 +170,8 @@ class BirrdRouter:
         for stage in range(topo.num_stages - 1, -1, -1):
             for sw in range(topo.switches_per_stage):
                 left, right = 2 * sw, 2 * sw + 1
-                union = (reach[stage + 1][topo.inter_stage_dest(stage, left)]
-                         | reach[stage + 1][topo.inter_stage_dest(stage, right)])
+                union = (reach[stage + 1][wiring[stage][left]]
+                         | reach[stage + 1][wiring[stage][right]])
                 reach[stage][left] = union
                 reach[stage][right] = union
         self._reach = reach
@@ -225,10 +226,12 @@ class BirrdRouter:
                 rng.shuffle(options)
             return options
 
+        wiring = self.network.wiring
+
         def permute(stage: int, wires: List, fill) -> Tuple:
             out = [fill] * aw
-            for port in range(aw):
-                out[topo.inter_stage_dest(stage, port)] = wires[port]
+            for port, dest in enumerate(wiring[stage]):
+                out[dest] = wires[port]
             return tuple(out)
 
         initial_live = tuple(bool(content) for content in initial)

@@ -5,18 +5,18 @@ Each port pairs (a) a function returning the figure's cells as a
 resulting :class:`~repro.scenarios.record.ScenarioRecord` objects back to
 the figure's native output structures.  The ports use the same workload
 sets, architecture suite, metric, mapping budget and seed as the
-``repro.experiments`` modules.  Fig. 13 and Fig. 10's FEATHER column are
-computed *only* here: ``repro.experiments.fig13.run`` runs
-:func:`fig13_scenarios` and converts the records with
-:func:`fig13_series_from_records`, and ``repro.experiments.fig10.run``
-runs :func:`fig10_scenario` and reads :func:`fig10_feather_utilizations`.
+``repro.experiments`` modules, and every figure's co-search is computed
+*only* here: ``repro.experiments.fig13.run`` runs :func:`fig13_scenarios`
+and converts the records with :func:`fig13_series_from_records`,
+``repro.experiments.fig10.run`` runs :func:`fig10_scenario` and reads
+:func:`fig10_feather_utilizations`, and ``repro.experiments.fig2.run``
+runs the :func:`fig2_scenarios` cells and reads its FEATHER and theory
+columns from their per-layer winners.
 
 Only the engine-shaped part of each figure is a scenario (a scenario *is*
-a co-search cell).  Fig. 2's fixed/theory/practice policies and Fig. 10's
-systolic baseline are bespoke evaluations and stay in their experiment
-modules.  Fig. 2's FEATHER column is covered by :func:`fig2_scenarios`,
-and ``tests/test_experiments_small.py`` pins it equal to the experiment's
-own.
+a co-search cell).  Fig. 2's fixed and practice policies and Fig. 10's
+systolic baseline are cell evaluations and stay in their experiment
+modules.
 """
 
 from __future__ import annotations
@@ -45,17 +45,22 @@ def _sliced(workload_set: str, max_layers: Optional[int]) -> str:
 # ----------------------------------------------------------------- Fig. 2
 def fig2_scenarios(max_mappings: int = 60, seed: int = 0,
                    models: Sequence[str] = ("resnet50", "mobilenet_v3"),
-                   ) -> ScenarioMatrix:
-    """The FEATHER co-search column of Fig. 2, one cell per model chart.
+                   full_model_layers: Optional[int] = 12) -> ScenarioMatrix:
+    """Fig. 2's FEATHER co-searches: two cells per model chart.
 
-    Matches the Fig. 2 experiment's engine settings (latency objective,
-    ``max_mappings=60``) over the same motivation layers.
+    Per model, in model order: its motivation layers, then its "Full
+    Model" slice (the first ``full_model_layers`` conv layers, all of them
+    for ``None``).  The defaults are the Fig. 2 experiment's: latency
+    objective, ``max_mappings=60``, seed 0.
     """
     config = SearchConfig(name=f"latency-{max_mappings}", metric="latency",
                           max_mappings=max_mappings, seed=seed)
     matrix = ScenarioMatrix(name="fig2")
-    return matrix.cross([f"fig2_{model}_motivation" for model in models],
-                        ["FEATHER"], [config], tags=("fig2", "figure"))
+    for model in models:
+        matrix.cross([f"fig2_{model}_motivation",
+                      _sliced(model, full_model_layers)],
+                     ["FEATHER"], [config], tags=("fig2", "figure"))
+    return matrix
 
 
 def fig2_feather_latencies(record: ScenarioRecord) -> Dict[str, float]:

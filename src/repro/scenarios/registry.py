@@ -26,9 +26,14 @@ from repro.workloads.micro import micro_conv_layers, micro_gemm_layers
 from repro.workloads.mobilenet_v3 import (
     mobilenet_v3_depthwise_layers,
     mobilenet_v3_layers,
+    mobilenet_v3_motivation_layers,
     mobilenet_v3_pointwise_layers,
 )
-from repro.workloads.resnet50 import resnet50_layers, resnet50_residual_block
+from repro.workloads.resnet50 import (
+    resnet50_layers,
+    resnet50_motivation_layers,
+    resnet50_residual_block,
+)
 
 _WORKLOAD_SETS: Dict[str, Callable[[], List]] = {}
 _ARCHES: Dict[str, Callable[[], ArchSpec]] = {}
@@ -100,12 +105,6 @@ def resolve_arch(name: str) -> ArchSpec:
 
 
 # ----------------------------------------------------------------- builtins
-def _fig2_motivation(model: str) -> List:
-    from repro.experiments.fig2 import motivation_workloads
-
-    return motivation_workloads(model)
-
-
 def _register_builtin_workload_sets() -> None:
     # The paper's three Fig. 13 workloads (conv layers without the FC).
     register_workload_set(
@@ -113,12 +112,16 @@ def _register_builtin_workload_sets() -> None:
     register_workload_set(
         "mobilenet_v3", lambda: mobilenet_v3_layers(include_fc=False))
     register_workload_set("bert", bert_unique_gemms)
-    # Figure-specific sets.
+    # Figure-specific sets; Fig. 2's motivation layers in chart order.
     register_workload_set("fig10_gemms", fig10_workloads)
-    register_workload_set("fig2_resnet50_motivation",
-                          lambda: _fig2_motivation("resnet50"))
-    register_workload_set("fig2_mobilenet_v3_motivation",
-                          lambda: _fig2_motivation("mobilenet_v3"))
+    register_workload_set(
+        "fig2_resnet50_motivation",
+        lambda: [layer for key, layer
+                 in sorted(resnet50_motivation_layers().items()) if key != 47])
+    register_workload_set(
+        "fig2_mobilenet_v3_motivation",
+        lambda: [layer for _, layer
+                 in sorted(mobilenet_v3_motivation_layers().items())])
     # Scenario-diversity sets the cost model supports but no figure runs.
     register_workload_set("mobilenet_v3_depthwise",
                           mobilenet_v3_depthwise_layers)

@@ -95,10 +95,10 @@ def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
     configuration, so a chunk's results do not depend on which process (or
     how many) ran it.
     """
-    arch, energy, config, layouts, shapes = payload
+    arch, energy, config, shapes = payload
     mapper = Mapper(arch, config, energy=energy,
                     evaluation_cache=EvaluationCache())
-    results = [mapper.search(wl, layouts=layouts) for wl in shapes]
+    results = [mapper.search(wl) for wl in shapes]
     stats = mapper.evaluation_cache.stats
     return results, stats.hits, stats.misses
 
@@ -109,7 +109,6 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                        workers: int = 1,
                        cache: Optional[EvaluationCache] = None,
                        backend="analytical",
-                       layouts: Optional[Sequence] = None,
                        executor=None,
                        mapper: Optional[Mapper] = None) -> ModelCost:
     """The whole-model co-search engine behind :meth:`repro.api.Session.run`.
@@ -121,8 +120,6 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     place, :meth:`repro.api.Session.resolve_workers`).
     ``backend`` is ``"analytical"`` or a constructed non-analytical backend
     instance (searched serially, keeping its simulation memos warm).
-    ``layouts`` optionally restricts the candidate layout library (used by
-    policy studies like Fig. 2's layout-blind "theory" search), and
     ``executor`` is an optional caller-owned persistent process pool
     (see :func:`repro.search.parallel.run_fanout`).
 
@@ -158,7 +155,6 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     grouped = unique_workloads(workloads)
     shapes = [wl for wl, _ in grouped]
     workers = max(1, int(workers)) if analytical else 1
-    layouts = list(layouts) if layouts else None
 
     backend_name = "analytical" if analytical else backend.name
     stats = SearchStats(model=model_name, arch=arch.name,
@@ -171,7 +167,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     if not analytical:
         if mapper is None:
             mapper = Mapper(arch, config, energy=energy, backend=backend)
-        results = [mapper.search(wl, layouts=layouts) for wl in shapes]
+        results = [mapper.search(wl) for wl in shapes]
     elif workers <= 1 or len(shapes) <= 1:
         stats.workers = 1
         if mapper is None:
@@ -185,17 +181,16 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
         before_hits = eval_cache.stats.hits
         before_misses = eval_cache.stats.misses
         if frontier:
-            pairs = [mapper.search_frontier(wl, layouts=layouts)
-                     for wl in shapes]
+            pairs = [mapper.search_frontier(wl) for wl in shapes]
             results = [result for result, _ in pairs]
             shape_frontiers = [shape_frontier for _, shape_frontier in pairs]
         else:
-            results = [mapper.search(wl, layouts=layouts) for wl in shapes]
+            results = [mapper.search(wl) for wl in shapes]
         stats.cache = CacheStats(hits=eval_cache.stats.hits - before_hits,
                                  misses=eval_cache.stats.misses - before_misses)
     else:
         size = default_chunk_size(len(shapes), workers)
-        payloads = [(arch, energy, config, layouts, chunk)
+        payloads = [(arch, energy, config, chunk)
                     for chunk in chunked(shapes, size)]
         chunk_outputs, stats.workers = run_fanout(_search_chunk, payloads,
                                                   workers, executor=executor)
@@ -233,8 +228,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
         # Adjacency is positional: the fused pass walks the original layer
         # order, not the deduplicated shapes.  The per-layout consumer
         # searches memoize in the same mapper, so repeat pairs stay cheap.
-        cost.fused_pairs = fused_model_search(mapper, workloads,
-                                              layouts=layouts)
+        cost.fused_pairs = fused_model_search(mapper, workloads)
     stats.elapsed_s = time.perf_counter() - start
     cost.search_stats = stats
     return cost

@@ -213,8 +213,7 @@ class ShapeFrontier:
 
 
 # ------------------------------------------------------------------- search
-def frontier_search(mapper, workload,
-                    layouts: Optional[Sequence] = None):
+def frontier_search(mapper, workload):
     """Scan the mapper's candidate universe keeping the Pareto frontier.
 
     Returns ``(result, frontier)`` where ``result`` is a
@@ -235,7 +234,7 @@ def frontier_search(mapper, workload,
     config = dataclasses.replace(mapper.config, frontier=True)
     config.check_backend(mapper._backend_name)
 
-    layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
+    layouts = mapper.candidate_layouts(workload)
     statics = cached_bound_statics(mapper.cost_model, workload)
     arch = mapper.arch
     # Footprints and cycle floors for the whole universe in one numpy pass;

@@ -79,8 +79,6 @@ _search_requests = st.builds(
     max_mappings=st.integers(1, 200),
     seed=st.integers(0, 2**31),
     backend=st.sampled_from(["analytical", "simulator", "crossval"]),
-    layouts=st.one_of(st.none(),
-                      st.just(("HWC_C32",)), st.just(("MK_K32", "MK_M32"))),
     workers=st.one_of(st.none(), st.integers(1, 8)),
     fresh_cache=st.booleans())
 

@@ -5,7 +5,12 @@ import pytest
 
 from repro.experiments import fig2, fig4, fig9, fig10, fig11, fig14, tables
 from repro.experiments.common import format_table, geomean, normalize
+from repro.layout.library import conv_layout_library
+from repro.layoutloop.arch import feather_arch
+from repro.layoutloop.mapper import Mapper
 from repro.scenarios import ports, run_cell, run_matrix
+from repro.scenarios.registry import resolve_workload_set
+from repro.search.config import SearchConfig
 
 
 class TestCommonHelpers:
@@ -157,17 +162,17 @@ class TestTables:
 
 
 class TestScenarioPorts:
-    """The Fig. 2 port reproduces the experiment's FEATHER column
-    *exactly*.
+    """Every figure's co-search runs through its port, Fig. 2's too.
 
-    Fig. 2 keeps its own bespoke evaluations beside the FEATHER co-search,
-    so the port re-runs the same workload sets with the same engine
-    settings; any inequality here means it silently drifted — every
-    comparison below is ``==``, never ``approx``.  (Fig. 10 and Fig. 13
-    have no second pipeline: their ``run`` *is* the port.)
+    Fig. 2 reads its FEATHER and theory columns from the per-layer winners
+    of its port cells; the fact that lets one search serve both columns is
+    pinned here.  Every comparison below is ``==``, never ``approx``.
     """
 
     def test_fig2_port_matches_legacy_feather_column(self):
+        """``fig2.run`` reads each motivation layer's FEATHER latency from
+        the port cell's winner for that layer, by layer name: a cell run
+        on its own gives the same latency per name."""
         legacy = fig2.run(max_mappings=20, full_model_layers=2,
                           models=("resnet50",))
         matrix = ports.fig2_scenarios(max_mappings=20, models=("resnet50",))
@@ -177,6 +182,30 @@ class TestScenarioPorts:
         assert len(latencies) == len(motivation_rows)
         for row in motivation_rows:
             assert latencies[row.workload] == row.feather_latency
+
+    @pytest.mark.parametrize("metric", ["latency", "edp"])
+    def test_fig2_theory_search_is_feathers_own(self, metric):
+        """On FEATHER the layout-blind search (one layout) returns the
+        co-search's winner, on every Fig. 2 layer: FEATHER prices every
+        layout at slowdown 1.0 and ties break to layout index 0.
+        ``fig2.run`` reads its theory column from the FEATHER winner on
+        this fact; a cost model that prices FEATHER's layouts apart fails
+        here, and Fig. 2 would then need the restricted search back."""
+        config = SearchConfig(metric=metric, max_mappings=20)
+        theory = Mapper(feather_arch(16, 16), config)
+        feather = Mapper(feather_arch(16, 16), config)
+        theory_layouts = [conv_layout_library()[0]]
+        specs = [spec for model in ("resnet50", "mobilenet_v3")
+                 for spec in (f"fig2_{model}_motivation", f"{model}[:12]")]
+        layers = [layer for spec in specs
+                  for layer in resolve_workload_set(spec)]
+        assert len(layers) > 24
+        for layer in layers:
+            blind = theory.search(layer, layouts=theory_layouts)
+            best = feather.search(layer)
+            assert blind.best_report == best.best_report, layer.name
+            assert blind.best_mapping == best.best_mapping, layer.name
+            assert blind.best_layout == best.best_layout, layer.name
 
     def test_search_stats_rows_cover_the_suite(self):
         matrix = ports.tables_scenarios("resnet50[:2]", max_mappings=12)

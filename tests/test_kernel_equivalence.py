@@ -27,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    _conv_iact_coords,
+    _gemm_input_coords,
     materialized_sample,
     reference_evaluate,
     reference_evaluate_cached,
@@ -41,6 +43,7 @@ from repro.baselines.registry import (
 )
 from repro.dataflow.space import MappingSpace
 from repro.kernel import analyze_concordance_batch, compile_layout
+from repro.kernel.footprint import streaming_access_coords
 from repro.layout.concordance import analyze_concordance
 from repro.layout.layout import IntraLineDim, Layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
@@ -207,6 +210,33 @@ class TestBatchConcordanceEquivalence:
                 coords, ("C", "H", "W"), [layout], {"C": 4, "H": 4, "W": 4},
                 ports_per_bank=0, num_banks=2)
         assert report.worst_slowdown == report.avg_slowdown == float("inf")
+
+
+class TestFootprintEquivalence:
+    @pytest.mark.parametrize("bases", [
+        (), ((0, 0, 0),), ((1, 2, 3), (5, 9, 4), (-3, 11, 7))],
+        ids=["empty", "one", "three"])
+    @pytest.mark.parametrize("workload", [
+        ConvLayerSpec(name="c", m=8, c=6, h=7, w=5, r=3, s=3, stride=2),
+        GemmSpec(name="g", m=5, k=7, n=3)], ids=["conv", "gemm"])
+    def test_footprints_match_scalar_expansion(self, workload, bases):
+        """Every candidate mapping's batched footprint equals the oracle's
+        per-base expansion, lane for lane; no bases give a ``(0, lanes,
+        ndims)`` array, as the oracle's empty footprint does."""
+        expand = (_conv_iact_coords if isinstance(workload, ConvLayerSpec)
+                  else _gemm_input_coords)
+        universe = candidate_universe(
+            Mapper(feather_arch(4, 4), SearchConfig(max_mappings=30)),
+            workload)
+        for index in range(len(universe)):
+            mapping = universe[index]
+            coords, dims = streaming_access_coords(workload, mapping, bases)
+            lanes = len(expand(workload, mapping, (0, 0, 0)))
+            assert coords.shape == (len(bases), lanes, len(dims))
+            assert coords.tolist() == [
+                [[coord[d] for d in dims]
+                 for coord in expand(workload, mapping, base)]
+                for base in bases]
 
 
 class TestStreamingSampler:

@@ -161,6 +161,7 @@ def test_error_codes_are_stable(service):
 _EVAL = {"workload": "fig10_gemms#0", "arch": "FEATHER-4x4",
          "layout": "MK_K32"}
 _ARCH = arch_payload(resolve_arch(_EVAL["arch"]))
+_EYERISS = arch_payload(eyeriss_like())
 _MAPPING = mapping_payload(resolve_mapping(
     "output_stationary", resolve_workload(_EVAL["workload"]),
     resolve_arch(_EVAL["arch"])))
@@ -188,8 +189,8 @@ def _cell(**config) -> dict:
                  id="workers-fraction"),
     pytest.param("/v1/search", {**SEARCH, "policy": "halving",
                                 "budget": True}, id="budget-bool"),
-    pytest.param("/v1/search", {**SEARCH, "layouts": ["HWC_C32"]},
-                 id="search-conv-layout-on-gemms"),
+    pytest.param("/v1/search", {**SEARCH, "layouts": ["MK_K32"]},
+                 id="search-layouts-removed"),
     pytest.param("/v1/eval", {**_EVAL, "seed": "x"}, id="eval-seed-str"),
     pytest.param("/v1/eval", {**_EVAL, "layout": "nope"},
                  id="eval-layout-nope"),
@@ -225,6 +226,12 @@ def _cell(**config) -> dict:
     pytest.param("/v1/eval", {**_EVAL, "arch": {
         **_ARCH, "buffer": {**_ARCH["buffer"], "ports_per_bank": 0}}},
                  id="eval-arch-ports-zero"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {
+        **_EYERISS, "buffer": {**_EYERISS["buffer"], "banks": 2**70}}},
+                 id="eval-arch-banks-huge"),
+    pytest.param("/v1/eval", {**_EVAL, "arch": {
+        **_EYERISS, "buffer": {**_EYERISS["buffer"], "num_lines": 2**70}}},
+                 id="eval-arch-lines-huge"),
     pytest.param("/v1/eval", {**_EVAL, "workload": {
         "type": "gemm", "name": "g", "m": "8", "k": 2.5, "n": True}},
                  id="eval-gemm-dims-coerced"),
@@ -252,9 +259,10 @@ def _cell(**config) -> dict:
 ])
 def test_bad_field_values_are_invalid_request(service, path, body):
     """Wrong-typed integers, booleans, strings and inline payload fields,
-    layouts over foreign dimensions, reused inline cell names and kernels
-    that overflow their input are a structured 400, never a 500 or a
-    silently coerced run."""
+    inline integers beyond int64, layouts over foreign dimensions, removed
+    request fields, reused inline cell names and kernels that overflow
+    their input are a structured 400, never a 500 or a silently coerced
+    run."""
     base, _ = service
     status, payload = _post(base, path, body)
     assert status == 400, (body, payload)
