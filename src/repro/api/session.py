@@ -387,8 +387,8 @@ class Session:
         instance = create_backend(name, arch, seed=seed)
         if name != "analytical":
             # Stateful backends mutate internal state (simulation buffers,
-            # memos) while evaluating; concurrent searches on the shared
-            # instance serialize on this lock (see _execute_search).
+            # memos) while evaluating; concurrent searches and evals on the
+            # shared instance serialize on this lock.
             instance._session_serialize = threading.Lock()
         with self._lock:
             return self._backends.setdefault(key, instance)
@@ -642,7 +642,8 @@ class Session:
         mapping, layout = resolved.mapping, resolved.layout
         backend = self.backend_for(request.backend, arch, request.seed)
         start = time.perf_counter()
-        report = backend.evaluate(workload, mapping, layout)
+        with getattr(backend, "_session_serialize", nullcontext()):
+            report = backend.evaluate(workload, mapping, layout)
         elapsed = time.perf_counter() - start
         payload = asdict(report)
         payload["total_energy_pj"] = report.total_energy_pj
@@ -674,8 +675,7 @@ class Session:
         # requests stay fully concurrent (the evaluation cache is locked).
         serialize = nullcontext()
         if crossval:
-            # Fail fast on incompatible cells before burning a co-search,
-            # exactly like the standalone cross_validate_model.
+            # Fail fast on incompatible cells before burning a co-search.
             simulator = self.backend_for("simulator", arch,
                                          request.config.seed)
             serialize = getattr(simulator, "_session_serialize", serialize)
@@ -732,24 +732,18 @@ class Session:
                     backend=search_backend, executor=pool, mapper=mapper)
             finally:
                 self._release_executor(pool)
+        arch_label = (request.arch if isinstance(request.arch, str)
+                      else cost.arch)
         if crossval:
             from repro.backends.crossval import cross_validate_model
 
             # The analytical co-search above ran with this session's
             # caches/pool; the simulator leg reuses the session's memoized
-            # backend instance.  The validation embeds the arch label the
-            # caller asked for (the registry name when the request came by
-            # name).
-            label = (request.arch if isinstance(request.arch, str)
-                     else arch.name)
-            cost, validation = cross_validate_model(
-                arch, workloads, request.config, model_name=request.model,
-                arch_label=label, cost=cost, simulator=simulator)
-            crossval_payload = validation.as_dict()
+            # backend instance, seeded with the search's seed.
+            crossval_payload = cross_validate_model(
+                cost, workloads, simulator, arch_label).as_dict()
         elapsed = time.perf_counter() - start
         stats = cost.search_stats
-        arch_label = (request.arch if isinstance(request.arch, str)
-                      else cost.arch)
         frontiers_payload = (
             [frontier.to_dict() for frontier in cost.frontiers]
             if request.frontier and cost.frontiers is not None else None)

@@ -1,11 +1,14 @@
-"""Unified evaluation backends: analytical model and cycle-level simulator.
+"""Unified evaluation backends: one protocol, one analytical companion.
 
 One protocol (:class:`EvaluationBackend`), one comparable result type
 (:class:`BackendReport`, in :class:`CostReport` vocabulary), the built-in
-implementations behind a name registry:
+implementations behind a name registry.  Every backend owns one
+analytical ``cost_model``; each report is its cell's companion cost report
+with the backend's own timing fields replaced, and ``evaluate_mapping``
+prices a mapping's companions in one batch.
 
 * ``"analytical"`` — the Timeloop-style Layoutloop cost model (§V),
-  memoized + vectorized, bit-identical to calling it directly;
+  vectorized, bit-identical to calling it directly;
 * ``"simulator"`` — the numerically-exact cycle-accounting FEATHER
   simulator (§III), with deterministic seeded weight/iAct generation;
 * ``"systolic"`` — the rigid weight-stationary array baseline (Fig. 4),
@@ -18,9 +21,10 @@ On top of the protocol:
 
 * :func:`multifidelity_search` — analytical shortlist, simulator
   verification of the top-k (mapping, layout) pairs per shape;
-* :func:`cross_validate_model` — execute every analytically co-searched
-  winner on the simulator and record per-cell cycle/utilization deltas
-  (the machine-check of the paper's reorder-in-reduction claim).
+* :func:`cross_validate_model` — execute every winner of an analytical
+  co-search on the simulator and record per-cell cycle/utilization deltas
+  (the machine-check of the paper's reorder-in-reduction claim); a
+  ``SearchRequest(backend="crossval")`` runs the search and calls it.
 
 `repro.search`, `repro.layoutloop.mapper` and `repro.scenarios` all take a
 ``backend=`` argument resolved through this registry (default

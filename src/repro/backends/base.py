@@ -1,11 +1,12 @@
 """The evaluation-backend protocol: one cell, one comparable report.
 
 A *cell* is a (workload, mapping, layout) triple on one architecture.  The
-repo has two ways to price a cell — the Timeloop-style analytical model
-(:mod:`repro.layoutloop.cost_model`) and the numerically-exact
-cycle-accounting FEATHER simulator (:mod:`repro.feather`) — and this module
-defines the contract that lets the search engine, the scenario matrix and
-the experiments treat them interchangeably:
+repo prices a cell with the Timeloop-style analytical model
+(:mod:`repro.layoutloop.cost_model`), the numerically-exact
+cycle-accounting FEATHER simulator (:mod:`repro.feather`), a systolic
+array or a reference reduction NoC, and this module defines the contract
+that lets the search engine, the scenario matrix and the experiments
+treat them interchangeably:
 
 * :class:`BackendReport` — the common result type.  Field names follow
   :class:`~repro.layoutloop.cost_model.CostReport` conventions exactly
@@ -15,23 +16,27 @@ the experiments treat them interchangeably:
   :class:`~repro.scenarios.record.ScenarioRecord`) works with either
   backend unchanged, and cross-backend diffs compare like for like.
 * :class:`EvaluationBackend` — the abstract interface: an arch-bound
-  object with ``evaluate(workload, mapping, layout)`` (and a batched
-  ``evaluate_mapping`` that backends may override for speed).
+  object with one analytical ``cost_model`` (every backend's report is
+  its *companion* cost report with the backend's own timing fields
+  replaced), ``evaluate(workload, mapping, layout, cost=None)`` and
+  ``evaluate_mapping``, which prices a mapping's companions in one
+  batch and hands each layout's to ``evaluate``.
 * a name registry (:func:`register_backend` / :func:`create_backend`),
-  shipping ``"analytical"`` and ``"simulator"`` and open to downstream
-  registration, mirroring the workload-set/architecture registries of
-  :mod:`repro.scenarios.registry`.
+  open to downstream registration, mirroring the workload-set and
+  architecture registries of :mod:`repro.scenarios.registry`.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import UnknownBackendError
 from repro.layoutloop.arch import ArchSpec
+from repro.layoutloop.cost_model import CostModel, CostReport
+from repro.layoutloop.energy import EnergyTable
 
 #: The default backend everywhere a ``backend=`` parameter exists.
 DEFAULT_BACKEND = "analytical"
@@ -103,26 +108,24 @@ class BackendReport:
         return self.total_cycles / (frequency_mhz * 1e6)
 
 
+#: The scalar fields a report shares with its companion CostReport.
+_COST_FIELDS = tuple(f.name for f in fields(BackendReport)
+                     if f.name not in ("backend", "energy_breakdown_pj",
+                                       "extra"))
+
+
 def report_from_cost(report, backend: str = DEFAULT_BACKEND,
-                     extra: Optional[Dict[str, float]] = None) -> BackendReport:
-    """Wrap a :class:`CostReport` as a :class:`BackendReport`, field for field."""
+                     extra: Optional[Dict[str, float]] = None,
+                     **timing) -> BackendReport:
+    """Wrap a :class:`CostReport` as a :class:`BackendReport`, field for
+    field, with the ``timing`` fields (``total_cycles=...``) replaced."""
+    values = {name: getattr(report, name) for name in _COST_FIELDS}
+    values.update(timing)
     return BackendReport(
         backend=backend,
-        workload=report.workload,
-        arch=report.arch,
-        mapping=report.mapping,
-        layout=report.layout,
-        macs=report.macs,
-        compute_cycles=report.compute_cycles,
-        slowdown=report.slowdown,
-        stall_cycles=report.stall_cycles,
-        reorder_cycles_exposed=report.reorder_cycles_exposed,
-        total_cycles=report.total_cycles,
-        utilization=report.utilization,
-        practical_utilization=report.practical_utilization,
         energy_breakdown_pj=dict(report.energy_breakdown_pj),
         extra=dict(extra) if extra else {},
-    )
+        **values)
 
 
 class EvaluationBackend(abc.ABC):
@@ -137,21 +140,25 @@ class EvaluationBackend(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    def __init__(self, arch: ArchSpec):
+    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
         self.arch = arch
+        self.cost_model = CostModel(arch, energy)
 
     @abc.abstractmethod
-    def evaluate(self, workload, mapping, layout) -> BackendReport:
-        """Price one cell into the common report."""
+    def evaluate(self, workload, mapping, layout,
+                 cost: Optional[CostReport] = None) -> BackendReport:
+        """Price one cell into the common report.  ``cost`` is the cell's
+        companion :class:`CostReport` when the caller already priced it;
+        ``None`` prices it here."""
 
     def evaluate_mapping(self, workload, mapping,
                          layouts: Sequence) -> List[BackendReport]:
-        """Reports of one mapping under every candidate layout, in order.
-
-        The default loops over :meth:`evaluate`; backends with a batched
-        fast path (the analytical kernel) override it.
-        """
-        return [self.evaluate(workload, mapping, layout) for layout in layouts]
+        """Reports of one mapping under every candidate layout, in order:
+        one batched companion pricing, then :meth:`evaluate` per layout."""
+        costs = self.cost_model.evaluate_mapping_batch(workload, mapping,
+                                                       layouts)
+        return [self.evaluate(workload, mapping, layout, cost)
+                for layout, cost in zip(layouts, costs)]
 
 
 # ------------------------------------------------------------------ registry

@@ -4,26 +4,25 @@ The paper's central claim — reorder-in-reduction makes layout switching
 free, so co-searched (mapping, layout) pairs never stall on bank conflicts
 or write serialization — is encoded in the analytical model as
 ``slowdown = 1.0`` for RIR architectures.  Cross-validation machine-checks
-that encoding: run the analytical co-search, then *execute* every winning
-pair on the simulator and record the per-cell analytical-vs-simulated
-cycle and utilization deltas alongside the simulator's independently
-measured read slowdown and write serialization.
+that encoding: *execute* every winning pair of an analytical co-search on
+the simulator and record the per-cell analytical-vs-simulated cycle and
+utilization deltas alongside the simulator's independently measured read
+slowdown and write serialization.
 
-:func:`cross_validate_model` is the library API;
-``python -m repro.scenarios run`` embeds its output in the records of
-``backend="crossval"`` scenarios.
+``Session.run(SearchRequest(backend="crossval"))`` is the one way to
+cross-validate a model: the session checks every cell against the
+simulator, runs the analytical co-search and hands its winners to
+:func:`cross_validate_model`.  ``python -m repro.scenarios run`` embeds
+the result in the records of ``backend="crossval"`` scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.backends.simulator import SimulatorBackend
-from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cosearch import ModelCost
-from repro.layoutloop.energy import EnergyTable
-from repro.search.config import SearchConfig
+from repro.layoutloop.cosearch import ModelCost, unique_workloads
 
 
 @dataclass(frozen=True)
@@ -103,55 +102,18 @@ class CrossValidation:
         }
 
 
-def cross_validate_model(arch: ArchSpec, workloads: Sequence,
-                         config: Optional[SearchConfig] = None,
-                         model_name: str = "model",
-                         energy: Optional[EnergyTable] = None,
-                         workers: Optional[int] = 1,
-                         arch_label: Optional[str] = None,
-                         cost: Optional[ModelCost] = None,
-                         simulator: Optional[SimulatorBackend] = None,
-                         ) -> Tuple[ModelCost, CrossValidation]:
-    """Analytical co-search under ``config`` plus simulator execution of
-    every winner.
+def cross_validate_model(cost: ModelCost, workloads: Sequence,
+                         simulator: SimulatorBackend,
+                         arch_label: Optional[str] = None) -> CrossValidation:
+    """Execute every winner of the analytical co-search ``cost`` of
+    ``workloads`` on ``simulator`` and record the per-cell deltas.
 
-    Returns ``(analytical ModelCost, CrossValidation)``; the analytical
-    cost is exactly what an analytical :class:`~repro.api.SearchRequest`
-    returns for the same config, so cross-validation scenarios stay
-    comparable with plain analytical ones cell for cell.  ``config.seed``
-    also seeds the simulator's data generation.  ``workers=None``
-    consults ``REPRO_SEARCH_WORKERS``.  ``arch_label`` overrides
-    the architecture name embedded in the validation (the scenario runner
-    passes its registry name so record and payload agree).
-
-    ``cost`` (if given) is an already-computed analytical co-search of
-    exactly these arguments and skips the internal search — the
-    :class:`repro.api.Session` passes its own so the analytical leg runs
-    on the session's caches and pool rather than this function's;
-    ``simulator`` likewise substitutes a caller-owned (memo-warm) backend
-    instance for the same ``(arch, energy, seed)``.  Results are
-    bit-identical either way.
-
-    Simulator compatibility is checked *before* the analytical search —
-    an incompatible cell (non-RIR arch, workload over the MAC bound)
-    fails fast instead of burning a full co-search first.
+    The validation carries the simulator's data seed; ``arch_label``
+    overrides the architecture name it embeds (the session passes the
+    registry name so record and payload agree).
     """
-    from repro.layoutloop.cosearch import unique_workloads
-    from repro.search.engine import _search_model_impl
-    from repro.search.parallel import resolve_workers
-
-    config = config if config is not None else SearchConfig()
-    workloads = list(workloads)
-    if simulator is None:
-        simulator = SimulatorBackend(arch, energy=energy, seed=config.seed)
-    for workload, _ in unique_workloads(workloads):
-        simulator.check_cell(workload)
-    if cost is None:
-        cost = _search_model_impl(arch, workloads, config,
-                                  model_name=model_name, energy=energy,
-                                  workers=resolve_workers(workers))
     validation = CrossValidation(arch=arch_label or cost.arch,
-                                 model=cost.model, seed=config.seed)
+                                 model=cost.model, seed=simulator.seed)
     for choice, (workload, count) in zip(cost.layer_choices,
                                          unique_workloads(workloads)):
         result = choice.result
@@ -177,4 +139,4 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
             simulated_write_serialization=(
                 simulated.extra["write_serialization"]),
         ))
-    return cost, validation
+    return validation

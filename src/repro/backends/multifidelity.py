@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.backends.analytical import AnalyticalBackend
 from repro.backends.base import BackendReport
 from repro.backends.simulator import SimulatorBackend
 from repro.errors import InvalidRequestError
@@ -100,19 +99,18 @@ def multifidelity_search_layer(
         arch: ArchSpec, workload, metric: str = "edp",
         max_mappings: int = 50, top_k: int = 3, seed: int = 0,
         energy: Optional[EnergyTable] = None,
-        analytical: Optional[AnalyticalBackend] = None,
         simulator: Optional[SimulatorBackend] = None) -> MultiFidelityResult:
     """Multi-fidelity co-search of one shape.
 
     The analytical stage enumerates exactly the candidate space
     :class:`~repro.layoutloop.mapper.Mapper` searches (same mapping sampler,
-    same seed, same layout library) and ranks every pair without pruning;
-    the simulator stage re-prices the ``top_k`` best pairs.  Backends may
-    be passed in to share them (and the simulator's memo) across shapes.
+    same seed, same layout library) and ranks every pair without pruning,
+    through the mapper's own analytical backend; the simulator stage
+    re-prices the ``top_k`` best pairs.  A simulator may be passed in to
+    share it (and its memo) across shapes.
     """
     if top_k < 1:
         raise InvalidRequestError(f"top_k must be >= 1, got {top_k}")
-    analytical = analytical or AnalyticalBackend(arch, energy=energy)
     simulator = simulator or SimulatorBackend(arch, energy=energy, seed=seed)
     mapper = Mapper(arch, SearchConfig(metric=metric,
                                        max_mappings=max_mappings, seed=seed),
@@ -123,8 +121,8 @@ def multifidelity_search_layer(
     order = 0
     for mapping in mapper.candidate_mappings(workload):
         for layout, report in zip(
-                layouts, analytical.evaluate_mapping(workload, mapping,
-                                                     layouts)):
+                layouts, mapper.backend.evaluate_mapping(workload, mapping,
+                                                         layouts)):
             ranked.append((_metric_value(report, metric), order, mapping,
                            layout, report))
             order += 1
@@ -161,22 +159,20 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
                          ) -> MultiFidelityModelResult:
     """Multi-fidelity co-search over a whole model (shape-deduplicated).
 
-    Shares one analytical backend and one simulator instance (with its
-    simulation memo) across the unique shapes.
+    Shares one simulator instance (with its simulation memo) across the
+    unique shapes.
     """
     workloads = list(workloads)
     if not workloads:
         raise InvalidRequestError(
             f"multifidelity_search({model_name!r}) requires at least one "
             f"workload")
-    analytical = AnalyticalBackend(arch, energy=energy)
     simulator = SimulatorBackend(arch, energy=energy, seed=seed)
     out = MultiFidelityModelResult(arch=arch.name, model=model_name,
                                    metric=metric)
     for workload, count in unique_workloads(workloads):
         result = multifidelity_search_layer(
             arch, workload, metric=metric, max_mappings=max_mappings,
-            top_k=top_k, seed=seed, energy=energy,
-            analytical=analytical, simulator=simulator)
+            top_k=top_k, seed=seed, energy=energy, simulator=simulator)
         out.layers.append((result, count))
     return out

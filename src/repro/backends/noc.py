@@ -27,11 +27,10 @@ evaluations of an illegal cell fail with the violated constraint named.
 
 from __future__ import annotations
 
-from repro.backends.base import BackendReport, EvaluationBackend
+from repro.backends.base import BackendReport, EvaluationBackend, report_from_cost
 from repro.backends.simulator import BackendCompatibilityError
 from repro.constraints import noc_constraints
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel
 from repro.noc.reference_networks import (
     AdderTree,
     ForwardingAdderNetwork,
@@ -54,11 +53,10 @@ class NocBackend(EvaluationBackend):
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown NoC topology {topology!r}; expected "
                              f"one of {sorted(TOPOLOGIES)}")
-        super().__init__(arch)
+        super().__init__(arch, energy)
         self.topology = topology
         self.name = f"noc:{topology}"
         self.seed = seed
-        self._cost_model = CostModel(arch, energy)
         self.constraints = noc_constraints(topology, arch)
 
     # ------------------------------------------------------------- reduction
@@ -90,8 +88,9 @@ class NocBackend(EvaluationBackend):
         return outcome.cycles, outcome.adds
 
     # -------------------------------------------------------------- evaluate
-    def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost = self._cost_model.evaluate(workload, mapping, layout)
+    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
+        if cost is None:
+            cost = self.cost_model.evaluate(workload, mapping, layout)
         cycles_per_step, adds_per_step = self._reduction_cycles(mapping)
         # The analytical model already accounts one accumulate per step;
         # anything beyond it is exposed reduction latency.
@@ -99,28 +98,16 @@ class NocBackend(EvaluationBackend):
         steps = mapping.compute_cycles(workload)
         exposed = float(exposed_per_step) * float(steps)
         total_cycles = cost.total_cycles + exposed
-        num_pes = self.arch.num_pes
-        practical = (cost.macs / (total_cycles * num_pes)
+        practical = (cost.macs / (total_cycles * self.arch.num_pes)
                      if total_cycles else 0.0)
-        return BackendReport(
-            backend=self.name,
-            workload=cost.workload,
-            arch=cost.arch,
-            mapping=cost.mapping,
-            layout=cost.layout,
-            macs=cost.macs,
-            compute_cycles=cost.compute_cycles,
-            slowdown=cost.slowdown,
-            stall_cycles=cost.stall_cycles + exposed,
-            reorder_cycles_exposed=cost.reorder_cycles_exposed,
-            total_cycles=total_cycles,
-            utilization=cost.utilization,
-            practical_utilization=min(1.0, practical),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
+        return report_from_cost(
+            cost, self.name,
             extra={
                 "reduction_group": float(mapping.spatial_reduction_size),
                 "reduction_cycles_per_step": float(cycles_per_step),
                 "reduction_adds_per_step": float(adds_per_step),
                 "reduction_cycles_exposed": exposed,
             },
-        )
+            stall_cycles=cost.stall_cycles + exposed,
+            total_cycles=total_cycles,
+            practical_utilization=min(1.0, practical))

@@ -15,9 +15,10 @@ Scope and conventions:
 * timing is data-independent, so the seed affects the functional values
   (which are verified exactly) but never the cycle counts; the seed is
   still embedded in every report so records replay bit-identically;
-* the simulator does not model energy.  Reports borrow the analytical
-  energy breakdown for the same cell, so energy columns stay comparable
-  across backends and the *cycles/utilization* deltas are the signal;
+* the simulator does not model energy.  Each report is the cell's
+  analytical companion report with the simulated timing fields replaced,
+  so energy columns stay comparable across backends and the
+  *cycles/utilization* deltas are the signal;
 * cells are bounded by ``max_macs`` — the functional NEST is a Python-loop
   model, so simulator sweeps are meant for micro-cells (the built-in
   ``simulator``/``crossval`` scenarios), not for full ResNet layers.
@@ -30,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import BackendReport, EvaluationBackend
+from repro.backends.base import BackendReport, EvaluationBackend, report_from_cost
 from repro.errors import IncompatibleCellError
 from repro.feather.accelerator import (
     ExecutionStats,
@@ -40,7 +41,6 @@ from repro.feather.accelerator import (
 from repro.feather.config import FeatherConfig
 from repro.layout.patterns import ReorderImplementation
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.energy import EnergyTable
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
@@ -141,48 +141,30 @@ class SimulatorBackend(EvaluationBackend):
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
                  seed: int = 0, route_birrd: str = "never",
                  max_macs: int = DEFAULT_MAX_MACS):
-        super().__init__(arch)
+        super().__init__(arch, energy)
         self.seed = int(seed)
         self.max_macs = max_macs
         self.config = feather_config_for(arch)
         self.accelerator = FeatherAccelerator(self.config,
                                               route_birrd=route_birrd)
-        # Analytical companion for the energy breakdown (and for callers
-        # that want side-by-side estimates without building two backends).
-        self._cost_model = CostModel(arch, energy)
         # Timing is layout-dependent but mapping-independent (FEATHER runs
         # its own internal dataflow), so simulations memoize on the
         # (workload shape, layout) pair.
         self._stats: Dict[Tuple, ExecutionStats] = {}
 
     # -------------------------------------------------------------- protocol
-    def evaluate(self, workload, mapping, layout) -> BackendReport:
+    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
         stats = self._simulate(workload, layout)
-        cost = self._cost_model.evaluate(workload, mapping, layout)
+        if cost is None:
+            cost = self.cost_model.evaluate(workload, mapping, layout)
         batches = getattr(workload, "n", 1) if isinstance(
             workload, ConvLayerSpec) else 1
-        macs = workload.macs
         total_cycles = stats.cycles * batches
         slowdown = stats.slowdown
         compute_cycles = total_cycles / slowdown
         num_pes = self.config.num_pes
-        return BackendReport(
-            backend=self.name,
-            workload=getattr(workload, "name", str(workload)),
-            arch=self.arch.name,
-            mapping=mapping.name,
-            layout=layout.name,
-            macs=macs,
-            compute_cycles=compute_cycles,
-            slowdown=slowdown,
-            stall_cycles=total_cycles - compute_cycles,
-            reorder_cycles_exposed=0.0,  # RIR: reordering rides the reduction
-            total_cycles=total_cycles,
-            utilization=(macs / (compute_cycles * num_pes)
-                         if compute_cycles else 0.0),
-            practical_utilization=(macs / (total_cycles * num_pes)
-                                   if total_cycles else 0.0),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
+        return report_from_cost(
+            cost, self.name,
             extra={
                 "seed": float(self.seed),
                 "read_slowdown": stats.read_slowdown,
@@ -193,12 +175,20 @@ class SimulatorBackend(EvaluationBackend):
                 "birrd_cycles": float(stats.birrd_cycles * batches),
                 "birrd_routed_fraction": stats.routed_fraction,
             },
-        )
+            compute_cycles=compute_cycles,
+            slowdown=slowdown,
+            stall_cycles=total_cycles - compute_cycles,
+            reorder_cycles_exposed=0.0,  # RIR: reordering rides the reduction
+            total_cycles=total_cycles,
+            utilization=(cost.macs / (compute_cycles * num_pes)
+                         if compute_cycles else 0.0),
+            practical_utilization=(cost.macs / (total_cycles * num_pes)
+                                   if total_cycles else 0.0))
 
     def check_cell(self, workload) -> None:
         """Raise :class:`BackendCompatibilityError` if ``workload`` exceeds
         the simulator's MAC bound.  Callers that would otherwise do
-        expensive work before the first ``evaluate`` (e.g. cross-validation,
+        expensive work before the first ``evaluate`` (a crossval search,
         which co-searches first) use this to fail fast."""
         if workload.macs > self.max_macs:
             raise BackendCompatibilityError(

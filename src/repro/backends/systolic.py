@@ -10,10 +10,10 @@ as FEATHER's analytical model.
 Timing comes from the systolic pipeline: the mapping's M-parallel and
 reduction-parallel degrees configure the array's two physical axes, and
 cycles are the ``passes * (stream + fill/drain)`` estimate of
-:meth:`SystolicArray.run_gemm` (convs lower through im2col).  Energy is
-borrowed from the analytical cost model per (mapping, layout) cell —
-mirroring the simulator backend — so energy columns stay comparable across
-backends and the layout axis stays meaningful.
+:meth:`SystolicArray.run_gemm` (convs lower through im2col).  Each report
+is the cell's analytical companion report with those timing fields
+replaced — mirroring the simulator backend — so energy columns stay
+comparable across backends and the layout axis stays meaningful.
 
 The backend carries :func:`~repro.constraints.systolic_constraints` as its
 ``constraints`` attribute: searches on it repair every candidate to the
@@ -22,11 +22,10 @@ array's legal loop orders and M x C/K parallelism before scoring.
 
 from __future__ import annotations
 
-from repro.backends.base import BackendReport, EvaluationBackend
+from repro.backends.base import BackendReport, EvaluationBackend, report_from_cost
 from repro.baselines.systolic import SystolicArray
 from repro.constraints import systolic_constraints
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel
 from repro.workloads.conv import ConvLayerSpec
 
 
@@ -36,11 +35,8 @@ class SystolicBackend(EvaluationBackend):
     name = "systolic"
 
     def __init__(self, arch: ArchSpec, energy=None, seed: int = 0):
-        super().__init__(arch)
+        super().__init__(arch, energy)
         self.seed = seed
-        # Energy companion: the analytical model prices the same cell's
-        # energy so cross-backend energy columns compare like for like.
-        self._cost_model = CostModel(arch, energy)
         self.constraints = systolic_constraints(arch)
 
     def _array_for(self, mapping) -> SystolicArray:
@@ -53,8 +49,9 @@ class SystolicBackend(EvaluationBackend):
                              parallel_m=parallel_m, parallel_k=parallel_k,
                              name=f"systolic:{self.arch.name}")
 
-    def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost = self._cost_model.evaluate(workload, mapping, layout)
+    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
+        if cost is None:
+            cost = self.cost_model.evaluate(workload, mapping, layout)
         array = self._array_for(mapping)
         if isinstance(workload, ConvLayerSpec):
             timing = array.run_conv(workload)
@@ -63,29 +60,20 @@ class SystolicBackend(EvaluationBackend):
         total_cycles = float(timing.cycles)
         compute = float(timing.macs) / max(
             1, array.parallel_m * array.parallel_k)
-        stall = max(0.0, total_cycles - compute)
-        num_pes = self.arch.num_pes
-        practical = (timing.macs / (total_cycles * num_pes)
+        practical = (timing.macs / (total_cycles * self.arch.num_pes)
                      if total_cycles else 0.0)
-        return BackendReport(
-            backend=self.name,
-            workload=cost.workload,
-            arch=cost.arch,
-            mapping=cost.mapping,
-            layout=cost.layout,
-            macs=timing.macs,
-            compute_cycles=compute,
-            slowdown=total_cycles / compute if compute else 1.0,
-            stall_cycles=stall,
-            reorder_cycles_exposed=0.0,
-            total_cycles=total_cycles,
-            utilization=min(1.0, timing.utilization),
-            practical_utilization=min(1.0, practical),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
+        return report_from_cost(
+            cost, self.name,
             extra={
                 "fill_drain_cycles": float(timing.fill_drain_cycles),
                 "parallel_m": float(array.parallel_m),
                 "parallel_k": float(array.parallel_k),
                 "macs_per_cycle": float(timing.macs_per_cycle),
             },
-        )
+            compute_cycles=compute,
+            slowdown=total_cycles / compute if compute else 1.0,
+            stall_cycles=max(0.0, total_cycles - compute),
+            reorder_cycles_exposed=0.0,
+            total_cycles=total_cycles,
+            utilization=min(1.0, timing.utilization),
+            practical_utilization=min(1.0, practical))

@@ -57,7 +57,7 @@ from repro.dataflow.space import MappingSpace
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel, CostReport
+from repro.layoutloop.cost_model import CostReport
 from repro.layoutloop.energy import EnergyTable
 from repro.search import bulk
 from repro.search.bounds import cached_bound_statics
@@ -263,9 +263,7 @@ class Mapper:
         self.evaluation_cache = (evaluation_cache
                                  if evaluation_cache is not None
                                  else EvaluationCache())
-        if backend is None or backend == "analytical":
-            self.backend = AnalyticalBackend(arch, energy=energy)
-        elif isinstance(backend, EvaluationBackend):
+        if isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
             self.backend = create_backend(backend, arch, energy=energy,
@@ -274,13 +272,10 @@ class Mapper:
         self.config.check_backend(self._backend_name)
         self.constraints = resolve_constraints(self.config.constraints, arch,
                                                backend=self.backend)
-        if self._analytical:
-            self.cost_model = self.backend.cost_model
-        else:
-            # The budgeted policies' cheap rung: halving and evolutionary
-            # rank this backend's candidates by their analytical value
-            # (repro.search.budget._cheap_rung).  Scoring never reads it.
-            self.cost_model = CostModel(arch, energy)
+        # The analytical backend scores with it; any other backend's
+        # budgeted policies rank candidates by its values (the cheap rung
+        # of repro.search.budget).
+        self.cost_model = self.backend.cost_model
         self._cache: Dict[_ResultKey, SearchResult] = {}
         # Frontier results memoize separately: frontier pairs are
         # (SearchResult, ShapeFrontier) tuples, and the evolutionary

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import InvalidRequestError
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
-from repro.layoutloop.energy import EnergyTable
 from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.search.cache import CacheStats, EvaluationCache
 from repro.search.config import SearchConfig
@@ -95,9 +94,8 @@ def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
     configuration, so a chunk's results do not depend on which process (or
     how many) ran it.
     """
-    arch, energy, config, shapes = payload
-    mapper = Mapper(arch, config, energy=energy,
-                    evaluation_cache=EvaluationCache())
+    arch, config, shapes = payload
+    mapper = Mapper(arch, config, evaluation_cache=EvaluationCache())
     results = [mapper.search(wl) for wl in shapes]
     stats = mapper.evaluation_cache.stats
     return results, stats.hits, stats.misses
@@ -105,7 +103,6 @@ def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
 
 def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                        config: SearchConfig, model_name: str = "model",
-                       energy: Optional[EnergyTable] = None,
                        workers: int = 1,
                        cache: Optional[EvaluationCache] = None,
                        backend="analytical",
@@ -166,14 +163,13 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     shape_frontiers = None
     if not analytical:
         if mapper is None:
-            mapper = Mapper(arch, config, energy=energy, backend=backend)
+            mapper = Mapper(arch, config, backend=backend)
         results = [mapper.search(wl) for wl in shapes]
     elif workers <= 1 or len(shapes) <= 1:
         stats.workers = 1
         if mapper is None:
             eval_cache = cache if cache is not None else EvaluationCache()
-            mapper = Mapper(arch, config, energy=energy,
-                            evaluation_cache=eval_cache)
+            mapper = Mapper(arch, config, evaluation_cache=eval_cache)
         else:
             eval_cache = mapper.evaluation_cache
         # Shared caches outlive this call: report this run's delta, not the
@@ -190,7 +186,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                                  misses=eval_cache.stats.misses - before_misses)
     else:
         size = default_chunk_size(len(shapes), workers)
-        payloads = [(arch, energy, config, chunk)
+        payloads = [(arch, config, chunk)
                     for chunk in chunked(shapes, size)]
         chunk_outputs, stats.workers = run_fanout(_search_chunk, payloads,
                                                   workers, executor=executor)

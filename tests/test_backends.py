@@ -26,7 +26,6 @@ from repro.backends import (
     SimulatorBackend,
     backend_names,
     create_backend,
-    cross_validate_model,
     multifidelity_search,
     report_from_cost,
     seeded_conv_tensors,
@@ -39,7 +38,6 @@ from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
 from repro.search.config import SearchConfig
-from repro.scenarios import golden_matrix, resolve_arch, resolve_workload_set
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 from repro.workloads.micro import (
@@ -349,59 +347,95 @@ class TestMultiFidelity:
 
 
 # ------------------------------------------------------- cross-validation
-CROSSVAL_CELLS = [s for s in golden_matrix() if s.backend == "crossval"]
+def crossval(layers, **config):
+    """A ``backend="crossval"`` search of ``layers`` on FEATHER-4x4."""
+    return search(ARCH44, layers, model="micro", backend="crossval", **config)
 
 
 class TestCrossValidation:
     def test_deltas_and_rir_claim(self):
-        cost, validation = cross_validate_model(
-            ARCH44, micro_gemm_layers(),
-            SearchConfig(metric="latency", max_mappings=6), model_name="micro")
-        assert len(validation.cells) == len(cost.layer_choices)
-        assert validation.rir_claim_holds
-        for cell in validation.cells:
-            assert cell.analytical_cycles > 0
-            assert cell.simulated_cycles > 0
-            assert cell.cycle_delta == pytest.approx(
-                cell.simulated_cycles / cell.analytical_cycles - 1.0)
-            assert cell.utilization_delta == pytest.approx(
-                cell.simulated_utilization - cell.analytical_utilization)
-        assert validation.max_abs_cycle_delta == max(
-            abs(c.cycle_delta) for c in validation.cells)
+        response = crossval(micro_gemm_layers(), metric="latency",
+                            max_mappings=6)
+        validation = response.crossval
+        assert len(validation["cells"]) == len(response.cost.layer_choices)
+        assert validation["rir_claim_holds"]
+        for cell in validation["cells"]:
+            assert cell["analytical_cycles"] > 0
+            assert cell["simulated_cycles"] > 0
+            assert cell["cycle_delta"] == pytest.approx(
+                cell["simulated_cycles"] / cell["analytical_cycles"] - 1.0)
+            assert cell["utilization_delta"] == pytest.approx(
+                cell["simulated_utilization"]
+                - cell["analytical_utilization"])
+        assert validation["max_abs_cycle_delta"] == max(
+            abs(c["cycle_delta"]) for c in validation["cells"])
 
     def test_analytical_side_matches_plain_search(self):
         layers = micro_gemm_layers()
-        cost, _ = cross_validate_model(
-            ARCH44, layers, SearchConfig(metric="latency", max_mappings=6),
-            model_name="micro")
+        cost = crossval(layers, metric="latency", max_mappings=6).cost
         plain = search(ARCH44, layers, model="micro", metric="latency",
                        max_mappings=6).cost
         assert cost.total_cycles == plain.total_cycles
         assert cost.total_energy_pj == plain.total_energy_pj
 
-    @pytest.mark.parametrize("scenario", CROSSVAL_CELLS,
-                             ids=[s.name for s in CROSSVAL_CELLS])
-    def test_standalone_matches_crossval_request(self, scenario):
-        """``cross_validate_model`` == ``SearchRequest(backend="crossval")``
-        on the golden crossval cells, validation payload included."""
-        cost, validation = cross_validate_model(
-            resolve_arch(scenario.arch),
-            resolve_workload_set(scenario.workload_set), scenario.config,
-            model_name=scenario.name, arch_label=scenario.arch)
-        with Session(name="crossval") as session:
-            response = session.run(SearchRequest.from_config(
-                scenario.config, workloads=scenario.workload_set,
-                arch=scenario.arch, model=scenario.name, backend="crossval"))
-        assert response.crossval == validation.as_dict()
-        assert response.cost.total_cycles == cost.total_cycles
-        assert response.cost.total_energy_pj == cost.total_energy_pj
-
     def test_as_dict_round_trips_through_json(self):
         import json
 
-        _, validation = cross_validate_model(
-            ARCH44, micro_gemm_layers()[:1],
-            SearchConfig(metric="latency", max_mappings=4), model_name="one")
-        payload = validation.as_dict()
+        payload = crossval(micro_gemm_layers()[:1], metric="latency",
+                           max_mappings=4).crossval
         assert json.loads(json.dumps(payload)) == payload
         assert payload["cells"][0]["simulated_write_serialization"] == 1.0
+
+    def test_reports_the_search_seed(self):
+        response = crossval(micro_gemm_layers()[:1], metric="latency",
+                            max_mappings=4, seed=2)
+        assert response.crossval["seed"] == 2
+
+
+# --------------------------------------------- one companion per backend
+def _reduction_cell(workload):
+    """A mapping with a power-of-two spatial reduction group (legal on
+    every backend, ``noc:tree`` included) and the candidate layouts."""
+    mapper = Mapper(ARCH44, SearchConfig(max_mappings=16))
+    mapping = next(m for m in mapper.candidate_mappings(workload)
+                   if m.spatial_reduction_size in (2, 4))
+    return mapping, mapper.candidate_layouts(workload)
+
+
+MICRO_CELLS = [pytest.param(micro_conv_layers()[0], id="conv"),
+               pytest.param(micro_gemm_layers()[0], id="gemm")]
+
+
+class TestOneCompanion:
+    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize("workload", MICRO_CELLS)
+    def test_evaluate_mapping_equals_per_cell_evaluate(self, name, workload):
+        mapping, layouts = _reduction_cell(workload)
+        batched = create_backend(name, ARCH44).evaluate_mapping(
+            workload, mapping, layouts)
+        single = create_backend(name, ARCH44)
+        assert batched == [single.evaluate(workload, mapping, layout)
+                           for layout in layouts]
+        assert [r.layout for r in batched] == [lay.name for lay in layouts]
+
+    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize("workload", MICRO_CELLS)
+    def test_one_companion_batch_per_mapping(self, name, workload,
+                                             monkeypatch):
+        mapping, layouts = _reduction_cell(workload)
+        backend = create_backend(name, ARCH44)
+        calls = []
+        priced = CostModel.evaluate_mapping_batch
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return priced(model, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "evaluate_mapping_batch", counted)
+        backend.evaluate_mapping(workload, mapping, layouts)
+        assert calls == [backend.cost_model]
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_mapper_shares_the_backends_cost_model(self, name):
+        mapper = Mapper(ARCH44, SearchConfig(max_mappings=4), backend=name)
+        assert mapper.cost_model is mapper.backend.cost_model

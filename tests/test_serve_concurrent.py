@@ -9,6 +9,9 @@ Three layers, one claim: concurrency changes *scheduling*, never
 * **In-flight dedup under load** — 8 clients firing the *same* cold
   search while it runs share one execution (the sha256 in-flight table),
   and every client reads the same payload.
+* **Stateful backends under load** — concurrent simulator evals share the
+  session's one simulator instance and must answer exactly what a serial
+  session answers.
 * **Session.submit thread safety, no HTTP** — concurrent ``submit()`` of
   the golden cells from many threads: results equal the golden
   records, and the session counters stay consistent
@@ -31,13 +34,14 @@ import re
 import subprocess
 import sys
 import threading
+import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.api import SearchRequest, Session
+from repro.api import EvalRequest, SearchRequest, Session
 from repro.serve import create_server
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -110,7 +114,7 @@ def _assert_matches_golden(name: str, served: dict, golden: dict) -> None:
 
 # ------------------------------------------------------------ HTTP load
 def test_concurrent_mixed_golden_cells_are_bit_identical(service):
-    """8 clients, each running all six golden cells in a different order:
+    """8 clients, each running all ten golden cells in a different order:
     every response must equal its pinned record, no request may error."""
     base, _ = service
     barrier = threading.Barrier(CLIENTS)
@@ -166,6 +170,50 @@ def test_identical_concurrent_searches_coalesce_to_few_executions(service):
     # slow scheduler may let a straggler or two re-execute, never most.
     assert executed <= 2, f"{executed} executions for one identical burst"
     assert coalesced >= CLIENTS - 2
+
+
+#: 15 distinct simulator cells on FEATHER-4x4, seeded apart from every
+#: golden cell so the session's simulator instance starts with a cold memo.
+SIMULATOR_EVALS = [
+    {"workload": f"{wset}#{index}", "arch": "FEATHER-4x4", "layout": layout,
+     "backend": "simulator", "seed": 3}
+    for wset, layouts in (("micro_convs", ("HWC_C4", "HWC_W4", "CHW_W4")),
+                          ("micro_gemms", ("MK_K4", "MK_M4")))
+    for index in range(3) for layout in layouts]
+
+
+def test_concurrent_simulator_evals_match_serial(service):
+    """Concurrent simulator evals drive one shared accelerator instance:
+    each must answer 200 with the report a fresh serial session gives."""
+    base, _ = service
+    barrier = threading.Barrier(len(SIMULATOR_EVALS))
+
+    def client(body: dict):
+        request = urllib.request.Request(
+            base + "/v1/eval", data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"}, method="POST")
+        barrier.wait(timeout=60)
+        try:
+            with urllib.request.urlopen(request, timeout=300) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the handler threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=len(SIMULATOR_EVALS)) as pool:
+            served = list(pool.map(client, SIMULATOR_EVALS))
+    finally:
+        sys.setswitchinterval(interval)
+    failed = [(body["workload"], body["layout"], payload)
+              for body, (status, payload) in zip(SIMULATOR_EVALS, served)
+              if status != 200]
+    assert not failed, f"{len(failed)} concurrent evals failed: {failed[:2]}"
+    with Session(name="serial-evals") as serial:
+        for body, (_, payload) in zip(SIMULATOR_EVALS, served):
+            assert payload["report"] == serial.run(
+                EvalRequest(**body)).report, body
 
 
 def test_no_errors_and_consistent_counters_under_load(service):

@@ -113,53 +113,54 @@ def main(argv=None) -> int:
                              "gated conv cell")
     args = parser.parse_args(argv)
 
-    from repro.backends import cross_validate_model
-    from repro.layoutloop import SearchConfig, feather_arch
-    from repro.workloads.micro import micro_conv_layers, micro_gemm_layers
+    from repro.api import SearchRequest, Session
+    from repro.layoutloop import feather_arch
 
-    arch = feather_arch(4, 4)
     failed = False
+
+    def cross_validate(workloads: str, **config) -> dict:
+        with Session(name="parity") as session:
+            return session.run(SearchRequest(
+                workloads=workloads, arch="FEATHER-4x4", model=workloads,
+                backend="crossval", **config)).crossval
 
     def show(validation, gated_workloads=()):
         nonlocal failed
         print(f"{'cell':18s} {'analytical':>11s} {'simulated':>10s} "
               f"{'delta':>8s} {'read':>6s} {'write':>6s}  gate")
-        for cell in validation.cells:
-            gated = cell.workload in gated_workloads
-            ok = (abs(cell.cycle_delta) <= args.max_cycle_delta
-                  and cell.simulated_read_slowdown == 1.0
-                  and cell.simulated_write_serialization == 1.0)
+        for cell in validation["cells"]:
+            gated = cell["workload"] in gated_workloads
+            ok = (abs(cell["cycle_delta"]) <= args.max_cycle_delta
+                  and cell["simulated_read_slowdown"] == 1.0
+                  and cell["simulated_write_serialization"] == 1.0)
             verdict = ("PASS" if ok else "FAIL") if gated else "info"
             if gated and not ok:
                 failed = True
-            print(f"{cell.workload:18s} {cell.analytical_cycles:11.1f} "
-                  f"{cell.simulated_cycles:10.1f} {cell.cycle_delta:+7.1%} "
-                  f"{cell.simulated_read_slowdown:6.2f} "
-                  f"{cell.simulated_write_serialization:6.2f}  {verdict}")
+            print(f"{cell['workload']:18s} {cell['analytical_cycles']:11.1f} "
+                  f"{cell['simulated_cycles']:10.1f} "
+                  f"{cell['cycle_delta']:+7.1%} "
+                  f"{cell['simulated_read_slowdown']:6.2f} "
+                  f"{cell['simulated_write_serialization']:6.2f}  {verdict}")
 
     print("backend parity — micro convs on FEATHER-4x4 "
           f"(gate: |delta| <= {args.max_cycle_delta:.0%}, no stalls)")
-    _, conv_val = cross_validate_model(
-        arch, micro_conv_layers(), SearchConfig(metric="edp", max_mappings=4),
-        model_name="parity-convs")
+    conv_val = cross_validate("micro_convs", metric="edp", max_mappings=4)
     show(conv_val, gated_workloads=("micro_conv3x3",))
-    if not conv_val.rir_claim_holds:
+    if not conv_val["rir_claim_holds"]:
         print("FAIL: a co-searched conv cell stalled in simulation "
               "(RIR claim violated)")
         failed = True
 
     print("\nbackend parity — micro gemms (context, warmup-dominated)")
-    _, gemm_val = cross_validate_model(
-        arch, micro_gemm_layers(),
-        SearchConfig(metric="latency", max_mappings=6),
-        model_name="parity-gemms")
+    gemm_val = cross_validate("micro_gemms", metric="latency",
+                              max_mappings=6)
     show(gemm_val)
-    if not gemm_val.rir_claim_holds:
+    if not gemm_val["rir_claim_holds"]:
         print("FAIL: a co-searched GEMM cell stalled in simulation "
               "(RIR claim violated)")
         failed = True
 
-    if not cross_architecture_parity(arch):
+    if not cross_architecture_parity(feather_arch(4, 4)):
         failed = True
 
     if failed:
