@@ -15,6 +15,11 @@ naive path outright.  The parallel row is recorded for the
 serial-vs-parallel throughput history — on multi-core hosts it adds a
 further speedup, on a single-core CI box process startup can dominate, so
 no ordering is asserted between the two engine rows.
+
+A second gate times the columnar scan of slowdown-free designs: the
+uncapped MobileNet-V3 EDP search on FEATHER through ``Mapper.search``
+against an :class:`~repro.layoutloop.mapper.Incumbent` scan over the same
+universe and bounds, which prices every surviving mapping one at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ from repro.api import SearchRequest, Session
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import LayerChoice, ModelCost
 from repro.layoutloop.mapper import Incumbent, Mapper
+from repro.scenarios.registry import resolve_workload_set
+from repro.search.bounds import bound_statics
+from repro.search.bulk import candidate_universe
 from repro.search.config import SearchConfig
+from repro.search.signatures import workload_signature
 from repro.workloads.resnet50 import resnet50_layers
 
 MAX_MAPPINGS = 24
@@ -135,3 +144,58 @@ def test_search_cache_reuse_across_metrics(benchmark):
 
     assert latency.search_stats.cache.hits > 0
     assert latency.total_cycles <= edp.total_cycles
+
+
+def _incumbent_scan(mapper: Mapper, workload):
+    """The exhaustive index-order scan priced one surviving mapping at a
+    time through one ``Incumbent`` (``Mapper.score``), over the universe
+    and bounds ``Mapper.search`` uses."""
+    layouts = mapper.candidate_layouts(workload)
+    universe = candidate_universe(mapper, workload)
+    bounds = universe.bounds(mapper.config.metric,
+                             bound_statics(mapper.cost_model, workload)
+                             ).tolist()
+    incumbent = Incumbent(mapper, workload, layouts,
+                          universe.compute_cycles().tolist())
+    pruned = 0
+    for index in range(len(universe)):
+        if incumbent.key is not None and bounds[index] >= incumbent.key[0]:
+            pruned += len(layouts)
+            continue
+        incumbent.score(index, universe[index])
+    return incumbent.result(pruned)
+
+
+@pytest.mark.benchmark(group="search")
+def test_columnar_scan_speedup(benchmark, best_of):
+    """MobileNet-V3 EDP on FEATHER, uncapped, each unique shape on a fresh
+    mapper: the columnar scan returns the scan's results bit for bit and
+    runs at least 2x faster."""
+    shapes = {}
+    for workload in resolve_workload_set("mobilenet_v3"):
+        shapes.setdefault(workload_signature(workload), workload)
+    config = SearchConfig(metric="edp", max_mappings=10 ** 9)
+
+    def run(scan):
+        return [scan(Mapper(feather_arch(), config), workload)
+                for workload in shapes.values()]
+
+    scan_s, scanned = best_of(lambda: run(_incumbent_scan))
+    columnar_s, columnar = benchmark.pedantic(
+        lambda: best_of(lambda: run(Mapper.search)), iterations=1, rounds=1)
+
+    _print_header("Columnar scan — MobileNet-V3 EDP on FEATHER, uncapped "
+                  f"({len(shapes)} unique shapes)")
+    print(f"incumbent scan {scan_s * 1e3:8.1f} ms")
+    print(f"columnar scan  {columnar_s * 1e3:8.1f} ms  "
+          f"({scan_s / columnar_s:.1f}x)")
+
+    for fast, slow in zip(columnar, scanned):
+        assert fast.best_report == slow.best_report
+        assert fast.best_mapping == slow.best_mapping
+        assert fast.best_layout == slow.best_layout
+        assert ((fast.evaluated, fast.pruned, fast.cache_hits)
+                == (slow.evaluated, slow.pruned, slow.cache_hits))
+    assert scan_s / columnar_s >= 2.0, (
+        f"columnar scan only {scan_s / columnar_s:.2f}x faster than the "
+        f"incumbent scan ({columnar_s:.3f}s vs {scan_s:.3f}s)")

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import UnknownBackendError
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel, CostReport
+from repro.layoutloop.cost_model import CostModel, CostReport, energy_total
 from repro.layoutloop.energy import EnergyTable
 
 #: The default backend everywhere a ``backend=`` parameter exists.
@@ -88,8 +88,9 @@ class BackendReport:
 
     @property
     def total_energy_pj(self) -> float:
-        """Total energy over all components (pJ)."""
-        return sum(self.energy_breakdown_pj.values())
+        """Total energy over all components (pJ), added as
+        :attr:`CostReport.total_energy_pj` adds them."""
+        return energy_total(self.energy_breakdown_pj.values())
 
     @property
     def energy_per_mac_pj(self) -> float:

@@ -103,6 +103,11 @@ class MappingSpace:
         return self._orders
 
     @property
+    def reduction_dims(self) -> frozenset:
+        """The dimensions every mapping of this space reduces over."""
+        return self._reduction
+
+    @property
     def dims(self) -> Dict[str, int]:
         """Workload dimension extents, in the space's canonical dim order."""
         return dict(self._dims)

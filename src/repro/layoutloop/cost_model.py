@@ -25,17 +25,28 @@ candidates as plain values instead: :meth:`CostModel.evaluate_values`
 shares the batch's mapping-level terms and its one kernel call but
 returns ``(total_cycles, total_energy_pj, slowdown)`` per layout, with
 exactly the report's float operations, and :meth:`CostModel.report`
-rebuilds a winner's full report from its slowdown.  The scalar model the
-kernel replaced (coordinate dicts through
+rebuilds a winner's full report from its slowdown.  On a
+:attr:`CostModel.slowdown_free` architecture (RIR or cross-line permute)
+every layout prices at slowdown 1.0, so the exhaustive scan prices its
+whole candidate universe at once: :meth:`CostModel.columnar_values`
+computes what :meth:`CostModel.evaluate_values` returns for each entry,
+as numpy columns with the same float operations.  Single cells keep the
+scalar :meth:`CostModel._energy_breakdown_parts` (a one-row numpy pass
+costs several times as much).  The scalar model the kernel replaced
+(coordinate dicts through
 :func:`repro.layout.concordance.analyze_concordance`) is kept only as the
 tests' reference oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.dataflow.mapping import Mapping
 from repro.kernel.concordance import analyze_concordance_batch
@@ -46,6 +57,21 @@ from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
+
+
+def energy_total(terms):
+    """The total of energy terms (floats, or numpy columns that total many
+    rows at once), added left to right.
+
+    Every energy total of the model is this fold, so it has the same bits
+    on every interpreter (the builtin ``sum`` compensates its rounding from
+    CPython 3.12 on).  The bound's energy floor
+    (:func:`repro.search.bounds.bound_statics`) adds a lower bound of each
+    term in the same order, so it never exceeds a total: rounding is
+    monotone, so each partial sum of the floor stays at or below the
+    total's.
+    """
+    return functools.reduce(operator.add, terms, 0)
 
 
 @dataclass(frozen=True)
@@ -87,8 +113,8 @@ class CostReport:
 
     @property
     def total_energy_pj(self) -> float:
-        """Total energy over all components (pJ)."""
-        return sum(self.energy_breakdown_pj.values())
+        """Total energy over all components (pJ), :func:`energy_total`."""
+        return energy_total(self.energy_breakdown_pj.values())
 
     @property
     def energy_per_mac_pj(self) -> float:
@@ -140,12 +166,24 @@ class CostModel:
 
     :meth:`evaluate_mapping_batch` is the one code path that prices a cell;
     :meth:`evaluate` is its single-cell entry point, and
-    :meth:`evaluate_values` its report-free twin for the search.
+    :meth:`evaluate_values` its report-free twin for the search.  On a
+    :attr:`slowdown_free` architecture :meth:`columnar_values` prices a
+    whole candidate universe with the same float operations.
     """
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
         self.arch = arch
         self.energy = energy or DEFAULT_ENERGY_TABLE
+
+    @property
+    def slowdown_free(self) -> bool:
+        """Whether no layout ever stalls on a bank conflict, so every layout
+        prices at slowdown 1.0: reorder-in-reduction (RIR) designs, and
+        designs whose reorder pattern permutes across lines (arbitrary
+        reorder), for which the kernel's rule makes every bank's slowdown
+        1.0."""
+        return (self.arch.reorder_implementation is ReorderImplementation.RIR
+                or capability(self.arch.reorder_pattern).cross_line_permute)
 
     # ----------------------------------------------------------------- public
     def evaluate(self, workload, mapping: Mapping, layout: Layout) -> CostReport:
@@ -182,13 +220,13 @@ class CostModel:
         The same mapping-level terms and kernel call as
         :meth:`evaluate_mapping_batch`, and the same float operations as
         :meth:`_assemble_report` and :class:`CostReport`: the stall and
-        total cycles in the report's order, and the energy as ``sum`` over
-        the breakdown's values in insertion order (slowdown-scaled buffer
-        reads, the reorder energy last and only when nonzero), so every
-        value equals the report's bit for bit.  ``compute_cycles`` may
-        pass the mapping's already known exact compute cycles (the search
-        has them from its bounds).  Layouts with equal slowdowns share
-        one entry.
+        total cycles in the report's order, and the energy as
+        :func:`energy_total` over the breakdown's values in insertion order
+        (slowdown-scaled buffer reads, the reorder energy last and only
+        when nonzero), so every value equals the report's bit for bit.
+        ``compute_cycles`` may pass the mapping's already known exact
+        compute cycles (the search has them from its bounds).  Layouts with
+        equal slowdowns share one entry.
         """
         compute_cycles, (reorder_exposed, reorder_energy), parts, slowdowns = \
             self._mapping_terms(workload, mapping, layouts, compute_cycles)
@@ -206,9 +244,33 @@ class CostModel:
                 terms[read_at] = buffer_read * slowdown
                 entry = by_slowdown[slowdown] = (
                     compute_cycles + stall_cycles + reorder_exposed,
-                    sum(terms), slowdown)
+                    energy_total(terms), slowdown)
             out.append(entry)
         return out
+
+    def columnar_values(self, workload, compute_cycles: np.ndarray,
+                        columns=None
+                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(total_cycles, total_energy_pj)`` columns of many mappings of a
+        :attr:`slowdown_free` architecture: row ``i`` is what
+        :meth:`evaluate_values` returns for every layout of mapping ``i``
+        (whose exact compute cycles are ``compute_cycles[i]``), bit for bit.
+
+        The cycles take the scalar operations at slowdown 1.0 (compute
+        cycles, plus the zero stall, plus the exposed reorder cycles); the
+        energy is :func:`energy_total` of the breakdown terms in insertion
+        order, the reorder energy last and only when nonzero.  ``columns``
+        (the rows' :class:`~repro.search.bulk.MappingColumns`) is read for
+        the energy only; without it the energy is ``None``.
+        """
+        reorder_exposed, reorder_energy = self.reorder_costs(workload)
+        total_cycles = compute_cycles.astype(np.float64) + 0.0 + reorder_exposed
+        if columns is None:
+            return total_cycles, None
+        terms = list(self._energy_breakdown_columns(workload, columns).values())
+        if reorder_energy:
+            terms.append(reorder_energy)
+        return total_cycles, energy_total(terms)
 
     def report(self, workload, mapping: Mapping, layout: Layout,
                slowdown: float, compute_cycles: Optional[int] = None
@@ -279,14 +341,11 @@ class CostModel:
         The access footprint is generated once as a ``(cycles, lanes, ndims)``
         array (:mod:`repro.kernel.footprint`) and every layout is addressed
         through the layout set's stacked stride matrices in one batched
-        concordance pass.  Two kinds of architecture never stall on a bank
-        conflict and skip both: reorder-in-reduction (RIR) ones, and those
-        whose reorder pattern permutes across lines (arbitrary reorder),
-        for which the kernel's rule makes every bank's slowdown 1.0, so
-        every average is exactly 1.0.
+        concordance pass.  Architectures that never stall on a bank
+        conflict (:attr:`slowdown_free`) skip both: every average is
+        exactly 1.0.
         """
-        if (self.arch.reorder_implementation is ReorderImplementation.RIR
-                or capability(self.arch.reorder_pattern).cross_line_permute):
+        if self.slowdown_free:
             return [1.0] * len(layouts)
         dims = streaming_tensor_dims(workload)
         coords, dim_names = streaming_access_coords(workload, mapping,
@@ -353,14 +412,8 @@ class CostModel:
 
         # Spatial reuse: dimensions whose parallelism does not index the tensor
         # let one buffer read feed several PEs (multicast along the array).
-        if isinstance(workload, ConvLayerSpec):
-            iact_irrelevant = ("M",)
-            weight_irrelevant = ("P", "Q", "N")
-            reduction_extent = (workload.c // workload.groups) * workload.r * workload.s
-        else:
-            iact_irrelevant = ("N",)
-            weight_irrelevant = ("M",)
-            reduction_extent = workload.k
+        iact_irrelevant, weight_irrelevant, reduction_extent = \
+            self._reuse_dims(workload)
 
         iact_spatial_reuse = math.prod(deg.get(d, 1) for d in iact_irrelevant)
         weight_spatial_reuse = math.prod(deg.get(d, 1) for d in weight_irrelevant)
@@ -400,7 +453,85 @@ class CostModel:
             "dram": dram_bytes * table.dram_access_per_byte_pj,
         }
 
+    def _energy_breakdown_columns(self, workload, columns
+                                  ) -> Dict[str, Union[np.ndarray, float]]:
+        """:meth:`_energy_breakdown_parts` of every row of ``columns`` (a
+        :class:`~repro.search.bulk.MappingColumns`): one float64 column per
+        term, in the dict's order, each with the scalar term's float
+        operations, so every entry equals the scalar term bit for bit.
+        The terms no mapping changes (``mac``, ``register``, ``dram``) are
+        plain floats, which broadcast as columns."""
+        table = self.energy
+        macs = workload.macs
+        dims = columns.dims
+        rows = len(columns.degrees)
+        ones = np.ones(rows, dtype=np.int64)
+
+        iact_elems, weight_elems, oact_elems = self._tensor_elems(workload)
+        bytes_per_elem = self.arch.mac_bits / 8.0
+        iact_irrelevant, weight_irrelevant, reduction_extent = \
+            self._reuse_dims(workload)
+
+        def degree(dim: str) -> np.ndarray:
+            return columns.degrees[:, dims.index(dim)]
+
+        def temporal_reuse(irrelevant_dims: Sequence[str]) -> np.ndarray:
+            # The scalar loop multiplies once per irrelevant inner dim; a
+            # factor of 1 elsewhere leaves the float unchanged.
+            bounded = {dims.index(dim): np.minimum(64, np.maximum(
+                1, self._dim_extent(workload, dim)
+                // np.maximum(1, degree(dim))))
+                for dim in irrelevant_dims}
+            reuse = 1.0
+            for inner in columns.inner.T:
+                factor = ones
+                for position, dim_reuse in bounded.items():
+                    factor = np.where(inner == position, dim_reuse, factor)
+                reuse = reuse * factor
+            return reuse
+
+        iact_reads = np.maximum(iact_elems, macs / np.maximum(
+            1, math.prod(degree(d) for d in iact_irrelevant)
+            * temporal_reuse(iact_irrelevant)))
+        weight_reads = np.maximum(weight_elems, macs / np.maximum(
+            1, math.prod(degree(d) for d in weight_irrelevant)
+            * temporal_reuse(weight_irrelevant)))
+
+        reduction = sorted(columns.reduction)
+        spatial_red = np.maximum(1, math.prod(degree(d) for d in reduction))
+        reduction_steps = np.ceil(reduction_extent / spatial_red
+                                  ).astype(np.int64)
+        in_place = reduction_steps <= 1
+        for dim in reduction:
+            in_place = in_place | (columns.inner == dims.index(dim)).any(axis=1)
+        spill_factor = np.minimum(reduction_steps, 8)
+        psum_writes = np.where(in_place, oact_elems, oact_elems * spill_factor)
+        psum_reads = np.where(in_place, 0, oact_elems * (spill_factor - 1))
+
+        buffer_reads = iact_reads + weight_reads + psum_reads
+        buffer_writes = psum_writes + iact_elems + weight_elems
+        dram_bytes = (iact_elems + weight_elems + oact_elems) * bytes_per_elem
+
+        return {
+            "mac": macs * table.mac_int8_pj,
+            "register": 2.0 * macs * table.register_access_pj,
+            "buffer_read": buffer_reads * table.buffer_read_per_word_pj,
+            "buffer_write": buffer_writes * table.buffer_write_per_word_pj,
+            "noc": (iact_reads + weight_reads + psum_writes)
+                   * table.noc_hop_per_word_pj,
+            "dram": dram_bytes * table.dram_access_per_byte_pj,
+        }
+
     # ---------------------------------------------------------------- helpers
+    @staticmethod
+    def _reuse_dims(workload) -> Tuple[Tuple[str, ...], Tuple[str, ...], int]:
+        """``(iAct-irrelevant dims, weight-irrelevant dims, reduction
+        extent)`` of the energy breakdown."""
+        if isinstance(workload, ConvLayerSpec):
+            return (("M",), ("P", "Q", "N"),
+                    (workload.c // workload.groups) * workload.r * workload.s)
+        return ("N",), ("M",), workload.k
+
     @staticmethod
     def _tensor_elems(workload) -> Tuple[int, int, int]:
         if isinstance(workload, ConvLayerSpec):

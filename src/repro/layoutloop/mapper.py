@@ -27,7 +27,12 @@ analytical backend a scored pair is a plain value entry
 (``(total_cycles, total_energy_pj, slowdown)``,
 :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values`), and the
 search builds one :class:`~repro.layoutloop.cost_model.CostReport`: its
-winner's, from the winner's slowdown.  The scalar loop this replaces —
+winner's, from the winner's slowdown.  On a design that never stalls on
+a bank conflict (``CostModel.slowdown_free``: FEATHER's
+reorder-in-reduction, the off-chip SIGMA) every layout prices at slowdown
+1.0, so the exhaustive scan prices the whole universe in one numpy pass
+instead and reads the same counters and winner off the values
+(:meth:`Mapper._columnar_search`).  The scalar loop this replaces —
 materialized sample, per-mapping bound, per-layout evaluation — is kept
 only as the tests-side reference oracle the identity suites compare
 against.
@@ -46,6 +51,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dataflow.mapping import (
     CONV_REDUCTION_DIMS,
     GEMM_REDUCTION_DIMS,
@@ -60,10 +67,14 @@ from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostReport
 from repro.layoutloop.energy import EnergyTable
 from repro.search import bulk
-from repro.search.bounds import cached_bound_statics
+from repro.search.bounds import bound_statics
 from repro.search.cache import EvaluationCache
 from repro.search.config import METRIC_FIELDS, SearchConfig
-from repro.search.signatures import workload_signature
+from repro.search.signatures import (
+    arch_signature,
+    layout_signature,
+    workload_signature,
+)
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -113,7 +124,9 @@ def _metric_value(report: CostReport, metric: str) -> float:
 
 
 class Incumbent:
-    """The one scoring step of every search policy.
+    """The scoring step of every search policy (the exhaustive scan of a
+    slowdown-free design reads the same counters and winner off its
+    universe's values instead: :meth:`Mapper._columnar_search`).
 
     :meth:`score` prices one mapping of the universe under every candidate
     layout through :meth:`Mapper.score`, counts the scored pairs
@@ -476,13 +489,19 @@ class Mapper:
         identical to the unpruned scan because the bound never exceeds the
         true value and ties never replace the incumbent.  The bounds are
         statements about the analytical cost model; any other backend
-        scans exhaustively."""
+        scans exhaustively.  A :attr:`~repro.layoutloop.cost_model.
+        CostModel.slowdown_free` design reads the same scan off its
+        universe's values instead (:meth:`_columnar_search`)."""
         layouts = list(layouts) if layouts else self.candidate_layouts(workload)
         universe = bulk.candidate_universe(self, workload)
         bounds = None
         if self._analytical:
-            statics = cached_bound_statics(self.cost_model, workload)
-            bounds = universe.bounds(self.config.metric, statics).tolist()
+            statics = bound_statics(self.cost_model, workload)
+            bounds = universe.bounds(self.config.metric, statics)
+            if self.cost_model.slowdown_free:
+                return self._columnar_search(workload, layouts, universe,
+                                             bounds)
+            bounds = bounds.tolist()
 
         incumbent = Incumbent(self, workload, layouts,
                               universe.compute_cycles().tolist())
@@ -494,6 +513,80 @@ class Mapper:
                 continue
             incumbent.score(index, universe[index])
         return incumbent.result(pruned)
+
+    def _columnar_search(self, workload, layouts: List[Layout], universe,
+                         bounds: np.ndarray) -> SearchResult:
+        """The index-order scan of :meth:`_exhaustive_search` on a
+        slowdown-free design, read off the values of the whole universe.
+
+        Every layout prices at slowdown 1.0, so an entry's value is one
+        number (:meth:`CostModel.columnar_values`) and its layouts tie.
+        The index scan scores entry ``i`` exactly when ``bounds[i]`` is
+        below the minimum value of *all* earlier entries: a pruned entry
+        ``j`` has ``value[j] >= bounds[j] >=`` the incumbent, so it never
+        lowers that minimum.  ``evaluated``/``pruned`` follow from one
+        exclusive running minimum, and the winner is the first argmin
+        under layout 0.  That identity needs ``bounds <= values`` on every
+        entry, which is checked, never assumed.  Each scored entry still
+        makes one counted evaluation-cache lookup per layout (storing its
+        value on a miss), so ``cache_hits`` and the cache match the
+        :class:`Incumbent` scan; the one report is the winner's.
+        """
+        model = self.cost_model
+        metric = self.config.metric
+        cycles = universe.compute_cycles()
+        total_cycles, energy = model.columnar_values(
+            workload, cycles, None if metric == "latency"
+            else universe.columns())
+        if metric == "latency":
+            values = total_cycles
+        elif metric == "edp":
+            values = energy * total_cycles
+        else:
+            values = energy
+        inadmissible = np.flatnonzero(~(bounds <= values))
+        if inadmissible.size:
+            pos = int(inadmissible[0])
+            raise RuntimeError(
+                f"inadmissible {metric} bound on {self.arch.name}, shape "
+                f"{workload_signature(workload)} "
+                f"({getattr(workload, 'name', workload)}): entry {pos} "
+                f"({universe[pos].name}) has bound {bounds[pos]!r} above "
+                f"its value {values[pos]!r}")
+        incumbent = np.minimum.accumulate(values)
+        scored = np.empty(len(values), dtype=bool)
+        scored[1:] = bounds[1:] < incumbent[:-1]
+        scored[:1] = True
+        positions = np.flatnonzero(scored)
+        scored_energy = (energy[positions] if energy is not None
+                         else model.columnar_values(
+                             workload, cycles[positions],
+                             universe.columns().take(positions))[1])
+
+        lookup = self.evaluation_cache.lookup
+        signature = universe.signature
+        head = (arch_signature(model.arch, model.energy),
+                workload_signature(workload))
+        names = [layout_signature(layout) for layout in layouts]
+        cache_hits = 0
+        for pos, entry in zip(positions.tolist(), zip(
+                total_cycles[positions].tolist(), scored_energy.tolist(),
+                [1.0] * len(positions))):
+            for _, hit in lookup(head + (signature(pos),), names,
+                                 lambda missing: [entry] * len(missing)):
+                cache_hits += hit
+
+        winner = int(np.argmin(values))
+        mapping = universe[winner]
+        return SearchResult(
+            workload=getattr(workload, "name", str(workload)),
+            arch=self.arch.name,
+            best_report=model.report(workload, mapping, layouts[0], 1.0,
+                                     int(cycles[winner])),
+            best_mapping=mapping, best_layout=layouts[0],
+            evaluated=len(positions) * len(layouts), metric=metric,
+            pruned=(len(values) - len(positions)) * len(layouts),
+            cache_hits=cache_hits)
 
     def search_frontier(self, workload) -> Tuple:
         """Scan the candidate universe keeping the whole Pareto frontier.

@@ -17,11 +17,7 @@ See ``docs/architecture.md`` for the full design (cache keying, pruning
 soundness argument, worker model and the determinism guarantee).
 """
 
-from repro.search.bounds import (
-    BoundStatics,
-    bound_statics,
-    cached_bound_statics,
-)
+from repro.search.bounds import BoundStatics, bound_statics
 from repro.search.cache import CacheStats, EvaluationCache
 from repro.search.config import POLICIES
 from repro.search.parallel import WORKERS_ENV_VAR, resolve_workers
@@ -35,7 +31,6 @@ from repro.search.signatures import (
 __all__ = [
     "BoundStatics",
     "bound_statics",
-    "cached_bound_statics",
     "CacheStats",
     "EvaluationCache",
     "POLICIES",

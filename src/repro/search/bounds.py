@@ -17,19 +17,29 @@ magnitude cheaper than a full evaluation:
   and register energy, compulsory buffer/NoC/DRAM traffic (every tensor
   element is moved at least once) and the reorder-mechanism energy.
 
+The floor adds its terms left to right in the breakdown's order, as every
+energy total does (:func:`repro.layoutloop.cost_model.energy_total`).  Each
+term is at most the breakdown's and rounding is monotone, so the floor
+never exceeds a total, on every interpreter, and equals it where every term
+is reached.
+
 Because the bounds never exceed the true metric value, skipping a candidate
 whose bound is already >= the incumbent best can never drop the optimum —
 the pruned search returns bit-identical results to the exhaustive one (see
-``tests/test_search_engine.py`` for the property test).  The scalar
-per-mapping bound the bulk pass replicates lives in the tests' reference
-oracle (``tests/reference.py``).
+``tests/test_search_engine.py`` for the property test).  The columnar scan
+of a slowdown-free design checks ``bound <= value`` on every entry of its
+universe and raises on a violation.  The scalar per-mapping bound the bulk
+pass replicates lives in the tests' reference oracle
+(``tests/reference.py``).
+
+The statics are a handful of float operations, so every search computes
+them afresh (:func:`bound_statics`): a memo keyed on the arch and shape
+signatures takes about as long per call as computing them.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,7 @@ def bound_statics(cost_model, workload) -> BoundStatics:
     bytes_per_elem = arch.mac_bits / 8.0
     reorder_cycles, reorder_energy_pj = cost_model.reorder_costs(workload)
 
+    # Left to right in the breakdown's order, like ``energy_total``.
     energy_floor_pj = (
         macs * table.mac_int8_pj
         + 2.0 * macs * table.register_access_pj
@@ -71,29 +82,3 @@ def bound_statics(cost_model, workload) -> BoundStatics:
     )
     return BoundStatics(energy_floor_pj=energy_floor_pj,
                         reorder_cycles=reorder_cycles)
-
-
-_STATICS_CACHE: Dict[Tuple, BoundStatics] = {}
-_STATICS_LOCK = threading.Lock()
-
-
-def cached_bound_statics(cost_model, workload) -> BoundStatics:
-    """Memoized :func:`bound_statics`, keyed on (arch+energy, shape) signature.
-
-    The statics depend only on what the signatures capture — every cost
-    model with the same architecture and energy table produces the same
-    floor for the same workload shape — so one process-wide map is safe to
-    share across mappers, sessions and threads.  ``BoundStatics`` is frozen,
-    so returning the shared instance is safe too.
-    """
-    from repro.search.signatures import arch_signature, workload_signature
-
-    key = (arch_signature(cost_model.arch, cost_model.energy),
-           workload_signature(workload))
-    with _STATICS_LOCK:
-        statics = _STATICS_CACHE.get(key)
-    if statics is None:
-        statics = bound_statics(cost_model, workload)
-        with _STATICS_LOCK:
-            _STATICS_CACHE.setdefault(key, statics)
-    return statics

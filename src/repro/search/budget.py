@@ -54,7 +54,7 @@ from repro.layoutloop.mapper import (
     _metric_value,
 )
 from repro.search import bulk
-from repro.search.bounds import cached_bound_statics
+from repro.search.bounds import bound_statics
 from repro.search.signatures import mapping_signature, workload_signature
 
 
@@ -83,7 +83,7 @@ def _cheap_rung(mapper: Mapper, workload, universe, layouts) -> List[float]:
     """
     metric = mapper.config.metric
     if mapper._analytical:
-        statics = cached_bound_statics(mapper.cost_model, workload)
+        statics = bound_statics(mapper.cost_model, workload)
         return universe.bounds(metric, statics).tolist()
     scores = []
     for mapping in universe:

@@ -22,10 +22,16 @@ computes for the entire universe in single numpy passes:
   is bit-identical to the per-mapping bound of the tests' scalar oracle
   (``tests/reference.py``);
 * ``footprints(arch)`` — the exact integer tile footprints of
-  :func:`repro.search.frontier.buffer_footprint_bytes`.
+  :func:`repro.search.frontier.buffer_footprint_bytes`;
+* ``columns()`` — what the energy model reads of each entry (parallel
+  degrees, the two innermost loop dims, the reduction dims), which
+  :meth:`repro.layoutloop.cost_model.CostModel.columnar_values` prices in
+  one pass.
 
 Mappings are only materialized lazily, on first ``universe[i]`` access —
-i.e. only for entries that actually survive the bulk prune mask.
+i.e. only for entries that actually survive the bulk prune mask — and
+``signature(i)`` gives an entry's evaluation-cache key part without
+building it.
 
 Exactness of the integer trip counts: the scalar
 :meth:`~repro.dataflow.mapping.Mapping.compute_cycles` computes
@@ -39,14 +45,46 @@ hypothesis equivalence tests.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataflow.mapping import TileLevel
 from repro.search.bounds import BoundStatics
 from repro.search.frontier import buffer_footprint_bytes
+from repro.search.signatures import (
+    loop_signature,
+    mapping_signature,
+    parallelism_signature,
+)
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
+
+
+class MappingColumns(NamedTuple):
+    """What the energy model reads of many mappings, one row per mapping."""
+
+    dims: Tuple[str, ...]
+    """Names of the ``degrees`` columns."""
+    degrees: np.ndarray
+    """(rows, dims) int64 spatial degree per dimension, 1 where
+    unparallelised (``Mapping.parallel_dims``)."""
+    inner: np.ndarray
+    """(rows, 2) int64 positions in ``dims`` of the two innermost loop dims
+    (``order[-2:]``), outer first."""
+    reduction: frozenset
+    """The dimensions that carry a reduction: every row's
+    ``reduction_dims``, which the workload's kind fixes."""
+
+    def take(self, positions) -> "MappingColumns":
+        """The rows at ``positions``."""
+        return self._replace(degrees=self.degrees[positions],
+                             inner=self.inner[positions])
+
+
+def _inner_positions(order: Sequence[str], dims: List[str]) -> List[int]:
+    """Positions in ``dims`` of ``order[-2:]``."""
+    return [dims.index(d) for d in order[-2:]]
 
 
 class BulkUniverse:
@@ -70,10 +108,22 @@ class BulkUniverse:
         self._candidates = space.parallelism_candidates() if space else []
         self._n_orders = len(space.orders) if space else 1
         self._memo = {}
+        self._flat: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
         self._cycles: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
+        self._columns: Optional[MappingColumns] = None
         self._footprints = {}
+        if space is not None:
+            dims = space.dims
+            self._orders = [tuple(d for d in order if d in dims)
+                            for order in space.orders]
+            self._reduction = space.reduction_dims
+            # mapping_signature's head per parallelism candidate (built on
+            # first use) and tail per loop order.
+            self._signature_heads = {}
+            self._signature_tails = [loop_signature(order, self._reduction)
+                                     for order in self._orders]
 
     @classmethod
     def from_mappings(cls, mappings: Sequence, workload) -> "BulkUniverse":
@@ -102,13 +152,33 @@ class BulkUniverse:
     def __iter__(self) -> Iterator:
         return (self[pos] for pos in range(len(self)))
 
+    def signature(self, pos: int) -> Tuple:
+        """``mapping_signature(self[pos])``, built for a sampled entry from
+        its parallelism candidate and loop order without building the
+        :class:`~repro.dataflow.mapping.Mapping`."""
+        if pos >= len(self._indices) or pos < 0:
+            return mapping_signature(self[pos])
+        row, order = divmod(self._indices[pos], self._n_orders)
+        head = self._signature_heads.get(row)
+        if head is None:
+            parallel = self._candidates[row]
+            head = self._signature_heads[row] = parallelism_signature(
+                self._space.array_rows, self._space.array_cols, parallel,
+                TileLevel.of(**{p.dim: p.degree for p in parallel}).sizes)
+        return head + self._signature_tails[order]
+
     # ------------------------------------------------------------ bulk math
+    def _flat_indices(self) -> np.ndarray:
+        """The sampled entries' flat indices (int64)."""
+        if self._flat is None:
+            self._flat = np.asarray(self._indices, dtype=np.int64)
+        return self._flat
+
     def _candidate_rows(self) -> np.ndarray:
         """Each sampled entry's parallelism candidate, ``index // n_orders``
         (the parallelism-major flat layout of ``MappingSpace``)."""
         if self._rows is None:
-            self._rows = (np.asarray(self._indices, dtype=np.int64)
-                          // self._n_orders)
+            self._rows = self._flat_indices() // self._n_orders
         return self._rows
 
     def _degree_matrix(self) -> np.ndarray:
@@ -123,11 +193,44 @@ class BulkUniverse:
                               dtype=np.int64)
             gathered = np.zeros(len(self._candidates), dtype=bool)
             gathered[self._candidate_rows()] = True
+            cells: List[int] = []  # (row, dim position, degree) triples
             for row in np.flatnonzero(gathered).tolist():
                 for p in self._candidates[row]:
-                    degrees[row, dim_pos[p.dim]] *= p.degree
+                    cells += (row, dim_pos[p.dim], p.degree)
+            rows, cols, values = np.array(cells, dtype=np.int64
+                                          ).reshape(-1, 3).T
+            np.multiply.at(degrees, (rows, cols), values)
             self._degrees = degrees
         return self._degrees
+
+    def columns(self) -> MappingColumns:
+        """Every entry's :class:`MappingColumns`, sampled entries first:
+        their degrees gathered from the per-candidate degree matrix and
+        their inner loops from ``index % n_orders``, then the tail's,
+        read off its mappings (whose dims are the space's, or, without a
+        sample, any the tail names)."""
+        if self._columns is None:
+            dims = list(self._space.dims) if self._indices else []
+            for mapping in self._tail:
+                dims.extend(d for d in (*mapping.parallel_dims, *mapping.order)
+                            if d not in dims)
+            degrees, inner = [], []
+            if self._indices:
+                degrees.append(self._degree_matrix()[self._candidate_rows()])
+                orders = self._flat_indices() % self._n_orders
+                inner.append(np.array([_inner_positions(order, dims)
+                                       for order in self._orders])[orders])
+            if self._tail:
+                degrees.append(np.array(
+                    [[m.parallel_dims.get(d, 1) for d in dims]
+                     for m in self._tail], dtype=np.int64))
+                inner.append(np.array([_inner_positions(m.order, dims)
+                                       for m in self._tail]))
+            self._columns = MappingColumns(
+                tuple(dims), np.concatenate(degrees), np.concatenate(inner),
+                self._reduction if self._indices
+                else self._tail[0].reduction_dims)
+        return self._columns
 
     def compute_cycles(self) -> np.ndarray:
         """Exact per-entry compute cycles (int64), one pass for everything.

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.search.bounds import cached_bound_statics
+from repro.search.bounds import bound_statics
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -235,7 +235,7 @@ def frontier_search(mapper, workload):
     config.check_backend(mapper._backend_name)
 
     layouts = mapper.candidate_layouts(workload)
-    statics = cached_bound_statics(mapper.cost_model, workload)
+    statics = bound_statics(mapper.cost_model, workload)
     arch = mapper.arch
     # Footprints and cycle floors for the whole universe in one numpy pass;
     # mappings materialize lazily, so dominance-pruned entries are never

@@ -47,7 +47,7 @@ from repro.layoutloop.cost_model import (
     streaming_tensor_dims,
 )
 from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
-from repro.search.bounds import BoundStatics, cached_bound_statics
+from repro.search.bounds import BoundStatics, bound_statics
 from repro.search.signatures import (
     arch_signature,
     layout_signature,
@@ -227,7 +227,7 @@ def reference_search(mapper: Mapper, workload,
     assert config.policy == "exhaustive" and config.max_mappings != "auto"
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     mappings, log = reference_candidates(mapper, workload)
-    statics = (cached_bound_statics(mapper.cost_model, workload)
+    statics = (bound_statics(mapper.cost_model, workload)
                if prune and mapper._analytical else None)
 
     best = None

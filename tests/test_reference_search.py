@@ -13,11 +13,13 @@ universes are pruned by the bulk bounds.
 The same identity is then checked on the real workload grid: every unique
 ResNet-50 and MobileNet-V3 conv shape on FEATHER over the whole mapping
 space (``max_mappings=10**9``), the exhaustive-feather benchmark's three
-requests.  Golden universes hold at most a few hundred pairs; this grid
-has 661k, with within-search duplicate hits and deep pruning.  FEATHER is
-RIR and never runs the concordance kernel, so the Fig. 13 grid checks the
-kernel's designs too: every other design of the ResNet-50 and BERT charts
-over the unique shapes at the benchmark's ``max_mappings=50``.
+requests, plus BERT, and ResNet-50 for energy at a capped sample.
+Golden universes hold at most a few hundred pairs; this grid has 661k,
+with within-search duplicate hits and deep pruning.  FEATHER is RIR and
+never runs the concordance kernel (its searches take the columnar scan of
+slowdown-free designs), so the Fig. 13 grid checks the kernel's designs
+too: every other design of the ResNet-50 and BERT charts over the unique
+shapes at the benchmark's ``max_mappings=50``.
 """
 
 import dataclasses
@@ -103,13 +105,23 @@ def _grid_totals(arch, workload_set, config):
     ("resnet50", "edp", (9618, 160755, 154)),
     ("resnet50", "latency", (1463, 168910, 0)),
     ("mobilenet_v3", "edp", (28763, 291739, 119)),
-], ids=["resnet50-edp", "resnet50-latency", "mobilenet_v3-edp"])
+    ("bert", "edp", (882, 6336, 0)),
+], ids=["resnet50-edp", "resnet50-latency", "mobilenet_v3-edp", "bert-edp"])
 def test_real_grid_matches_scalar_reference(workload_set, metric, totals):
     """Every unique shape of the grid, uncapped on FEATHER: the winner and
     every counter equal the oracle's; the grid's summed (evaluated,
     pruned, cache hits) are pinned."""
     config = SearchConfig(metric=metric, max_mappings=10**9)
     assert _grid_totals(feather_arch(), workload_set, config) == totals
+
+
+def test_energy_grid_matches_scalar_reference():
+    """The energy bound is one floor per shape, so an energy search scores
+    every entry: ResNet-50 on FEATHER at ``max_mappings=100`` (uncapped,
+    the oracle takes seconds) against the oracle, totals pinned."""
+    config = SearchConfig(metric="energy", max_mappings=100)
+    assert (_grid_totals(feather_arch(), "resnet50", config)
+            == (16261, 0, 28))
 
 
 @pytest.mark.parametrize("workload_set,arch_name,totals", [

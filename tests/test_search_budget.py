@@ -14,8 +14,6 @@ The contract under test (:mod:`repro.search.budget`):
   means the same result object, field for field.
 * **warm start** — once any search of a shape is memoized, evolutionary
   refinement finds the exhaustive winner with a budget of two mappings.
-* **cached bound statics** — :func:`repro.search.bounds.cached_bound_statics`
-  is the same object contentwise as a fresh :func:`bound_statics`.
 * **one incumbent** — the :class:`~repro.layoutloop.mapper.Incumbent`
   every policy scores through returns the index-order winner whatever
   order the pairs are visited in.
@@ -35,7 +33,6 @@ from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Incumbent, Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
-from repro.search.bounds import bound_statics, cached_bound_statics
 from repro.search.budget import (
     default_budget,
     evolutionary_search,
@@ -187,20 +184,6 @@ def test_default_budget_is_the_legacy_quarter_universe():
                             len(mapper.candidate_layouts(workload)))
     result = evolutionary_search(mapper, workload, budget=budget)
     assert 0 < result.evaluated <= budget
-
-
-def test_cached_bound_statics_matches_oracle():
-    from repro.layoutloop.cost_model import CostModel
-
-    model = CostModel(feather_arch())
-    for workload in resnet50_layers(include_fc=False)[:3]:
-        cached = cached_bound_statics(model, workload)
-        fresh = bound_statics(model, workload)
-        assert cached == fresh
-        # Same signature -> same cached object (the whole point).
-        assert cached_bound_statics(model, workload) is cached
-        assert cached_bound_statics(CostModel(feather_arch()),
-                                    workload) is cached
 
 
 def test_halving_reports_admissible_prunes():

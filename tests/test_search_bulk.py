@@ -37,7 +37,7 @@ from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.mapper import Mapper
 from repro.scenarios.builtin import golden_matrix
 from repro.scenarios.registry import resolve_arch, resolve_workload_set
-from repro.search.bounds import cached_bound_statics
+from repro.search.bounds import bound_statics
 from repro.search.bulk import candidate_universe
 from repro.search.config import SearchConfig
 from repro.search.frontier import buffer_footprint_bytes
@@ -82,7 +82,7 @@ def test_bulk_bounds_match_scalar_on_random_convs(m, c, h, w, r, s, stride,
     mapper = Mapper(feather_arch(pe, pe),
                     SearchConfig(metric=metric, max_mappings=40, seed=3))
     universe = candidate_universe(mapper, layer)
-    statics = cached_bound_statics(mapper.cost_model, layer)
+    statics = bound_statics(mapper.cost_model, layer)
     bounds = universe.bounds(metric, statics).tolist()
     footprints = universe.footprints(mapper.arch).tolist()
     cycles = universe.compute_cycles().tolist()
@@ -103,7 +103,7 @@ def test_bulk_bounds_match_scalar_on_random_gemms(m, k, n, pe, metric):
     mapper = Mapper(feather_arch(pe, pe),
                     SearchConfig(metric=metric, max_mappings=40, seed=5))
     universe = candidate_universe(mapper, gemm)
-    statics = cached_bound_statics(mapper.cost_model, gemm)
+    statics = bound_statics(mapper.cost_model, gemm)
     bounds = universe.bounds(metric, statics).tolist()
     footprints = universe.footprints(mapper.arch).tolist()
     for pos, mapping in enumerate(universe):
