@@ -147,8 +147,6 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
 
     Raises :class:`InvalidRequestError` when the request does not resolve.
     """
-    from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
-
     if isinstance(request, EvalRequest):
         resolved = _Resolved(
             workload=codec.resolve_workload(request.workload),
@@ -162,7 +160,7 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
             "eval", API_SCHEMA_VERSION, repro.__version__,
             workload_signature(resolved.workload),
             getattr(resolved.workload, "name", ""),
-            arch_signature(resolved.arch, DEFAULT_ENERGY_TABLE),
+            arch_signature(resolved.arch),
             mapping_signature(resolved.mapping), resolved.mapping.name,
             layout_signature(resolved.layout), request.backend,
             request.seed)), resolved
@@ -174,7 +172,7 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
             "search", API_SCHEMA_VERSION, repro.__version__, request.model,
             tuple(workload_signature(w) for w in resolved.workloads),
             tuple(getattr(w, "name", "") for w in resolved.workloads),
-            arch_signature(resolved.arch, DEFAULT_ENERGY_TABLE),
+            arch_signature(resolved.arch),
             request.config.key(), request.backend)), resolved
     if isinstance(request, SweepRequest):
         from repro.scenarios.runner import cell_key
@@ -373,13 +371,15 @@ class Session:
 
         Stateful backends (the simulator) keep their memos warm across
         requests; the analytical backend is stateless (the session's
-        evaluation cache is the searches' memo, held by their mappers).
+        evaluation cache is the searches' memo, held by their mappers)
+        and ignores its seed, so it keeps one instance per arch.
         Unknown names raise :class:`~repro.errors.UnknownBackendError`.
         """
         from repro.backends import create_backend
-        from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
 
-        key = (name, arch_signature(arch, DEFAULT_ENERGY_TABLE), seed)
+        if name == "analytical":
+            seed = 0
+        key = (name, arch_signature(arch), seed)
         with self._lock:
             instance = self._backends.get(key)
         if instance is not None:
@@ -405,11 +405,9 @@ class Session:
         lookups, so it reports no hits or misses).  ``fresh_cache`` requests bypass this layer so their
         cache counters stay per-call deterministic.
         """
-        from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
         from repro.layoutloop.mapper import Mapper
 
-        key = (arch_signature(arch, DEFAULT_ENERGY_TABLE), request.backend,
-               request.config.key())
+        key = (arch_signature(arch), request.backend, request.config.key())
         with self._lock:
             mapper = self._mappers.get(key)
         if mapper is not None:
@@ -643,7 +641,7 @@ class Session:
         backend = self.backend_for(request.backend, arch, request.seed)
         start = time.perf_counter()
         with getattr(backend, "_session_serialize", nullcontext()):
-            report = backend.evaluate(workload, mapping, layout)
+            report, = backend.evaluate(workload, mapping, [layout])
         elapsed = time.perf_counter() - start
         payload = asdict(report)
         payload["total_energy_pj"] = report.total_energy_pj

@@ -2,10 +2,12 @@
 
 One protocol (:class:`EvaluationBackend`), one comparable result type
 (:class:`BackendReport`, in :class:`CostReport` vocabulary), the built-in
-implementations behind a name registry.  Every backend owns one
-analytical ``cost_model``; each report is its cell's companion cost report
-with the backend's own timing fields replaced, and ``evaluate_mapping``
-prices a mapping's companions in one batch.
+implementations behind a name registry, each built from ``(arch, seed)``
+by :func:`create_backend`.  Every backend owns one analytical
+``cost_model``; each report is its cell's companion cost report with the
+backend's own timing fields replaced, and ``evaluate(workload, mapping,
+layouts)`` — the one pricing method — prices a mapping's companions in
+one batch.
 
 * ``"analytical"`` — the Timeloop-style Layoutloop cost model (§V),
   vectorized, bit-identical to calling it directly;

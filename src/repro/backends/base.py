@@ -15,12 +15,13 @@ treat them interchangeably:
   aggregates reports (:class:`~repro.layoutloop.cosearch.ModelCost`,
   :class:`~repro.scenarios.record.ScenarioRecord`) works with either
   backend unchanged, and cross-backend diffs compare like for like.
-* :class:`EvaluationBackend` — the abstract interface: an arch-bound
-  object with one analytical ``cost_model`` (every backend's report is
-  its *companion* cost report with the backend's own timing fields
-  replaced), ``evaluate(workload, mapping, layout, cost=None)`` and
-  ``evaluate_mapping``, which prices a mapping's companions in one
-  batch and hands each layout's to ``evaluate``.
+* :class:`EvaluationBackend` — the abstract interface: an object built
+  from ``(arch, seed)`` with one analytical ``cost_model`` (every
+  backend's report is its *companion* cost report with the backend's own
+  timing fields replaced) and one pricing method,
+  ``evaluate(workload, mapping, layouts)``: the mapping's reports under
+  every layout, from one batched companion pricing.  A single cell is a
+  one-layout call.
 * a name registry (:func:`register_backend` / :func:`create_backend`),
   open to downstream registration, mirroring the workload-set and
   architecture registries of :mod:`repro.scenarios.registry`.
@@ -35,8 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import UnknownBackendError
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel, CostReport, energy_total
-from repro.layoutloop.energy import EnergyTable
+from repro.layoutloop.cost_model import CostModel, energy_total
 
 #: The default backend everywhere a ``backend=`` parameter exists.
 DEFAULT_BACKEND = "analytical"
@@ -130,7 +130,8 @@ def report_from_cost(report, backend: str = DEFAULT_BACKEND,
 
 
 class EvaluationBackend(abc.ABC):
-    """An arch-bound evaluator of (workload, mapping, layout) cells.
+    """An evaluator of (workload, mapping, layout) cells, built from
+    ``(arch, seed)``.
 
     Implementations must be deterministic: the same cell on the same
     backend instance (and, for stochastic backends, the same ``seed``)
@@ -141,25 +142,19 @@ class EvaluationBackend(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
+    def __init__(self, arch: ArchSpec, seed: int = 0):
         self.arch = arch
-        self.cost_model = CostModel(arch, energy)
+        self.seed = int(seed)
+        self.cost_model = CostModel(arch)
 
     @abc.abstractmethod
-    def evaluate(self, workload, mapping, layout,
-                 cost: Optional[CostReport] = None) -> BackendReport:
-        """Price one cell into the common report.  ``cost`` is the cell's
-        companion :class:`CostReport` when the caller already priced it;
-        ``None`` prices it here."""
+    def evaluate(self, workload, mapping,
+                 layouts: Sequence) -> List[BackendReport]:
+        """Reports of one mapping under every layout, in layout order.
 
-    def evaluate_mapping(self, workload, mapping,
-                         layouts: Sequence) -> List[BackendReport]:
-        """Reports of one mapping under every candidate layout, in order:
-        one batched companion pricing, then :meth:`evaluate` per layout."""
-        costs = self.cost_model.evaluate_mapping_batch(workload, mapping,
-                                                       layouts)
-        return [self.evaluate(workload, mapping, layout, cost)
-                for layout, cost in zip(layouts, costs)]
+        Implementations price the companions with one
+        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_mapping_batch`
+        call and run the work that depends only on the mapping once."""
 
 
 # ------------------------------------------------------------------ registry
@@ -168,7 +163,7 @@ _BACKENDS: Dict[str, Callable[..., EvaluationBackend]] = {}
 
 def register_backend(name: str, factory: Callable[..., EvaluationBackend],
                      overwrite: bool = False) -> None:
-    """Register a backend factory ``factory(arch, energy=None, seed=0, ...)``."""
+    """Register a backend factory ``factory(arch, seed=0)``."""
     if name in _BACKENDS and not overwrite:
         raise ValueError(f"backend {name!r} is already registered")
     _BACKENDS[name] = factory
@@ -179,24 +174,15 @@ def backend_names() -> List[str]:
     return sorted(_BACKENDS)
 
 
-def create_backend(backend, arch: ArchSpec, **kwargs) -> EvaluationBackend:
-    """Materialize a backend from its registry name (or pass one through).
-
-    ``backend`` may be a name (``"analytical"``, ``"simulator"``), an
-    already-constructed :class:`EvaluationBackend` (returned as-is, the
-    keyword arguments must then be empty), or ``None`` for the default.
-    """
-    if isinstance(backend, EvaluationBackend):
-        if kwargs:
-            raise ValueError(
-                "cannot reconfigure an already-constructed backend; pass a "
-                f"registry name instead (got options {sorted(kwargs)})")
-        return backend
-    name = DEFAULT_BACKEND if backend is None else str(backend)
+def create_backend(name: Optional[str], arch: ArchSpec,
+                   seed: int = 0) -> EvaluationBackend:
+    """Build the backend registered as ``name`` (``None`` for the default)
+    for ``arch``, seeded with ``seed``."""
+    name = DEFAULT_BACKEND if name is None else str(name)
     try:
         factory = _BACKENDS[name]
     except KeyError:
         raise UnknownBackendError(
             f"unknown backend {name!r}; registered: "
             f"{', '.join(backend_names())}") from None
-    return factory(arch, **kwargs)
+    return factory(arch, seed=seed)

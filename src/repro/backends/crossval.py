@@ -118,8 +118,8 @@ def cross_validate_model(cost: ModelCost, workloads: Sequence,
                                          unique_workloads(workloads)):
         result = choice.result
         analytical = result.best_report
-        simulated = simulator.evaluate(workload, result.best_mapping,
-                                       result.best_layout)
+        simulated, = simulator.evaluate(workload, result.best_mapping,
+                                        [result.best_layout])
         cycle_delta = (simulated.total_cycles / analytical.total_cycles - 1.0
                        if analytical.total_cycles else 0.0)
         validation.cells.append(CellValidation(

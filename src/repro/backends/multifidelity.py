@@ -24,7 +24,6 @@ from repro.backends.simulator import SimulatorBackend
 from repro.errors import InvalidRequestError
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import unique_workloads
-from repro.layoutloop.energy import EnergyTable
 from repro.layoutloop.mapper import Mapper, _metric_value
 from repro.search.config import SearchConfig
 
@@ -98,7 +97,6 @@ class MultiFidelityModelResult:
 def multifidelity_search_layer(
         arch: ArchSpec, workload, metric: str = "edp",
         max_mappings: int = 50, top_k: int = 3, seed: int = 0,
-        energy: Optional[EnergyTable] = None,
         simulator: Optional[SimulatorBackend] = None) -> MultiFidelityResult:
     """Multi-fidelity co-search of one shape.
 
@@ -111,18 +109,16 @@ def multifidelity_search_layer(
     """
     if top_k < 1:
         raise InvalidRequestError(f"top_k must be >= 1, got {top_k}")
-    simulator = simulator or SimulatorBackend(arch, energy=energy, seed=seed)
+    simulator = simulator or SimulatorBackend(arch, seed=seed)
     mapper = Mapper(arch, SearchConfig(metric=metric,
-                                       max_mappings=max_mappings, seed=seed),
-                    energy=energy)
+                                       max_mappings=max_mappings, seed=seed))
 
     layouts = mapper.candidate_layouts(workload)
     ranked: List[Tuple[float, int, object, object, BackendReport]] = []
     order = 0
     for mapping in mapper.candidate_mappings(workload):
         for layout, report in zip(
-                layouts, mapper.backend.evaluate_mapping(workload, mapping,
-                                                         layouts)):
+                layouts, mapper.backend.evaluate(workload, mapping, layouts)):
             ranked.append((_metric_value(report, metric), order, mapping,
                            layout, report))
             order += 1
@@ -133,7 +129,7 @@ def multifidelity_search_layer(
 
     candidates = []
     for rank, (_, _, mapping, layout, analytical_report) in enumerate(shortlist):
-        simulated = simulator.evaluate(workload, mapping, layout)
+        simulated, = simulator.evaluate(workload, mapping, [layout])
         candidates.append(VerifiedCandidate(
             rank=rank, mapping=mapping, layout=layout,
             analytical=analytical_report, simulated=simulated))
@@ -154,9 +150,7 @@ def multifidelity_search_layer(
 def multifidelity_search(arch: ArchSpec, workloads: Sequence,
                          model_name: str = "model", metric: str = "edp",
                          max_mappings: int = 50, top_k: int = 3,
-                         seed: int = 0,
-                         energy: Optional[EnergyTable] = None,
-                         ) -> MultiFidelityModelResult:
+                         seed: int = 0) -> MultiFidelityModelResult:
     """Multi-fidelity co-search over a whole model (shape-deduplicated).
 
     Shares one simulator instance (with its simulation memo) across the
@@ -167,12 +161,12 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
         raise InvalidRequestError(
             f"multifidelity_search({model_name!r}) requires at least one "
             f"workload")
-    simulator = SimulatorBackend(arch, energy=energy, seed=seed)
+    simulator = SimulatorBackend(arch, seed=seed)
     out = MultiFidelityModelResult(arch=arch.name, model=model_name,
                                    metric=metric)
     for workload, count in unique_workloads(workloads):
         result = multifidelity_search_layer(
             arch, workload, metric=metric, max_mappings=max_mappings,
-            top_k=top_k, seed=seed, energy=energy, simulator=simulator)
+            top_k=top_k, seed=seed, simulator=simulator)
         out.layers.append((result, count))
     return out

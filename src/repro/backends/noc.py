@@ -17,7 +17,8 @@ model already assumes lands on the critical path.  A linear chain pays
 O(group) per step, the trees pay O(log2(group)), and a serial mapping
 (group 1) pays nothing — so searches on these backends trade spatial
 reduction against its network cost, which is exactly the design question
-the paper's Table I poses.
+the paper's Table I poses.  The group depends on the mapping alone, so
+one ``evaluate`` call runs the network once for all of its layouts.
 
 Constraints ride along (:func:`~repro.constraints.noc_constraints`): the
 adder tree only reduces power-of-two groups, so ``noc:tree`` searches
@@ -26,6 +27,8 @@ evaluations of an illegal cell fail with the violated constraint named.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 from repro.backends.base import BackendReport, EvaluationBackend, report_from_cost
 from repro.backends.simulator import BackendCompatibilityError
@@ -48,15 +51,13 @@ TOPOLOGIES = {
 class NocBackend(EvaluationBackend):
     """Analytical cell cost plus the exposed cost of one reduction topology."""
 
-    def __init__(self, topology: str, arch: ArchSpec, energy=None,
-                 seed: int = 0):
+    def __init__(self, topology: str, arch: ArchSpec, seed: int = 0):
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown NoC topology {topology!r}; expected "
                              f"one of {sorted(TOPOLOGIES)}")
-        super().__init__(arch, energy)
+        super().__init__(arch, seed)
         self.topology = topology
         self.name = f"noc:{topology}"
-        self.seed = seed
         self.constraints = noc_constraints(topology, arch)
 
     # ------------------------------------------------------------- reduction
@@ -88,26 +89,29 @@ class NocBackend(EvaluationBackend):
         return outcome.cycles, outcome.adds
 
     # -------------------------------------------------------------- evaluate
-    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
-        if cost is None:
-            cost = self.cost_model.evaluate(workload, mapping, layout)
+    def evaluate(self, workload, mapping, layouts) -> List[BackendReport]:
+        costs = self.cost_model.evaluate_mapping_batch(workload, mapping,
+                                                       layouts)
         cycles_per_step, adds_per_step = self._reduction_cycles(mapping)
         # The analytical model already accounts one accumulate per step;
         # anything beyond it is exposed reduction latency.
         exposed_per_step = max(0, cycles_per_step - 1)
         steps = mapping.compute_cycles(workload)
         exposed = float(exposed_per_step) * float(steps)
-        total_cycles = cost.total_cycles + exposed
-        practical = (cost.macs / (total_cycles * self.arch.num_pes)
-                     if total_cycles else 0.0)
-        return report_from_cost(
-            cost, self.name,
-            extra={
-                "reduction_group": float(mapping.spatial_reduction_size),
-                "reduction_cycles_per_step": float(cycles_per_step),
-                "reduction_adds_per_step": float(adds_per_step),
-                "reduction_cycles_exposed": exposed,
-            },
-            stall_cycles=cost.stall_cycles + exposed,
-            total_cycles=total_cycles,
-            practical_utilization=min(1.0, practical))
+        extra = {
+            "reduction_group": float(mapping.spatial_reduction_size),
+            "reduction_cycles_per_step": float(cycles_per_step),
+            "reduction_adds_per_step": float(adds_per_step),
+            "reduction_cycles_exposed": exposed,
+        }
+        reports = []
+        for cost in costs:
+            total_cycles = cost.total_cycles + exposed
+            practical = (cost.macs / (total_cycles * self.arch.num_pes)
+                         if total_cycles else 0.0)
+            reports.append(report_from_cost(
+                cost, self.name, extra=extra,
+                stall_cycles=cost.stall_cycles + exposed,
+                total_cycles=total_cycles,
+                practical_utilization=min(1.0, practical)))
+        return reports

@@ -19,15 +19,16 @@ Scope and conventions:
   analytical companion report with the simulated timing fields replaced,
   so energy columns stay comparable across backends and the
   *cycles/utilization* deltas are the signal;
-* cells are bounded by ``max_macs`` — the functional NEST is a Python-loop
-  model, so simulator sweeps are meant for micro-cells (the built-in
-  ``simulator``/``crossval`` scenarios), not for full ResNet layers.
+* cells are bounded by :data:`DEFAULT_MAX_MACS` — the functional NEST is
+  a Python-loop model, so simulator sweeps are meant for micro-cells (the
+  built-in ``simulator``/``crossval`` scenarios), not for full ResNet
+  layers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,15 +42,14 @@ from repro.feather.accelerator import (
 from repro.feather.config import FeatherConfig
 from repro.layout.patterns import ReorderImplementation
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.energy import EnergyTable
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
-#: Default per-cell MAC bound: keeps a sweep-wide `--backend simulator` on
+#: Per-cell MAC bound: keeps a sweep-wide `--backend simulator` on
 #: paper-scale cells from looking like a hang (the functional NEST is a
 #: Python-loop model, ~2e5 MACs/s, and a co-search simulates one cell per
-#: candidate layout).  Raise it explicitly for one-off large simulations.
+#: candidate layout).
 DEFAULT_MAX_MACS = 500_000
 
 
@@ -130,33 +130,33 @@ class SimulatorBackend(EvaluationBackend):
     """Numerically-exact FEATHER execution with cycle accounting.
 
     ``seed`` drives the deterministic weight/iAct generation (embedded in
-    ``extra["seed"]`` of every report); ``route_birrd`` is forwarded to the
-    accelerator (``"never"`` by default — functional outcomes without
-    switch-level routing, the fast path); ``max_macs`` bounds the cell size
-    (see :data:`DEFAULT_MAX_MACS`).
+    ``extra["seed"]`` of every report).  The accelerator never routes
+    BIRRD switch by switch (functional outcomes, the fast path), and
+    :data:`DEFAULT_MAX_MACS` bounds the cell size.
     """
 
     name = "simulator"
 
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 seed: int = 0, route_birrd: str = "never",
-                 max_macs: int = DEFAULT_MAX_MACS):
-        super().__init__(arch, energy)
-        self.seed = int(seed)
-        self.max_macs = max_macs
+    def __init__(self, arch: ArchSpec, seed: int = 0):
+        super().__init__(arch, seed)
         self.config = feather_config_for(arch)
         self.accelerator = FeatherAccelerator(self.config,
-                                              route_birrd=route_birrd)
+                                              route_birrd="never")
         # Timing is layout-dependent but mapping-independent (FEATHER runs
         # its own internal dataflow), so simulations memoize on the
         # (workload shape, layout) pair.
         self._stats: Dict[Tuple, ExecutionStats] = {}
 
     # -------------------------------------------------------------- protocol
-    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
-        stats = self._simulate(workload, layout)
-        if cost is None:
-            cost = self.cost_model.evaluate(workload, mapping, layout)
+    def evaluate(self, workload, mapping, layouts) -> List[BackendReport]:
+        simulated = [self._simulate(workload, layout) for layout in layouts]
+        costs = self.cost_model.evaluate_mapping_batch(workload, mapping,
+                                                       layouts)
+        return [self._report(workload, cost, stats)
+                for cost, stats in zip(costs, simulated)]
+
+    def _report(self, workload, cost, stats: ExecutionStats) -> BackendReport:
+        """The companion ``cost`` with the simulated timing of ``stats``."""
         batches = getattr(workload, "n", 1) if isinstance(
             workload, ConvLayerSpec) else 1
         total_cycles = stats.cycles * batches
@@ -190,13 +190,13 @@ class SimulatorBackend(EvaluationBackend):
         the simulator's MAC bound.  Callers that would otherwise do
         expensive work before the first ``evaluate`` (a crossval search,
         which co-searches first) use this to fail fast."""
-        if workload.macs > self.max_macs:
+        if workload.macs > DEFAULT_MAX_MACS:
             raise BackendCompatibilityError(
                 f"constraint 'max-macs' violated: "
                 f"{getattr(workload, 'name', workload)} has {workload.macs} "
-                f"MACs, over the simulator cell bound ({self.max_macs}); "
+                f"MACs, over the simulator cell bound ({DEFAULT_MAX_MACS}); "
                 f"the cycle-level backend is for micro-cells — use the "
-                f"'analytical' backend or raise max_macs explicitly")
+                f"'analytical' backend instead")
 
     # ------------------------------------------------------------- execution
     def _simulate(self, workload, layout) -> ExecutionStats:

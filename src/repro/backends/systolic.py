@@ -13,7 +13,9 @@ cycles are the ``passes * (stream + fill/drain)`` estimate of
 :meth:`SystolicArray.run_gemm` (convs lower through im2col).  Each report
 is the cell's analytical companion report with those timing fields
 replaced — mirroring the simulator backend — so energy columns stay
-comparable across backends and the layout axis stays meaningful.
+comparable across backends and the layout axis stays meaningful.  The
+timing depends on the mapping alone, so one ``evaluate`` call runs the
+array once for all of its layouts.
 
 The backend carries :func:`~repro.constraints.systolic_constraints` as its
 ``constraints`` attribute: searches on it repair every candidate to the
@@ -21,6 +23,8 @@ array's legal loop orders and M x C/K parallelism before scoring.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 from repro.backends.base import BackendReport, EvaluationBackend, report_from_cost
 from repro.baselines.systolic import SystolicArray
@@ -34,9 +38,8 @@ class SystolicBackend(EvaluationBackend):
 
     name = "systolic"
 
-    def __init__(self, arch: ArchSpec, energy=None, seed: int = 0):
-        super().__init__(arch, energy)
-        self.seed = seed
+    def __init__(self, arch: ArchSpec, seed: int = 0):
+        super().__init__(arch, seed)
         self.constraints = systolic_constraints(arch)
 
     def _array_for(self, mapping) -> SystolicArray:
@@ -49,9 +52,9 @@ class SystolicBackend(EvaluationBackend):
                              parallel_m=parallel_m, parallel_k=parallel_k,
                              name=f"systolic:{self.arch.name}")
 
-    def evaluate(self, workload, mapping, layout, cost=None) -> BackendReport:
-        if cost is None:
-            cost = self.cost_model.evaluate(workload, mapping, layout)
+    def evaluate(self, workload, mapping, layouts) -> List[BackendReport]:
+        costs = self.cost_model.evaluate_mapping_batch(workload, mapping,
+                                                       layouts)
         array = self._array_for(mapping)
         if isinstance(workload, ConvLayerSpec):
             timing = array.run_conv(workload)
@@ -62,14 +65,13 @@ class SystolicBackend(EvaluationBackend):
             1, array.parallel_m * array.parallel_k)
         practical = (timing.macs / (total_cycles * self.arch.num_pes)
                      if total_cycles else 0.0)
-        return report_from_cost(
-            cost, self.name,
-            extra={
-                "fill_drain_cycles": float(timing.fill_drain_cycles),
-                "parallel_m": float(array.parallel_m),
-                "parallel_k": float(array.parallel_k),
-                "macs_per_cycle": float(timing.macs_per_cycle),
-            },
+        extra = {
+            "fill_drain_cycles": float(timing.fill_drain_cycles),
+            "parallel_m": float(array.parallel_m),
+            "parallel_k": float(array.parallel_k),
+            "macs_per_cycle": float(timing.macs_per_cycle),
+        }
+        replaced = dict(
             compute_cycles=compute,
             slowdown=total_cycles / compute if compute else 1.0,
             stall_cycles=max(0.0, total_cycles - compute),
@@ -77,3 +79,5 @@ class SystolicBackend(EvaluationBackend):
             total_cycles=total_cycles,
             utilization=min(1.0, timing.utilization),
             practical_utilization=min(1.0, practical))
+        return [report_from_cost(cost, self.name, extra=extra, **replaced)
+                for cost in costs]

@@ -22,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.layoutloop.cost_model import energy_total
 from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.search.config import METRIC_FIELDS
 from repro.search.frontier import pareto_fold, tile_footprints
@@ -62,7 +63,13 @@ class LayerChoice:
 
 @dataclass
 class ModelCost:
-    """Aggregate cost of running a whole model on one architecture."""
+    """Aggregate cost of running a whole model on one architecture.
+
+    Every float total is one left fold
+    (:func:`~repro.layoutloop.cost_model.energy_total`), never the builtin
+    ``sum``, which compensates its rounding from CPython 3.12 on: the
+    totals have the same bits on every interpreter.
+    """
 
     arch: str
     """Name of the architecture the model was searched on."""
@@ -84,12 +91,12 @@ class ModelCost:
     @property
     def total_cycles(self) -> float:
         """Whole-model latency (cycles), occurrence-weighted."""
-        return sum(c.cycles for c in self.layer_choices)
+        return energy_total(c.cycles for c in self.layer_choices)
 
     @property
     def total_energy_pj(self) -> float:
         """Whole-model energy (pJ), occurrence-weighted."""
-        return sum(c.energy_pj for c in self.layer_choices)
+        return energy_total(c.energy_pj for c in self.layer_choices)
 
     @property
     def total_macs(self) -> int:
@@ -124,23 +131,26 @@ class ModelCost:
             return 0.0
         total_macs = self.total_macs
         if not total_macs:
-            return (sum(c.result.best_report.utilization
-                        for c in self.layer_choices) / len(self.layer_choices))
-        total = sum(c.result.best_report.utilization * c.macs
-                    for c in self.layer_choices)
+            return (energy_total(c.result.best_report.utilization
+                                 for c in self.layer_choices)
+                    / len(self.layer_choices))
+        total = energy_total(c.result.best_report.utilization * c.macs
+                             for c in self.layer_choices)
         return total / total_macs
 
     @property
     def stall_fraction(self) -> float:
         """Fraction of total cycles spent on bank-conflict stalls (0..1)."""
-        stalls = sum(c.result.best_report.stall_cycles * c.count for c in self.layer_choices)
+        stalls = energy_total(c.result.best_report.stall_cycles * c.count
+                              for c in self.layer_choices)
         return stalls / self.total_cycles if self.total_cycles else 0.0
 
     @property
     def reorder_fraction(self) -> float:
         """Fraction of total cycles exposed by layout reordering (0..1)."""
-        reorder = sum(c.result.best_report.reorder_cycles_exposed * c.count
-                      for c in self.layer_choices)
+        reorder = energy_total(
+            c.result.best_report.reorder_cycles_exposed * c.count
+            for c in self.layer_choices)
         return reorder / self.total_cycles if self.total_cycles else 0.0
 
     def geomean_cycles(self) -> float:

@@ -54,7 +54,7 @@ from repro.kernel.footprint import streaming_access_coords
 from repro.layout.layout import Layout
 from repro.layout.patterns import ReorderImplementation, capability
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
+from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -63,9 +63,10 @@ def energy_total(terms):
     """The total of energy terms (floats, or numpy columns that total many
     rows at once), added left to right.
 
-    Every energy total of the model is this fold, so it has the same bits
-    on every interpreter (the builtin ``sum`` compensates its rounding from
-    CPython 3.12 on).  The bound's energy floor
+    Every energy total of the model, and every float total of a
+    :class:`~repro.layoutloop.cosearch.ModelCost`, is this fold, so it has
+    the same bits on every interpreter (the builtin ``sum`` compensates
+    its rounding from CPython 3.12 on).  The bound's energy floor
     (:func:`repro.search.bounds.bound_statics`) adds a lower bound of each
     term in the same order, so it never exceeds a total: rounding is
     monotone, so each partial sum of the floor stays at or below the
@@ -171,9 +172,11 @@ class CostModel:
     whole candidate universe with the same float operations.
     """
 
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
+    #: The per-action energies every cost model prices with.
+    energy = DEFAULT_ENERGY_TABLE
+
+    def __init__(self, arch: ArchSpec):
         self.arch = arch
-        self.energy = energy or DEFAULT_ENERGY_TABLE
 
     @property
     def slowdown_free(self) -> bool:

@@ -27,18 +27,5 @@ class EnergyTable:
     reorder_unit_per_word_pj: float = 0.9
     birrd_per_word_pj: float = 0.45
 
-    def scale(self, factor: float) -> "EnergyTable":
-        """Uniformly scale the table (e.g. for a different technology node)."""
-        return EnergyTable(
-            mac_int8_pj=self.mac_int8_pj * factor,
-            register_access_pj=self.register_access_pj * factor,
-            buffer_read_per_word_pj=self.buffer_read_per_word_pj * factor,
-            buffer_write_per_word_pj=self.buffer_write_per_word_pj * factor,
-            noc_hop_per_word_pj=self.noc_hop_per_word_pj * factor,
-            dram_access_per_byte_pj=self.dram_access_per_byte_pj * factor,
-            reorder_unit_per_word_pj=self.reorder_unit_per_word_pj * factor,
-            birrd_per_word_pj=self.birrd_per_word_pj * factor,
-        )
-
 
 DEFAULT_ENERGY_TABLE = EnergyTable()

@@ -40,7 +40,7 @@ against.
 Scoring itself goes through an :mod:`repro.backends` evaluation backend.
 The default ``"analytical"`` backend runs the memoized cost-model values;
 any other registered backend (e.g. ``"simulator"``) scores candidates
-through its ``evaluate_mapping`` — with admissible pruning disabled, since
+through its ``evaluate`` — with admissible pruning disabled, since
 the bounds are statements about the analytical model only — and its
 winner keeps the backend's own report.
 """
@@ -65,7 +65,6 @@ from repro.layout.layout import Layout, parse_layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostReport
-from repro.layoutloop.energy import EnergyTable
 from repro.search import bulk
 from repro.search.bounds import bound_statics
 from repro.search.cache import EvaluationCache
@@ -242,8 +241,8 @@ class Mapper:
     them.
 
     ``evaluation_cache`` memoizes the analytical search's value entries
-    and may be shared between mappers — keys embed the architecture and
-    energy-table signature, so cross-architecture sharing is safe.
+    and may be shared between mappers — keys embed the architecture
+    signature, so cross-architecture sharing is safe.
     ``backend`` selects the evaluation backend scoring candidates: a
     :mod:`repro.backends` registry name, an already-constructed
     :class:`~repro.backends.base.EvaluationBackend`, or ``None`` for the
@@ -261,8 +260,7 @@ class Mapper:
     """
 
     def __init__(self, arch: ArchSpec, config: Optional[SearchConfig] = None,
-                 *, energy: Optional[EnergyTable] = None,
-                 evaluation_cache: Optional[EvaluationCache] = None,
+                 *, evaluation_cache: Optional[EvaluationCache] = None,
                  backend=None):
         from repro.backends import (
             AnalyticalBackend,
@@ -279,7 +277,7 @@ class Mapper:
         if isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
-            self.backend = create_backend(backend, arch, energy=energy,
+            self.backend = create_backend(backend, arch,
                                           seed=self.config.seed)
         self._analytical = isinstance(self.backend, AnalyticalBackend)
         self.config.check_backend(self._backend_name)
@@ -319,14 +317,14 @@ class Mapper:
         :meth:`EvaluationCache.evaluate_batch` pass, and ``detail`` is the
         pair's slowdown (``compute_cycles``, the mapping's exact compute
         cycles when the caller knows them, is passed through).  Any other
-        backend scores through its ``evaluate_mapping`` (never a cache
-        hit), and ``detail`` is the backend's report."""
+        backend scores through its ``evaluate`` (never a cache hit), and
+        ``detail`` is the backend's report."""
         if self._analytical:
             return self.evaluation_cache.evaluate_batch(
                 self.cost_model, workload, mapping, layouts, compute_cycles)
         return [((report.total_cycles, report.total_energy_pj, report), False)
                 for report in
-                self.backend.evaluate_mapping(workload, mapping, layouts)]
+                self.backend.evaluate(workload, mapping, layouts)]
 
     def _repaired_universe(self, workload) -> Tuple:
         """The repaired-legal candidate list and its RepairLog, memoized."""
@@ -565,7 +563,7 @@ class Mapper:
 
         lookup = self.evaluation_cache.lookup
         signature = universe.signature
-        head = (arch_signature(model.arch, model.energy),
+        head = (arch_signature(model.arch),
                 workload_signature(workload))
         names = [layout_signature(layout) for layout in layouts]
         cache_hits = 0

@@ -78,7 +78,7 @@ class EvaluationCache:
 
     Keys are built from :mod:`repro.search.signatures` — never from layer or
     mapping names — so one instance may be shared by mappers for different
-    architectures or energy calibrations.  :meth:`lookup` is the counted
+    architectures.  :meth:`lookup` is the counted
     lookup-and-store of one mapping's layouts and :meth:`evaluate_batch`
     the memoized scoring entry point built on it; :meth:`get`/:meth:`put`
     are the raw counted lookup and store under the flat 4-part key
@@ -163,7 +163,7 @@ class EvaluationCache:
         layer/mapping label than the current call's; entries carry no
         names.
         """
-        prefix = (arch_signature(cost_model.arch, cost_model.energy),
+        prefix = (arch_signature(cost_model.arch),
                   workload_signature(workload), mapping_signature(mapping))
         return self.lookup(
             prefix, [layout_signature(layout) for layout in layouts],

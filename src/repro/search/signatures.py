@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -64,14 +65,16 @@ def layout_signature(layout) -> str:
     return layout.name
 
 
-def arch_signature(arch, energy) -> Tuple:
-    """Signature of an (architecture, energy table) evaluation context.
+def arch_signature(arch) -> Tuple:
+    """Signature of an architecture's evaluation context.
 
     Includes every :class:`~repro.layoutloop.arch.ArchSpec` field the cost
-    model reads plus the full energy table, so a cache may safely be shared
-    across architectures and calibrations.
+    model reads plus the full energy table it prices with
+    (:data:`~repro.layoutloop.energy.DEFAULT_ENERGY_TABLE`), so a cache
+    may safely be shared across architectures.
     """
     buf = arch.buffer
+    energy = DEFAULT_ENERGY_TABLE
     return (
         arch.name,
         arch.pe_rows, arch.pe_cols,

@@ -24,7 +24,7 @@ object at a time:
 * :func:`reference_search` is the exhaustive search loop over all of them
   (the candidate universe is materialized up front, then repaired when a
   ConstraintSet binds; non-analytical backends score through their own
-  ``evaluate_mapping``); with ``prune=False`` it is also the unpruned scan
+  ``evaluate``); with ``prune=False`` it is also the unpruned scan
   the pruning-identity tests compare against.
 
 The search covers the exhaustive policy over an integer ``max_mappings``:
@@ -157,7 +157,7 @@ def reference_evaluate_cached(cache, cost_model, workload, mapping, layout
     ``(total_cycles, total_energy_pj, slowdown)``.  A hit rebuilds the
     report from the stored slowdown, labelled with the caller's names.
     """
-    key = (arch_signature(cost_model.arch, cost_model.energy),
+    key = (arch_signature(cost_model.arch),
            workload_signature(workload), mapping_signature(mapping),
            layout_signature(layout))
     entry = cache.get(key)
@@ -248,8 +248,7 @@ def reference_search(mapper: Mapper, workload,
                 mapping, layout) for layout in layouts]
         else:
             scored = [(report, False) for report in
-                      mapper.backend.evaluate_mapping(workload, mapping,
-                                                      layouts)]
+                      mapper.backend.evaluate(workload, mapping, layouts)]
         for layout, (report, hit) in zip(layouts, scored):
             evaluated += 1
             cache_hits += hit

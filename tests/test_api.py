@@ -126,15 +126,12 @@ class TestRequestRoundTrips:
         assert again == workload
 
     def test_arch_payload_round_trip_preserves_signature(self):
-        from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
-
         for name in ("FEATHER", "Eyeriss-like", "SIGMA-like (HWC_C32)",
                      "TPU-like", "FEATHER-4x4"):
             arch = resolve_arch(name)
             again = arch_from_payload(arch_payload(arch))
             assert again == arch
-            assert (arch_signature(again, DEFAULT_ENERGY_TABLE)
-                    == arch_signature(arch, DEFAULT_ENERGY_TABLE))
+            assert arch_signature(again) == arch_signature(arch)
 
     def test_mapping_payload_round_trip_preserves_signature(self):
         layer = resolve_workload_set("resnet50[:1]")[0]
@@ -283,8 +280,8 @@ class TestSessionSemantics:
         arch = resolve_arch("FEATHER-4x4")
         mapping = output_stationary_mapping(workload, arch.pe_rows,
                                             arch.pe_cols)
-        direct = create_backend("analytical", arch).evaluate(
-            workload, mapping, parse_layout("MK_K32"))
+        direct, = create_backend("analytical", arch).evaluate(
+            workload, mapping, [parse_layout("MK_K32")])
         with Session(name="eval") as session:
             response = session.run(EvalRequest(
                 workload="fig10_gemms#0", arch="FEATHER-4x4",
@@ -292,6 +289,22 @@ class TestSessionSemantics:
         assert response.backend_report == direct
         assert response.report["total_cycles"] == direct.total_cycles
         assert response.report["edp"] == direct.edp
+
+    def test_analytical_backend_is_one_instance_per_arch(self):
+        """The analytical backend ignores its seed, so evals under fifty
+        seeds share one instance; the simulator's seed generates its
+        tensors, so two seeds keep two instances."""
+        with Session(name="instances") as session:
+            for seed in range(50):
+                session.run(EvalRequest(
+                    workload="fig10_gemms#0", arch="FEATHER-4x4",
+                    layout="MK_K32", seed=seed))
+            assert session.describe()["backend_instances"] == 1
+            for seed in range(2):
+                session.run(EvalRequest(
+                    workload="micro_gemms#0", arch="FEATHER-4x4",
+                    layout="MK_K4", backend="simulator", seed=seed))
+            assert session.describe()["backend_instances"] == 3
 
     def test_sweep_request_matches_run_cell(self, tmp_path):
         from repro.scenarios import run_cell

@@ -33,10 +33,16 @@ from repro.backends import (
 )
 from repro.backends.simulator import feather_config_for
 from repro.baselines.registry import sigma_like
+from repro.baselines.systolic import SystolicArray
 from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
+from repro.noc.reference_networks import (
+    AdderTree,
+    ForwardingAdderNetwork,
+    LinearReductionChain,
+)
 from repro.search.config import SearchConfig
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -76,12 +82,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="analytical"):
             create_backend("quantum", ARCH44)
 
-    def test_instance_passthrough_rejects_options(self):
-        backend = AnalyticalBackend(ARCH44)
-        assert create_backend(backend, ARCH44) is backend
-        with pytest.raises(ValueError, match="reconfigure"):
-            create_backend(backend, ARCH44, seed=1)
-
 
 # ------------------------------------------------------- analytical parity
 class TestAnalyticalBackend:
@@ -92,8 +92,8 @@ class TestAnalyticalBackend:
 
         direct = reference_evaluate(CostModel(ARCH88), small_conv_layer,
                                     mapping, layout)
-        via_backend = AnalyticalBackend(ARCH88).evaluate(
-            small_conv_layer, mapping, layout)
+        via_backend, = AnalyticalBackend(ARCH88).evaluate(
+            small_conv_layer, mapping, [layout])
         assert via_backend == report_from_cost(direct)
         for field_name in ("macs", "compute_cycles", "slowdown",
                            "stall_cycles", "total_cycles", "utilization",
@@ -119,10 +119,10 @@ class TestSimulatorBackend:
         conv = micro_conv_layers()[0]
         mapper = Mapper(ARCH44, SearchConfig(max_mappings=4))
         result = mapper.search(conv)
-        a = SimulatorBackend(ARCH44, seed=3).evaluate(
-            conv, result.best_mapping, result.best_layout)
-        b = SimulatorBackend(ARCH44, seed=3).evaluate(
-            conv, result.best_mapping, result.best_layout)
+        a, = SimulatorBackend(ARCH44, seed=3).evaluate(
+            conv, result.best_mapping, [result.best_layout])
+        b, = SimulatorBackend(ARCH44, seed=3).evaluate(
+            conv, result.best_mapping, [result.best_layout])
         assert a == b
         assert a.extra["seed"] == 3.0
 
@@ -156,14 +156,14 @@ class TestSimulatorBackend:
         mapping = mapper.candidate_mappings(big)[0]
         layout = mapper.candidate_layouts(big)[0]
         with pytest.raises(ValueError, match="micro-cells"):
-            backend.evaluate(big, mapping, layout)
+            backend.evaluate(big, mapping, [layout])
 
     def test_report_consistency(self):
         gemm = micro_gemm_layers()[0]
         mapper = Mapper(ARCH44, SearchConfig(max_mappings=4))
         result = mapper.search(gemm)
-        report = SimulatorBackend(ARCH44).evaluate(
-            gemm, result.best_mapping, result.best_layout)
+        report, = SimulatorBackend(ARCH44).evaluate(
+            gemm, result.best_mapping, [result.best_layout])
         assert isinstance(report, BackendReport)
         assert report.backend == "simulator"
         assert report.macs == gemm.macs
@@ -225,8 +225,8 @@ class TestRirClaimMachineChecked:
         # exactly 1.0 — and *no* layout may ever serialize oAct writes.
         simulator = SimulatorBackend(arch, seed=0)
         mapper = Mapper(arch, SearchConfig(max_mappings=8, seed=0))
-        reports = [simulator.evaluate(workload, result.best_mapping, layout)
-                   for layout in mapper.candidate_layouts(workload)]
+        reports = simulator.evaluate(workload, result.best_mapping,
+                                     mapper.candidate_layouts(workload))
         assert all(r.extra["write_serialization"] == 1.0 for r in reports)
         best = min(reports, key=lambda r: r.total_cycles)
         assert best.extra["read_slowdown"] == 1.0
@@ -264,8 +264,8 @@ class TestRirClaimMachineChecked:
         # K-major with a 1-wide intra-line block: the col_k lanes read K
         # values that live in different lines of the same bank region.
         discordant = parse_layout("KM_M1")
-        simulated = SimulatorBackend(ARCH44).evaluate(gemm, mapping,
-                                                      discordant)
+        simulated, = SimulatorBackend(ARCH44).evaluate(gemm, mapping,
+                                                       [discordant])
         assert simulated.extra["read_slowdown"] > 1.0
         assert simulated.stall_cycles > 0.0
 
@@ -410,12 +410,15 @@ class TestOneCompanion:
     @pytest.mark.parametrize("name", backend_names())
     @pytest.mark.parametrize("workload", MICRO_CELLS)
     def test_evaluate_mapping_equals_per_cell_evaluate(self, name, workload):
+        """Evaluating a mapping under every layout in one call equals
+        one-layout calls, layout by layout."""
         mapping, layouts = _reduction_cell(workload)
-        batched = create_backend(name, ARCH44).evaluate_mapping(
+        batched = create_backend(name, ARCH44).evaluate(
             workload, mapping, layouts)
         single = create_backend(name, ARCH44)
-        assert batched == [single.evaluate(workload, mapping, layout)
-                           for layout in layouts]
+        assert batched == [report for layout in layouts
+                           for report in single.evaluate(workload, mapping,
+                                                         [layout])]
         assert [r.layout for r in batched] == [lay.name for lay in layouts]
 
     @pytest.mark.parametrize("name", backend_names())
@@ -432,8 +435,38 @@ class TestOneCompanion:
             return priced(model, *args, **kwargs)
 
         monkeypatch.setattr(CostModel, "evaluate_mapping_batch", counted)
-        backend.evaluate_mapping(workload, mapping, layouts)
+        backend.evaluate(workload, mapping, layouts)
         assert calls == [backend.cost_model]
+
+    @pytest.mark.parametrize("name", ["systolic", "noc:linear", "noc:tree",
+                                      "noc:fan"])
+    @pytest.mark.parametrize("workload", MICRO_CELLS)
+    def test_mapping_timing_runs_once_per_call(self, name, workload,
+                                               monkeypatch):
+        """The systolic array and the reference reduction networks time a
+        mapping, not a layout: one call over every layout runs them once."""
+        mapping, layouts = _reduction_cell(workload)
+        if name == "systolic":
+            owner = SystolicArray
+            method = ("run_conv" if isinstance(workload, ConvLayerSpec)
+                      else "run_gemm")
+        else:
+            owner, method = {
+                "noc:linear": (LinearReductionChain, "reduce"),
+                "noc:tree": (AdderTree, "reduce"),
+                "noc:fan": (ForwardingAdderNetwork, "reduce_groups"),
+            }[name]
+        runs = []
+        timed = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return timed(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counted)
+        create_backend(name, ARCH44).evaluate(workload, mapping, layouts)
+        assert len(layouts) > 1
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("name", backend_names())
     def test_mapper_shares_the_backends_cost_model(self, name):

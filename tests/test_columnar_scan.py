@@ -49,7 +49,8 @@ from repro.constraints import systolic_constraints
 from repro.dataflow.space import MappingSpace
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel, CostReport, energy_total
-from repro.layoutloop.mapper import Mapper
+from repro.layoutloop.cosearch import LayerChoice, ModelCost
+from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.scenarios.registry import resolve_workload_set
 from repro.search.bounds import bound_statics
 from repro.search.bulk import candidate_universe
@@ -283,6 +284,29 @@ def test_energy_totals_add_left_to_right_on_every_interpreter():
     assert report.total_energy_pj == 0.0
     columns = [np.full(3, term) for term in terms.values()]
     assert energy_total(columns).tolist() == [0.0] * 3
+
+
+def test_model_totals_add_left_to_right_on_every_interpreter():
+    """A whole-model total is the same left fold: 1e16 + 1.0 rounds back
+    to 1e16 at each step, where the builtin ``sum`` of CPython 3.12 on
+    gives 1.0000000000000002e16.  The goldens pin model totals float for
+    float, so a compensated total fails them on those interpreters."""
+    choices = []
+    for value in (1e16, 1.0, 1.0):
+        report = CostReport(
+            workload="w", arch="a", mapping="m", layout="l", macs=1,
+            compute_cycles=value, slowdown=1.0, stall_cycles=0.0,
+            reorder_cycles_exposed=0.0, total_cycles=value,
+            utilization=1.0, practical_utilization=1.0,
+            energy_breakdown_pj={"mac": value})
+        result = SearchResult(workload="w", arch="a", best_report=report,
+                              best_mapping=None, best_layout=None,
+                              evaluated=1, metric="edp")
+        choices.append(LayerChoice(result=result, count=1))
+    cost = ModelCost(arch="a", model="m", layer_choices=choices)
+    assert cost.total_energy_pj == 1e16
+    assert cost.total_cycles == 1e16
+    assert cost.edp == 1e32
 
 
 @pytest.mark.parametrize("metric", ["edp", "energy", "latency"])

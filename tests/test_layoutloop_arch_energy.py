@@ -61,12 +61,6 @@ class TestEnergyTable:
         assert t.register_access_pj < t.buffer_read_per_word_pj
         assert t.buffer_read_per_word_pj < t.dram_access_per_byte_pj
 
-    def test_scale(self):
-        scaled = DEFAULT_ENERGY_TABLE.scale(2.0)
-        assert scaled.mac_int8_pj == pytest.approx(2 * DEFAULT_ENERGY_TABLE.mac_int8_pj)
-        assert scaled.dram_access_per_byte_pj == pytest.approx(
-            2 * DEFAULT_ENERGY_TABLE.dram_access_per_byte_pj)
-
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_ENERGY_TABLE.mac_int8_pj = 1.0

@@ -63,8 +63,8 @@ def cross_architecture_parity(arch) -> bool:
     for workload in micro_conv_layers():
         sys_backend = create_backend("systolic", arch)
         sys_res = Mapper(arch, config, backend=sys_backend).search(workload)
-        base = analytical.evaluate(workload, sys_res.best_mapping,
-                                   sys_res.best_layout)
+        base, = analytical.evaluate(workload, sys_res.best_mapping,
+                                    [sys_res.best_layout])
         rep = sys_res.best_report
         good = (rep.total_energy_pj == base.total_energy_pj
                 and rep.stall_cycles >= 0
@@ -82,11 +82,11 @@ def cross_architecture_parity(arch) -> bool:
                           backend=create_backend("noc:tree", arch)
                           ).search(workload)
         mapping, layout = tree_res.best_mapping, tree_res.best_layout
-        base = analytical.evaluate(workload, mapping, layout)
+        base, = analytical.evaluate(workload, mapping, [layout])
         exposed = {}
         for topology in ("linear", "tree", "fan"):
-            rep = create_backend(f"noc:{topology}", arch).evaluate(
-                workload, mapping, layout)
+            rep, = create_backend(f"noc:{topology}", arch).evaluate(
+                workload, mapping, [layout])
             exposed[topology] = rep.extra["reduction_cycles_exposed"]
             good = (rep.total_energy_pj == base.total_energy_pj
                     and rep.total_cycles
