@@ -128,12 +128,15 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
 @pytest.mark.benchmark(group="search")
 def test_search_cache_reuse_across_metrics(benchmark):
     """A second search over the same shapes with a different objective reuses
-    the session's evaluation cache (cost reports are metric-independent)."""
+    the session's evaluation cache (cost reports are metric-independent).
+    Eyeriss-like scores through the memo; FEATHER's exhaustive scan prices
+    without it."""
 
     def run_both():
         with Session(name="bench-metrics") as session:
             return [session.run(SearchRequest(workloads="resnet50",
-                                              arch="FEATHER", metric=metric,
+                                              arch="Eyeriss-like",
+                                              metric=metric,
                                               max_mappings=12)).cost
                     for metric in ("edp", "latency")]
 
@@ -169,8 +172,9 @@ def _incumbent_scan(mapper: Mapper, workload):
 @pytest.mark.benchmark(group="search")
 def test_columnar_scan_speedup(benchmark, best_of):
     """MobileNet-V3 EDP on FEATHER, uncapped, each unique shape on a fresh
-    mapper: the columnar scan returns the scan's results bit for bit and
-    runs at least 2x faster."""
+    mapper: the columnar scan returns the scan's winners, ``evaluated`` and
+    ``pruned`` bit for bit, with no cache hit (it never reads the memo),
+    and runs at least 2x faster."""
     shapes = {}
     for workload in resolve_workload_set("mobilenet_v3"):
         shapes.setdefault(workload_signature(workload), workload)
@@ -195,7 +199,7 @@ def test_columnar_scan_speedup(benchmark, best_of):
         assert fast.best_mapping == slow.best_mapping
         assert fast.best_layout == slow.best_layout
         assert ((fast.evaluated, fast.pruned, fast.cache_hits)
-                == (slow.evaluated, slow.pruned, slow.cache_hits))
+                == (slow.evaluated, slow.pruned, 0))
     assert scan_s / columnar_s >= 2.0, (
         f"columnar scan only {scan_s / columnar_s:.2f}x faster than the "
         f"incumbent scan ({columnar_s:.3f}s vs {scan_s:.3f}s)")

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 from repro.baselines.systolic import SystolicArray
-from repro.workloads.conv import ConvLayerSpec, LayerKind
+from repro.workloads.conv import ConvLayerSpec
 
 
 @dataclass
@@ -39,11 +39,6 @@ class DeviceThroughput:
         if self.cycles <= 0:
             return 0.0
         return self.macs / (self.cycles * self.num_pes)
-
-    @property
-    def throughput_macs_per_s(self) -> float:
-        seconds = self.cycles / (self.frequency_mhz * 1e6)
-        return self.macs / seconds if seconds > 0 else 0.0
 
     @property
     def normalized_throughput_per_pe(self) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -184,18 +184,6 @@ class Mapping:
             degree = self.parallel_degree(dim)
             cycles *= tile_counts(extent, degree)
         return cycles
-
-    # --------------------------------------------------------- stationarity
-    @property
-    def stationary_dims(self) -> Tuple[str, ...]:
-        """Dimensions held stationary = the outermost temporal loops.
-
-        The first third of the declared order is treated as "most stationary";
-        this is only used for reporting, the cost model derives reuse directly
-        from the order.
-        """
-        take = max(1, len(self.order) // 3)
-        return self.order[:take]
 
     # ------------------------------------------------------------------ misc
     def with_array(self, rows: int, cols: int) -> "Mapping":

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -112,6 +114,14 @@ class MappingSpace:
         """Workload dimension extents, in the space's canonical dim order."""
         return dict(self._dims)
 
+    @property
+    def _candidate_key(self) -> Tuple:
+        """Memo key of the parallelism candidates: dims (in the canonical
+        dim order, which the dim set fixes), candidate dims, array shape,
+        and the co-parallelised dim cap."""
+        return (tuple(self._dims.items()), self._parallel_dims,
+                self.array_rows, self.array_cols, self.max_parallel_dims)
+
     def parallelism_candidates(self) -> List[Tuple[ParallelSpec, ...]]:
         """Enumerate parallelism assignments onto the array.
 
@@ -120,9 +130,18 @@ class MappingSpace:
         every mapper revisiting a cached workload — skip the enumeration
         entirely.
         """
-        return list(_parallelism_candidates_cached(
-            tuple(sorted(self._dims.items())), self._parallel_dims,
-            self.array_rows, self.array_cols, self.max_parallel_dims))
+        return list(_parallelism_candidates_cached(*self._candidate_key))
+
+    def degree_matrix(self) -> np.ndarray:
+        """(n_candidates, n_dims) spatial degree of every parallelism
+        candidate over :attr:`dims`, 1 where unparallelised.
+
+        Memoized beside :meth:`parallelism_candidates`, under the same key,
+        and read-only, in the narrowest integer dtype that holds its
+        largest degree; :class:`repro.search.bulk.BulkUniverse` widens its
+        copy to int64.
+        """
+        return _degree_matrix_cached(*self._candidate_key)
 
     def iter_mappings(self) -> Iterator[Mapping]:
         """Yield every mapping in the structured subspace."""
@@ -197,6 +216,23 @@ def _parallelism_candidates_cached(dims_items: Tuple[Tuple[str, int], ...],
                                    ) -> Tuple[Tuple[ParallelSpec, ...], ...]:
     return tuple(enumerate_parallelisms(dict(dims_items), candidate_dims,
                                         rows, cols, max_dims=max_dims))
+
+
+@lru_cache(maxsize=1024)
+def _degree_matrix_cached(dims_items: Tuple[Tuple[str, int], ...],
+                          candidate_dims: Tuple[str, ...], rows: int,
+                          cols: int, max_dims: int) -> np.ndarray:
+    candidates = _parallelism_candidates_cached(dims_items, candidate_dims,
+                                                rows, cols, max_dims)
+    position = {d: j for j, (d, _) in enumerate(dims_items)}
+    degrees = np.ones((len(candidates), len(dims_items)), dtype=np.int64)
+    cells = [(row, position[p.dim], p.degree)
+             for row, parallel in enumerate(candidates) for p in parallel]
+    at_row, at_col, values = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    np.multiply.at(degrees, (at_row, at_col), values)
+    degrees = degrees.astype(np.min_scalar_type(int(degrees.max())))
+    degrees.flags.writeable = False
+    return degrees
 
 
 def enumerate_parallelisms(dims: Dict[str, int], candidate_dims: Sequence[str],

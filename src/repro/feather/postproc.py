@@ -78,24 +78,6 @@ def max_pool(acts: np.ndarray, kernel: int = 2, stride: int = None) -> np.ndarra
     return out
 
 
-def avg_pool_as_conv(channels: int, kernel: int, stride: int = None,
-                     name: str = "avgpool") -> Tuple[ConvLayerSpec, np.ndarray, int]:
-    """Lower average pooling to a depthwise convolution (paper §III-A).
-
-    Returns ``(layer_spec_factory_inputs)``: the depthwise conv layer template
-    (height/width filled in by the caller via :func:`avg_pool_layer`), the
-    integer box-filter weights and the right-shift that divides by the window
-    size.  FEATHER executes the conv on the NEST and the shift in the QM.
-    """
-    stride = stride or kernel
-    weights = np.ones((channels, 1, kernel, kernel), dtype=np.int64)
-    # Divide by kernel*kernel via the quantization module; expressed as a shift
-    # when the window is a power of two, otherwise the caller scales.
-    window = kernel * kernel
-    shift = int(window).bit_length() - 1 if window & (window - 1) == 0 else 0
-    return (channels, kernel, stride, name), weights, shift
-
-
 def avg_pool_layer(channels: int, h: int, w: int, kernel: int,
                    stride: int = None, name: str = "avgpool") -> ConvLayerSpec:
     """The depthwise-conv layer spec that realises an average pool."""

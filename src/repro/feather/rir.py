@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.layout.layout import Layout
 from repro.noc.routing import ReductionRequest
@@ -33,10 +33,6 @@ class WriteCommand:
     bank: int
     line: int
     coord: Tuple[Tuple[str, int], ...]
-
-    @property
-    def coord_dict(self) -> Dict[str, int]:
-        return dict(self.coord)
 
 
 @dataclass

@@ -31,8 +31,9 @@ winner's, from the winner's slowdown.  On a design that never stalls on
 a bank conflict (``CostModel.slowdown_free``: FEATHER's
 reorder-in-reduction, the off-chip SIGMA) every layout prices at slowdown
 1.0, so the exhaustive scan prices the whole universe in one numpy pass
-instead and reads the same counters and winner off the values
-(:meth:`Mapper._columnar_search`).  The scalar loop this replaces —
+instead and reads the same winner, ``evaluated`` and ``pruned`` off the
+values (:meth:`Mapper._columnar_search`); it prices without the memo, so
+its scored pairs all count as cache misses.  The scalar loop this replaces —
 materialized sample, per-mapping bound, per-layout evaluation — is kept
 only as the tests-side reference oracle the identity suites compare
 against.
@@ -69,11 +70,7 @@ from repro.search import bulk
 from repro.search.bounds import bound_statics
 from repro.search.cache import EvaluationCache
 from repro.search.config import METRIC_FIELDS, SearchConfig
-from repro.search.signatures import (
-    arch_signature,
-    layout_signature,
-    workload_signature,
-)
+from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -102,7 +99,8 @@ class SearchResult:
     pruned: int = 0
     """Candidates skipped because their lower bound could not beat the best."""
     cache_hits: int = 0
-    """Scored candidates served from the evaluation cache."""
+    """Scored candidates served from the evaluation cache (always 0 on the
+    columnar scan, which never reads it)."""
     repaired: int = 0
     """(mapping, layout) candidates collapsed away by constraint repair —
     raw candidates whose repaired form duplicated an earlier one, times the
@@ -124,8 +122,9 @@ def _metric_value(report: CostReport, metric: str) -> float:
 
 class Incumbent:
     """The scoring step of every search policy (the exhaustive scan of a
-    slowdown-free design reads the same counters and winner off its
-    universe's values instead: :meth:`Mapper._columnar_search`).
+    slowdown-free design reads the same winner, ``evaluated`` and
+    ``pruned`` off its universe's values instead, without the memo:
+    :meth:`Mapper._columnar_search`).
 
     :meth:`score` prices one mapping of the universe under every candidate
     layout through :meth:`Mapper.score`, counts the scored pairs
@@ -454,8 +453,11 @@ class Mapper:
         """Find the best (mapping, layout) pair under the configured metric.
 
         Whole results are memoized per (workload, layouts) under the
-        mapper's config; the analytical search's per-pair values are
-        additionally memoized in the (possibly shared) evaluation cache.
+        mapper's config.  The analytical search's per-pair values are
+        additionally memoized in the (possibly shared) evaluation cache,
+        except on the exhaustive scan of a slowdown-free design, which
+        prices its whole universe at once and stores nothing
+        (:meth:`_columnar_search`).
         """
         key = self._result_key(workload, layouts)
         if key in self._cache:
@@ -525,10 +527,11 @@ class Mapper:
         lowers that minimum.  ``evaluated``/``pruned`` follow from one
         exclusive running minimum, and the winner is the first argmin
         under layout 0.  That identity needs ``bounds <= values`` on every
-        entry, which is checked, never assumed.  Each scored entry still
-        makes one counted evaluation-cache lookup per layout (storing its
-        value on a miss), so ``cache_hits`` and the cache match the
-        :class:`Incumbent` scan; the one report is the winner's.
+        entry, which is checked, never assumed.  The scan prices and does
+        not memoize: it stores nothing in the evaluation cache, counts its
+        scored pairs as the cache's misses (each was priced here, in one
+        locked step) and reports ``cache_hits`` 0; the one report is the
+        winner's.
         """
         model = self.cost_model
         metric = self.config.metric
@@ -555,24 +558,8 @@ class Mapper:
         scored = np.empty(len(values), dtype=bool)
         scored[1:] = bounds[1:] < incumbent[:-1]
         scored[:1] = True
-        positions = np.flatnonzero(scored)
-        scored_energy = (energy[positions] if energy is not None
-                         else model.columnar_values(
-                             workload, cycles[positions],
-                             universe.columns().take(positions))[1])
-
-        lookup = self.evaluation_cache.lookup
-        signature = universe.signature
-        head = (arch_signature(model.arch),
-                workload_signature(workload))
-        names = [layout_signature(layout) for layout in layouts]
-        cache_hits = 0
-        for pos, entry in zip(positions.tolist(), zip(
-                total_cycles[positions].tolist(), scored_energy.tolist(),
-                [1.0] * len(positions))):
-            for _, hit in lookup(head + (signature(pos),), names,
-                                 lambda missing: [entry] * len(missing)):
-                cache_hits += hit
+        evaluated = int(np.count_nonzero(scored)) * len(layouts)
+        self.evaluation_cache.count_misses(evaluated)
 
         winner = int(np.argmin(values))
         mapping = universe[winner]
@@ -582,9 +569,8 @@ class Mapper:
             best_report=model.report(workload, mapping, layouts[0], 1.0,
                                      int(cycles[winner])),
             best_mapping=mapping, best_layout=layouts[0],
-            evaluated=len(positions) * len(layouts), metric=metric,
-            pruned=(len(values) - len(positions)) * len(layouts),
-            cache_hits=cache_hits)
+            evaluated=evaluated, metric=metric,
+            pruned=len(values) * len(layouts) - evaluated)
 
     def search_frontier(self, workload) -> Tuple:
         """Scan the candidate universe keeping the whole Pareto frontier.

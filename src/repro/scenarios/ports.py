@@ -143,37 +143,6 @@ def tables_scenarios(workload_set: str = "resnet50", gemm: bool = False,
                         tags=("tables", "figure"))
 
 
-def frontier_rows_from_record(record: ScenarioRecord,
-                              ) -> List[Dict[str, object]]:
-    """Flattened Pareto-frontier rows of a ``frontier=True`` cell record.
-
-    One row per frontier point across every unique shape, in record order:
-    the shape's workload name, the point's mapping/layout names, its four
-    objective values and whether it is the shape's scalar (lexicographic)
-    winner — the tabular view the frontier plots and reports consume.
-    Raises ``ValueError`` on records without frontier payloads so a caller
-    can't silently chart an empty table.
-    """
-    if record.frontiers is None:
-        raise ValueError(
-            f"record {record.scenario!r} carries no frontier payloads "
-            "(re-run the cell with frontier=True)")
-    rows: List[Dict[str, object]] = []
-    for shape in record.frontiers:
-        for index, point in enumerate(shape["points"]):
-            rows.append({
-                "workload": shape["workload"],
-                "mapping": point["mapping"],
-                "layout": point["layout"],
-                "edp": point["edp"],
-                "total_cycles": point["total_cycles"],
-                "total_energy_pj": point["total_energy_pj"],
-                "buffer_footprint_bytes": point["buffer_footprint_bytes"],
-                "is_winner": index == shape["winner_index"],
-            })
-    return rows
-
-
 def search_stats_rows_from_records(records: Sequence[ScenarioRecord],
                                    ) -> List[Dict[str, object]]:
     """Per-architecture engine statistics of :func:`tables_scenarios` cells.

@@ -29,9 +29,7 @@ computes for the entire universe in single numpy passes:
   one pass.
 
 Mappings are only materialized lazily, on first ``universe[i]`` access —
-i.e. only for entries that actually survive the bulk prune mask — and
-``signature(i)`` gives an entry's evaluation-cache key part without
-building it.
+i.e. only for entries that actually survive the bulk prune mask.
 
 Exactness of the integer trip counts: the scalar
 :meth:`~repro.dataflow.mapping.Mapping.compute_cycles` computes
@@ -49,14 +47,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.mapping import TileLevel
 from repro.search.bounds import BoundStatics
 from repro.search.frontier import buffer_footprint_bytes
-from repro.search.signatures import (
-    loop_signature,
-    mapping_signature,
-    parallelism_signature,
-)
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -119,11 +111,6 @@ class BulkUniverse:
             self._orders = [tuple(d for d in order if d in dims)
                             for order in space.orders]
             self._reduction = space.reduction_dims
-            # mapping_signature's head per parallelism candidate (built on
-            # first use) and tail per loop order.
-            self._signature_heads = {}
-            self._signature_tails = [loop_signature(order, self._reduction)
-                                     for order in self._orders]
 
     @classmethod
     def from_mappings(cls, mappings: Sequence, workload) -> "BulkUniverse":
@@ -152,21 +139,6 @@ class BulkUniverse:
     def __iter__(self) -> Iterator:
         return (self[pos] for pos in range(len(self)))
 
-    def signature(self, pos: int) -> Tuple:
-        """``mapping_signature(self[pos])``, built for a sampled entry from
-        its parallelism candidate and loop order without building the
-        :class:`~repro.dataflow.mapping.Mapping`."""
-        if pos >= len(self._indices) or pos < 0:
-            return mapping_signature(self[pos])
-        row, order = divmod(self._indices[pos], self._n_orders)
-        head = self._signature_heads.get(row)
-        if head is None:
-            parallel = self._candidates[row]
-            head = self._signature_heads[row] = parallelism_signature(
-                self._space.array_rows, self._space.array_cols, parallel,
-                TileLevel.of(**{p.dim: p.degree for p in parallel}).sizes)
-        return head + self._signature_tails[order]
-
     # ------------------------------------------------------------ bulk math
     def _flat_indices(self) -> np.ndarray:
         """The sampled entries' flat indices (int64)."""
@@ -182,25 +154,11 @@ class BulkUniverse:
         return self._rows
 
     def _degree_matrix(self) -> np.ndarray:
-        """(n_candidates, n_dims) spatial degrees, 1 where unparallelised.
-
-        Only the rows the sample gathers are filled: a capped sample names
-        a few dozen of a shape's hundreds of candidates, and the other
-        rows are never read."""
+        """(n_candidates, n_dims) int64 spatial degrees, 1 where
+        unparallelised: the space's memoized
+        :meth:`~repro.dataflow.space.MappingSpace.degree_matrix`, widened."""
         if self._degrees is None:
-            dim_pos = {d: j for j, d in enumerate(self._space.dims)}
-            degrees = np.ones((len(self._candidates), len(dim_pos)),
-                              dtype=np.int64)
-            gathered = np.zeros(len(self._candidates), dtype=bool)
-            gathered[self._candidate_rows()] = True
-            cells: List[int] = []  # (row, dim position, degree) triples
-            for row in np.flatnonzero(gathered).tolist():
-                for p in self._candidates[row]:
-                    cells += (row, dim_pos[p.dim], p.degree)
-            rows, cols, values = np.array(cells, dtype=np.int64
-                                          ).reshape(-1, 3).T
-            np.multiply.at(degrees, (rows, cols), values)
-            self._degrees = degrees
+            self._degrees = self._space.degree_matrix().astype(np.int64)
         return self._degrees
 
     def columns(self) -> MappingColumns:

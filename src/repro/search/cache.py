@@ -9,12 +9,13 @@ weight-stationary mapping that the mapper appends to every sampled space.
 :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values`, never a
 report: a search builds one report, its winner's, from the winner's
 memoized slowdown.  It keeps hit/miss accounting so callers can report
-cache effectiveness.  :meth:`EvaluationCache.lookup` is its one counted
-lookup-and-store routine: :meth:`EvaluationCache.evaluate_batch` prices a
-mapping's misses through one ``evaluate_values`` call, and the columnar
-scan of :meth:`repro.layoutloop.mapper.Mapper.search` stores the values
-it already priced for the whole universe.  The per-pair scalar memo the
-golden oracle replays lives in ``tests/reference.py``.
+cache effectiveness.  :meth:`EvaluationCache.evaluate_batch` is its one
+counted lookup-and-store routine: it prices a mapping's misses through
+one ``evaluate_values`` call.  The columnar scan of a slowdown-free design
+(:meth:`repro.layoutloop.mapper.Mapper.search`) prices its whole universe
+at once and never reads the memo: it stores nothing and counts its scored
+pairs as misses (:meth:`EvaluationCache.count_misses`).  The per-pair
+scalar memo the golden oracle replays lives in ``tests/reference.py``.
 
 Entries are stored per (arch + energy, workload shape, mapping) prefix, so
 a batch hashes that prefix once and each layout by its name.  Caches are
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.search.signatures import (
     arch_signature,
@@ -55,7 +56,8 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total number of ``get`` calls."""
+        """Pairs priced or served: every counted lookup, plus the pairs a
+        columnar scan priced without the memo."""
         return self.hits + self.misses
 
     @property
@@ -78,12 +80,12 @@ class EvaluationCache:
 
     Keys are built from :mod:`repro.search.signatures` — never from layer or
     mapping names — so one instance may be shared by mappers for different
-    architectures.  :meth:`lookup` is the counted
-    lookup-and-store of one mapping's layouts and :meth:`evaluate_batch`
-    the memoized scoring entry point built on it; :meth:`get`/:meth:`put`
+    architectures.  :meth:`evaluate_batch` is the counted
+    lookup-and-store of one mapping's layouts; :meth:`get`/:meth:`put`
     are the raw counted lookup and store under the flat 4-part key
-    ``(arch, workload, mapping, layout)`` signature tuple, and ``len()``
-    counts (mapping, layout) pairs.
+    ``(arch, workload, mapping, layout)`` signature tuple;
+    :meth:`count_misses` counts pairs priced without the memo; and
+    ``len()`` counts (mapping, layout) pairs.
     """
 
     def __init__(self) -> None:
@@ -110,18 +112,30 @@ class EvaluationCache:
         with self._lock:
             self._entries.setdefault(key[:3], {})[key[3]] = entry
 
-    def lookup(self, prefix: Tuple, names: Sequence[str],
-               price: Callable[[List[int]], Sequence[Entry]]
-               ) -> List[Tuple[Entry, bool]]:
-        """Memoized entries of one mapping (``prefix``: the arch, workload
-        and mapping signatures) under the layouts ``names``.
+    def count_misses(self, pairs: int) -> None:
+        """Count ``pairs`` (mapping, layout) pairs priced without the memo
+        as misses, in one locked step; nothing is stored."""
+        with self._lock:
+            self.stats.misses += pairs
 
-        Returns ``[(entry, was_hit), ...]`` in ``names`` order.  Every name
-        is one counted lookup (a name repeated within the call is a miss on
-        first sight and a hit on every repeat), and all misses are priced
-        together by one ``price(positions)`` call, which returns the entries
-        of the names at ``positions`` and runs outside the lock.
+    def evaluate_batch(self, cost_model, workload, mapping, layouts,
+                       compute_cycles: Optional[int] = None
+                       ) -> List[Tuple[Entry, bool]]:
+        """Memoized values of one mapping under many layouts.
+
+        Returns ``[(entry, was_hit), ...]`` in layout order.  Every layout
+        is one counted lookup (a layout repeated within the call is a miss
+        on first sight and a hit on every repeat), and all misses are
+        priced together by one
+        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values` call
+        (``compute_cycles`` is passed through), which runs outside the
+        lock.  Cache keys exclude free-text names, so a hit may come from a
+        different layer/mapping label than the current call's; entries
+        carry no names.
         """
+        prefix = (arch_signature(cost_model.arch),
+                  workload_signature(workload), mapping_signature(mapping))
+        names = [layout_signature(layout) for layout in layouts]
         out: List = [None] * len(names)
         missing: Dict[str, int] = {}  # first position of each missing name
         repeats = 0  # repeats of a missing name: hits once the batch lands
@@ -139,7 +153,9 @@ class EvaluationCache:
             self.stats.misses += len(missing)
             self.stats.hits += len(names) - len(missing)
         if missing:
-            fresh = price(list(missing.values()))
+            fresh = cost_model.evaluate_values(
+                workload, mapping, [layouts[i] for i in missing.values()],
+                compute_cycles)
             with self._lock:
                 for (name, i), entry in zip(missing.items(), fresh):
                     row[name] = entry
@@ -149,27 +165,6 @@ class EvaluationCache:
                     if out[i] is None:
                         out[i] = (out[missing[name]][0], True)
         return out
-
-    def evaluate_batch(self, cost_model, workload, mapping, layouts,
-                       compute_cycles: Optional[int] = None
-                       ) -> List[Tuple[Entry, bool]]:
-        """Memoized values of one mapping under many layouts: a
-        :meth:`lookup` whose misses are priced by one
-        :meth:`~repro.layoutloop.cost_model.CostModel.evaluate_values` call
-        (``compute_cycles`` is passed through).
-
-        Returns ``[(entry, was_hit), ...]`` in layout order.  Cache keys
-        exclude free-text names, so a hit may come from a different
-        layer/mapping label than the current call's; entries carry no
-        names.
-        """
-        prefix = (arch_signature(cost_model.arch),
-                  workload_signature(workload), mapping_signature(mapping))
-        return self.lookup(
-            prefix, [layout_signature(layout) for layout in layouts],
-            lambda positions: cost_model.evaluate_values(
-                workload, mapping, [layouts[i] for i in positions],
-                compute_cycles))
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""

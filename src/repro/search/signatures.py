@@ -40,24 +40,14 @@ def workload_signature(workload) -> Tuple:
 
 def mapping_signature(mapping) -> Tuple:
     """Structural signature of a mapping (the free-text name is excluded)."""
-    return (parallelism_signature(mapping.array_rows, mapping.array_cols,
-                                  mapping.parallel, mapping.tile.sizes)
-            + loop_signature(mapping.order, mapping.reduction_dims))
-
-
-def parallelism_signature(array_rows: int, array_cols: int, parallel,
-                          tile_sizes: Tuple) -> Tuple:
-    """The head of :func:`mapping_signature`: array shape, spatial
-    parallelism and tile, which every loop order of one parallelism shares
-    (:meth:`repro.search.bulk.BulkUniverse.signature` builds each once)."""
-    return (array_rows, array_cols,
-            tuple((p.dim, p.degree) for p in parallel), tile_sizes)
-
-
-def loop_signature(order: Tuple[str, ...], reduction_dims) -> Tuple:
-    """The tail of :func:`mapping_signature`: loop order and reduction
-    dimensions."""
-    return (order, tuple(sorted(reduction_dims)))
+    return (
+        mapping.array_rows,
+        mapping.array_cols,
+        tuple((p.dim, p.degree) for p in mapping.parallel),
+        mapping.tile.sizes,
+        mapping.order,
+        tuple(sorted(mapping.reduction_dims)),
+    )
 
 
 def layout_signature(layout) -> str:

@@ -225,8 +225,10 @@ GOLDEN_CELLS = list(golden_matrix())
 class TestSessionSemantics:
     def test_cross_request_cache_reuse(self):
         with Session(name="reuse") as session:
+            # Eyeriss-like scores through the memo; FEATHER's exhaustive
+            # scan prices without it and stores nothing.
             first = session.run(SearchRequest(workloads="resnet50[:2]",
-                                              arch="FEATHER",
+                                              arch="Eyeriss-like",
                                               max_mappings=8))
             assert first.search["cache_misses"] > 0
             entries = session.describe()["evaluation_cache_entries"]
@@ -235,7 +237,8 @@ class TestSessionSemantics:
             # session cache (different model label -> different content
             # key -> real re-execution, served from cache).
             second = session.run(SearchRequest(workloads="resnet50[:2]",
-                                               arch="FEATHER", model="other",
+                                               arch="Eyeriss-like",
+                                               model="other",
                                                max_mappings=8))
             assert second.search["cache_misses"] == 0
             assert second.totals == first.totals

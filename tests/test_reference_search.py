@@ -15,9 +15,10 @@ ResNet-50 and MobileNet-V3 conv shape on FEATHER over the whole mapping
 space (``max_mappings=10**9``), the exhaustive-feather benchmark's three
 requests, plus BERT, and ResNet-50 for energy at a capped sample.
 Golden universes hold at most a few hundred pairs; this grid has 661k,
-with within-search duplicate hits and deep pruning.  FEATHER is RIR and
+with within-search duplicates and deep pruning.  FEATHER is RIR and
 never runs the concordance kernel (its searches take the columnar scan of
-slowdown-free designs), so the Fig. 13 grid checks the kernel's designs
+slowdown-free designs, which prices the duplicates the oracle's memo
+serves, so it reports no cache hit), so the Fig. 13 grid checks the kernel's designs
 too: every other design of the ResNet-50 and BERT charts over the unique
 shapes at the benchmark's ``max_mappings=50``.
 """
@@ -83,28 +84,33 @@ def test_search_matches_scalar_reference(cell, workload, constraints):
 def _grid_totals(arch, workload_set, config):
     """Search every unique shape of ``workload_set`` on fresh mappers, both
     ways; assert the winner and every counter equal the oracle's, and
-    return the summed (evaluated, pruned, cache hits)."""
+    return the summed (evaluated, pruned, cache hits).  A design that never
+    stalls on a bank conflict prices its universe without the memo, so it
+    reports no hit where the oracle's memo serves a within-search
+    duplicate."""
     shapes = {}
     for workload in resolve_workload_set(workload_set):
         shapes.setdefault(workload_signature(workload), workload)
     summed = [0, 0, 0]
     for workload in shapes.values():
-        result = Mapper(arch, config).search(workload)
+        mapper = Mapper(arch, config)
+        result = mapper.search(workload)
         expected = reference_search(Mapper(arch, config), workload)
         assert result.best_report == expected.best_report, workload.name
         assert result.best_mapping == expected.best_mapping, workload.name
         assert result.best_layout == expected.best_layout, workload.name
         counters = (result.evaluated, result.pruned, result.cache_hits)
         assert counters == (expected.evaluated, expected.pruned,
-                            expected.cache_hits), workload.name
+                            0 if mapper.cost_model.slowdown_free
+                            else expected.cache_hits), workload.name
         summed = [a + b for a, b in zip(summed, counters)]
     return tuple(summed)
 
 
 @pytest.mark.parametrize("workload_set,metric,totals", [
-    ("resnet50", "edp", (9618, 160755, 154)),
+    ("resnet50", "edp", (9618, 160755, 0)),
     ("resnet50", "latency", (1463, 168910, 0)),
-    ("mobilenet_v3", "edp", (28763, 291739, 119)),
+    ("mobilenet_v3", "edp", (28763, 291739, 0)),
     ("bert", "edp", (882, 6336, 0)),
 ], ids=["resnet50-edp", "resnet50-latency", "mobilenet_v3-edp", "bert-edp"])
 def test_real_grid_matches_scalar_reference(workload_set, metric, totals):
@@ -121,7 +127,7 @@ def test_energy_grid_matches_scalar_reference():
     the oracle takes seconds) against the oracle, totals pinned."""
     config = SearchConfig(metric="energy", max_mappings=100)
     assert (_grid_totals(feather_arch(), "resnet50", config)
-            == (16261, 0, 28))
+            == (16261, 0, 0))
 
 
 @pytest.mark.parametrize("workload_set,arch_name,totals", [
@@ -129,7 +135,7 @@ def test_energy_grid_matches_scalar_reference():
     ("resnet50", "Eyeriss-like", (232, 918, 0)),
     ("resnet50", "SIGMA-like (HWC_C32)", (301, 872, 4)),
     ("resnet50", "SIGMA-like (HWC_C4W8)", (277, 896, 4)),
-    ("resnet50", "SIGMA-like (off-chip reorder)", (1358, 6853, 28)),
+    ("resnet50", "SIGMA-like (off-chip reorder)", (1358, 6853, 0)),
     ("resnet50", "Medusa-like", (1428, 6783, 28)),
     ("resnet50", "MTIA-like", (1428, 6783, 28)),
     ("resnet50", "TPU-like", (1428, 6783, 28)),

@@ -22,6 +22,7 @@ from reference import reference_search
 from repro.api import InvalidRequestError, SearchRequest, Session
 from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.registry import eyeriss_like, nvdla_like
+from repro.dataflow.mapping import Mapping, ParallelSpec, TileLevel
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
 from repro.layoutloop.cost_model import CostReport
@@ -78,10 +79,24 @@ class TestSignatures:
                                 reduction_dims=mapping.reduction_dims)
         assert mapping_signature(mapping) == mapping_signature(renamed)
 
+    def test_mapping_signature_format(self):
+        """Evaluation-cache and ``EvalRequest`` content keys hash this
+        tuple, so its format is pinned literally."""
+        mapping = Mapping("m", array_rows=4, array_cols=8,
+                          parallel=(ParallelSpec("M", 4), ParallelSpec("C", 8)),
+                          tile=TileLevel.of(M=4, C=8),
+                          order=("N", "P", "Q", "M", "C", "R", "S"),
+                          reduction_dims=frozenset({"S", "C", "R"}))
+        assert mapping_signature(mapping) == (
+            4, 8, (("M", 4), ("C", 8)), (("C", 8), ("M", 4)),
+            ("N", "P", "Q", "M", "C", "R", "S"), ("C", "R", "S"))
+
 
 class TestEvaluationCache:
+    # Eyeriss-like scores through the memo; FEATHER's exhaustive scan
+    # prices without it (tests/test_columnar_scan.py).
     def test_hit_miss_accounting(self):
-        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=20))
+        mapper = Mapper(eyeriss_like(), SearchConfig(max_mappings=20))
         first = mapper.search(LAYER)
         assert first.cache_hits == 0
         assert mapper.evaluation_cache.stats.misses == first.evaluated
@@ -105,7 +120,7 @@ class TestEvaluationCache:
 
     def test_clear(self):
         cache = EvaluationCache()
-        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=10),
+        mapper = Mapper(eyeriss_like(), SearchConfig(max_mappings=10),
                         evaluation_cache=cache)
         mapper.search(SMALL)
         assert len(cache) > 0
@@ -115,7 +130,7 @@ class TestEvaluationCache:
     def test_cache_hit_reports_carry_current_labels(self):
         # Keys exclude names, so a hit may come from another layer's search;
         # the returned report must still be labelled for the current call.
-        mapper = Mapper(feather_arch(), SearchConfig(max_mappings=15))
+        mapper = Mapper(eyeriss_like(), SearchConfig(max_mappings=15))
         mapper.search(LAYER)
         second = mapper.search(RENAMED)
         assert second.cache_hits > 0
@@ -125,9 +140,9 @@ class TestEvaluationCache:
         # Without fresh_cache, requests on one session share its evaluation
         # cache: a same-shape, differently named layer is scored from it.
         with Session(name="shared") as session:
-            search(feather_arch(), [LAYER], session=session,
+            search(eyeriss_like(), [LAYER], session=session,
                    fresh_cache=False, model="a", max_mappings=15)
-            second = search(feather_arch(), [RENAMED], session=session,
+            second = search(eyeriss_like(), [RENAMED], session=session,
                             fresh_cache=False, model="b", max_mappings=15)
         assert second.search_stats.cache.hits > 0
 

@@ -8,9 +8,16 @@ proves the *wire* path — HTTP request parsing, the shared
 :class:`~repro.api.Session`, JSON response encoding — reproduces exactly
 the numbers the in-process engine is pinned to: totals and per-layer
 winners must match the golden payload, and a second identical POST must
-be served from the warm session (same totals, positive cache hits).  A
-POST declaring ``Content-Length: -1`` must get a 400 within the socket
-timeout instead of holding the handler on an unbounded read.
+be served from the warm session (same totals, zero evaluation-cache
+misses).  A POST declaring ``Content-Length: -1`` must get a 400 within
+the socket timeout instead of holding the handler on an unbounded read.
+
+Those checks run against the default front, which on a multi-core host
+offloads each cold search to a worker process and adopts its result.  A
+second server with one handler thread runs the search in its own session
+instead; the cell's FEATHER-4x4 searches are columnar scans, which price
+without the evaluation cache, so its ``/v1/healthz`` must then report
+``evaluation_cache_entries`` 0.
 
 Usage::
 
@@ -29,6 +36,7 @@ import subprocess
 import sys
 import time
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +64,34 @@ def negative_length_status(host: str, port: int) -> int:
         return response.status
 
 
+@contextmanager
+def served(*options: str):
+    """Run ``python -m repro.serve --port 0 *options``; yield its base URL,
+    or ``None`` when it announces no port."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0", *options],
+        cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                        "PATH": "/usr/bin:/bin"})
+    try:
+        line = server.stdout.readline()
+        match = re.search(r"http://[^:]+:\d+", line)
+        if not match:
+            print(f"FAIL: server did not announce a port (got {line!r})")
+        yield match and match.group(0)
+    finally:
+        server.terminate()
+        try:
+            server.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+
+
+def healthz(base: str) -> dict:
+    return json.loads(urllib.request.urlopen(
+        base + "/v1/healthz", timeout=30).read())
+
+
 def main() -> int:
     golden = json.loads(GOLDEN.read_text())
     request = {
@@ -70,27 +106,21 @@ def main() -> int:
         "fresh_cache": True,
     }
 
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0"],
-        cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, env={"PYTHONPATH": str(REPO_ROOT / "src"),
-                        "PATH": "/usr/bin:/bin"})
-    try:
-        line = server.stdout.readline()
-        match = re.search(r"http://([^:]+):(\d+)", line)
-        if not match:
-            print(f"FAIL: server did not announce a port (got {line!r})")
-            return 1
-        base = f"http://{match.group(1)}:{match.group(2)}"
+    # Warm pass: drop the fresh-cache pin and hit the session cache.
+    warm_request = dict(request)
+    warm_request.pop("fresh_cache")
 
-        health = json.loads(urllib.request.urlopen(
-            base + "/v1/healthz", timeout=30).read())
+    with served() as base:
+        if not base:
+            return 1
+        health = healthz(base)
         if health.get("status") != "ok":
             print(f"FAIL: healthz {health}")
             return 1
 
+        host, port = base.removeprefix("http://").split(":")
         try:
-            status = negative_length_status(match.group(1), match.group(2))
+            status = negative_length_status(host, port)
         except TimeoutError:
             status = "no answer within 10 s"
         if status != 400:
@@ -111,9 +141,6 @@ def main() -> int:
                   f"({len(first['layers'])} layers, "
                   f"{first['totals']['total_cycles']:.6g} cycles)")
 
-        # Warm pass: drop the fresh-cache pin and hit the session cache.
-        warm_request = dict(request)
-        warm_request.pop("fresh_cache")
         post(base, "/v1/search", warm_request)  # populates the shared cache
         warm = post(base, "/v1/search", warm_request)
         if warm["totals"] != golden["totals"]:
@@ -127,13 +154,23 @@ def main() -> int:
         else:
             print("warm session OK: zero evaluation-cache misses, "
                   "identical totals")
-        return 1 if failures else 0
-    finally:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
+
+    # One handler thread turns the process offload off on every host, so
+    # the search runs in the served session and its cache is the one
+    # /v1/healthz reports.
+    with served("--threads", "1") as base:
+        if not base:
+            return 1
+        post(base, "/v1/search", warm_request)
+        entries = healthz(base)["evaluation_cache_entries"]
+        if entries != 0:
+            print(f"FAIL: the columnar scans stored {entries} "
+                  "evaluation-cache entries; they price without the memo")
+            failures += 1
+        else:
+            print("healthz OK: a one-thread session stored no "
+                  "evaluation-cache entries")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
